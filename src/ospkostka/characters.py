@@ -140,7 +140,10 @@ def _alternant(gtype: GroupType, x) -> dict:
 def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:
     """Exact division in the lattice group ring; `lead` is the unique
     lexicographically maximal weight of denom and must carry coefficient 1."""
-    assert denom.get(lead) == 1
+    if denom.get(lead) != 1:
+        raise ValueError(
+            f"alternant leading weight {lead} has coefficient {denom.get(lead)}, not 1"
+        )
     numer = dict(numer)
     quotient = {}
     while numer:
@@ -329,5 +332,8 @@ def weyl_dimension(gtype: GroupType, lam) -> int:
         num = sum(a * b for a, b in zip(shifted, alpha))
         den = sum(a * b for a, b in zip(rho_t, alpha))
         value *= Fraction(num, den)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"Weyl dimension of {lam} for {gtype} is not an integer: {value}"
+        )
     return int(value)

@@ -25,6 +25,8 @@ from .kostka import (
 
 CACHE_VERSION = "ospkostka-cache-1"
 CACHE_ENV = "OSP_KOSTKA_CACHE"
+# The commands that compute Kostka polynomials, and so read and write the cache.
+CACHE_COMMANDS = ("kostka", "stalk", "verify-positivity", "verify-bryl")
 
 
 class UsageError(ValueError):
@@ -119,9 +121,20 @@ def cache_load(path):
 
 
 def cache_store(path, entries):
+    """Write the cache to a per-process temporary file beside it, then move
+    that over the old file, so a crash mid-write leaves the old file whole."""
     payload = {"version": CACHE_VERSION, "entries": dict(sorted(entries.items()))}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _kostka_key(N, lam0, lam1, mu0, mu1):
@@ -561,12 +574,9 @@ def _merge_moment_reports(N, reports):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--cache", default=None, help="polynomial cache file")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker count for trial batches (results are jobs-independent)",
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument(
+        "--cache", default=None, help=f"polynomial cache file (default: ${CACHE_ENV})"
     )
     parser = argparse.ArgumentParser(
         prog="ospkostka",
@@ -575,7 +585,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        parents = [common, cached] if name in CACHE_COMMANDS else [common]
+        return sub.add_parser(name, parents=parents, **kwargs)
 
     p = add_parser("roots", help="positive roots of D/C factors or the odd system")
     p.add_argument("-N", type=int, default=None)
@@ -669,6 +680,12 @@ def build_parser():
     p.add_argument("-N", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for trial batches",
+    )
     p.set_defaults(func=cmd_moment_check)
 
     return parser
@@ -681,7 +698,9 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; re-raise unchanged
         raise exc
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
+    cache_path = None
+    if args.command in CACHE_COMMANDS:
+        cache_path = args.cache or os.environ.get(CACHE_ENV)
     if cache_path:
         _import_cache_entries(cache_load(cache_path))
     try:

@@ -128,9 +128,6 @@ class PartitionCounter:
             self.root_coords.append(c)
         self._memo = {}
 
-    def coordinates(self, flat):
-        return self._solver.coordinates(flat)
-
     def l_poly_flat(self, flat) -> QPoly:
         coords = self._solver.coordinates(flat)
         if coords is None:
@@ -246,16 +243,21 @@ def kostka_custom(
     return _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1)
 
 
+def _weyl_arguments(gtype, rho_t, lam, mu):
+    """(w(lam+rho)-rho-mu, sign w) for every w in W(gtype)."""
+    shift = tuple(a + b for a, b in zip(lam, rho_t))
+    base = tuple(a + b for a, b in zip(rho_t, mu))
+    return [
+        (tuple(a - b for a, b in zip(act(w, shift), base)), s)
+        for w, s in _signed_weyl(gtype)
+    ]
+
+
 def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
-    shift0 = tuple(a + b for a, b in zip(lam0, rho0))
-    shift1 = tuple(a + b for a, b in zip(lam1, rho1))
-    base0 = tuple(a + b for a, b in zip(rho0, mu0))
-    base1 = tuple(a + b for a, b in zip(rho1, mu1))
+    side1 = _weyl_arguments(type1, rho1, lam1, mu1)
     acc = {}
-    for w0, s0 in _signed_weyl(type0):
-        arg0 = tuple(a - b for a, b in zip(act(w0, shift0), base0))
-        for w1, s1 in _signed_weyl(type1):
-            arg1 = tuple(a - b for a, b in zip(act(w1, shift1), base1))
+    for arg0, s0 in _weyl_arguments(type0, rho0, lam0, mu0):
+        for arg1, s1 in side1:
             part = counter.l_poly_flat(arg0 + arg1)
             if not part:
                 continue

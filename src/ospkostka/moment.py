@@ -60,7 +60,10 @@ def identity(n):
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
+    if len(a[0]) != inner:
+        raise ValueError(
+            f"cannot multiply a {rows}x{len(a[0])} matrix by a {inner}x{cols} matrix"
+        )
     out = zeros(rows, cols)
     for i in range(rows):
         ai = a[i]

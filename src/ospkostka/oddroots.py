@@ -16,6 +16,8 @@ of interleaved partial-sum inequalities with a parity constraint.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .roots import GroupType, is_dominant, rho
 
@@ -185,7 +187,13 @@ def simple_odd_roots(data: OspRootData) -> tuple:
 
 class ConeSolver:
     """Exact solver for S c = alpha with a fixed full-column-rank integer
-    matrix S; reports None unless c is a nonnegative integer vector."""
+    matrix S; reports None unless c is a nonnegative integer vector.
+
+    The left inverse of S is found once, by Fraction row reduction, and
+    kept as the integer matrix D * S^+ with D the lcm of its denominators.
+    A query is then integer dot products and one divmod by D per
+    coordinate, with no Fraction arithmetic.
+    """
 
     def __init__(self, columns):
         k = len(columns)
@@ -205,29 +213,40 @@ class ConeSolver:
             if piv is None:
                 raise ValueError("simple roots are linearly dependent")
             mat[row], mat[piv] = mat[piv], mat[row]
-            scale = mat[row][col]
-            mat[row] = [x / scale for x in mat[row]]
+            pivot = mat[row][col]
+            mat[row] = [x / pivot for x in mat[row]]
             for i in range(dim):
                 if i != row and mat[i][col] != 0:
                     f = mat[i][col]
                     mat[i] = [a - f * b for a, b in zip(mat[i], mat[row])]
             row += 1
-        self.k = k
+        elim = [r[k:] for r in mat]
         self.dim = dim
-        self._elim = [r[k:] for r in mat]
+        self.scale, self._rows = _clear_denominators(elim[:k])
+        # A consistency row only has to vanish, so each is cleared of
+        # denominators on its own.
+        self._checks = [_clear_denominators([r])[1][0] for r in elim[k:]]
 
     def coordinates(self, flat):
         if len(flat) != self.dim:
             raise ValueError("vector length does not match the lattice rank")
-        transformed = [sum(e * x for e, x in zip(row, flat)) for row in self._elim]
-        if any(x != 0 for x in transformed[self.k :]):
-            return None
-        out = []
-        for c in transformed[: self.k]:
-            if c.denominator != 1 or c < 0:
+        for row in self._checks:
+            if sum(map(mul, row, flat)):
                 return None
-            out.append(int(c))
+        scale = self.scale
+        out = []
+        for row in self._rows:
+            c, rem = divmod(sum(map(mul, row, flat)), scale)
+            if rem or c < 0:
+                return None
+            out.append(c)
         return tuple(out)
+
+
+def _clear_denominators(rows):
+    """(D, D * rows as ints), with D the lcm of the denominators in rows."""
+    scale = lcm(*(x.denominator for r in rows for x in r))
+    return scale, [[int(x * scale) for x in r] for r in rows]
 
 
 @lru_cache(maxsize=None)

@@ -85,7 +85,8 @@ def rho(gtype: GroupType) -> Weight:
     for root in positive_roots(gtype):
         for i, c in enumerate(root):
             total[i] += c
-    assert all(c % 2 == 0 for c in total)
+    if any(c % 2 for c in total):
+        raise ArithmeticError(f"positive roots of {gtype} have an odd coordinate sum {total}")
     return tuple(c // 2 for c in total)
 
 

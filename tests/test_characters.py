@@ -1,6 +1,7 @@
 import pytest
 
 from ospkostka.characters import (
+    _divide_by_alternant,
     CharElt,
     decompose,
     dual_label,
@@ -122,3 +123,8 @@ def test_tensor_decomposition_is_nonnegative():
                     irreducible_character(gtype, mu),
                 )
                 assert all(m >= 0 for m in decompose(ch).values())
+
+
+def test_divide_by_alternant_rejects_non_monic_denominator():
+    with pytest.raises(ValueError, match="coefficient 2"):
+        _divide_by_alternant({(2,): 2}, {(1,): 2}, (1,))

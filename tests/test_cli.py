@@ -6,7 +6,14 @@ import sys
 import pytest
 
 import ospkostka
-from ospkostka.cli import cache_load, cache_store, main, parse_biweight, UsageError
+from ospkostka.cli import (
+    CACHE_ENV,
+    cache_load,
+    cache_store,
+    main,
+    parse_biweight,
+    UsageError,
+)
 
 
 def run_cli(*argv):
@@ -201,6 +208,24 @@ def test_moment_check_deterministic_across_jobs():
     assert json.loads(runs[0])["ok"]
 
 
+def test_jobs_only_on_moment_check():
+    code, _, err = run_cli("roots", "--family", "C", "--rank", "2", "--jobs", "2")
+    assert code == 2
+    assert "--jobs" in err
+
+
+def test_cache_only_on_kostka_commands(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["dominance", "-N", "3", "--lambda", "1;1", "--mu", "0;0",
+              "--cache", str(path)])
+    assert exc.value.code == 2
+    # Commands that compute no Kostka polynomial ignore the variable too.
+    monkeypatch.setenv(CACHE_ENV, str(path))
+    assert main(["dominance", "-N", "3", "--lambda", "1;1", "--mu", "0;0"]) == 0
+    assert not path.exists()
+
+
 def test_cache_env_var(tmp_path):
     path = tmp_path / "env-cache.json"
     # Minimal env: only OSP_KOSTKA_CACHE names the cache.  PYTHONPATH is the
@@ -232,6 +257,22 @@ def test_cache_round_trip(tmp_path):
     entries = {"3|K|1|1|0|0": [0, 1]}
     cache_store(path, entries)
     assert cache_load(path) == entries
+
+
+def test_cache_store_crash_leaves_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    cache_store(path, {"3|K|1|1|0|0": [0, 1]})
+    before = path.read_bytes()
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:20])
+        raise RuntimeError("crash mid-dump")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(RuntimeError, match="mid-dump"):
+        cache_store(path, {"3|K|1|1|0|0": [0, 1], "3|K|2|2|0|0": [0, 0, 1]})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.json"]  # no temporary file left
 
 
 def test_cache_ignores_unknown_version(tmp_path):

@@ -1,4 +1,5 @@
-from itertools import product as iproduct
+from collections import Counter
+from itertools import combinations_with_replacement, product as iproduct
 
 import pytest
 
@@ -19,7 +20,15 @@ from ospkostka.oddroots import (
     osp_root_data,
     simple_odd_roots,
 )
-from ospkostka.roots import EnumerationTooLargeError, GroupType, dominant_weights
+from ospkostka.roots import (
+    EnumerationTooLargeError,
+    GroupType,
+    act,
+    dominant_weights,
+    rho,
+    sign,
+    weyl_elements,
+)
 
 
 def test_qpoly_normalization_and_arithmetic():
@@ -124,8 +133,6 @@ def test_kostka_rejects_bad_input():
 @pytest.mark.parametrize("N", [3, 4])
 def test_kostka_truncated_brute_force(N):
     """Cross-check the Weyl sum against literally enumerated L-tables."""
-    from ospkostka.roots import act, sign, weyl_elements
-
     data = osp_root_data(N)
     dmax = 5
     table = brute_force_partition_table(data, dmax)
@@ -219,6 +226,54 @@ def test_kostka_custom_empty_reach():
         ((0,), (0,)),
     )
     assert out == QPoly.zero()
+
+
+def test_kostka_custom_non_square_simple_set():
+    """Two simple roots spanning a rank-2 sublattice of a rank-3 lattice,
+    so many Weyl-sum arguments fail the cone solver's consistency rows.
+    Checked against a literal signed sum over enumerated multisets."""
+    s1, s2 = biweight((1, 0), (1,)), biweight((0, 1), (1,))
+    roots = RootSet((s1, s2, s1 + s2), "non-square")
+    type0, type1 = GroupType("D", 2), GroupType("C", 1)
+    rho_pair = (rho(type0), rho(type1))
+    dmax = 8
+    table = Counter()
+    for d in range(dmax + 1):
+        for combo in combinations_with_replacement(roots.roots, d):
+            total = tuple(sum(col) for col in zip((0, 0, 0), *(b.flat() for b in combo)))
+            table[(total, d)] += 1
+
+    rho_flat = rho_pair[0] + rho_pair[1]
+
+    def literal(lam, mu):
+        shift0 = tuple(x + r for x, r in zip(lam[0], rho_pair[0]))
+        shift1 = tuple(x + r for x, r in zip(lam[1], rho_pair[1]))
+        out = [0] * (dmax + 1)
+        for w0, w1 in iproduct(weyl_elements(type0), weyl_elements(type1)):
+            moved = act(w0, shift0) + act(w1, shift1)
+            arg = tuple(a - r - m for a, r, m in zip(moved, rho_flat, mu[0] + mu[1]))
+            for d in range(dmax + 1):
+                out[d] += sign(w0) * sign(w1) * table[(arg, d)]
+        return QPoly(tuple(out))
+
+    nonzero = 0
+    for lam in iproduct(dominant_weights(type0, 2), dominant_weights(type1, 3)):
+        for mu in iproduct(dominant_weights(type0, 1), dominant_weights(type1, 1)):
+            got = kostka_custom(roots, [s1, s2], type0, type1, rho_pair, lam, mu)
+            assert got.degree is None or got.degree < dmax
+            assert got == literal(lam, mu), (lam, mu)
+            nonzero += bool(got)
+    assert nonzero > 10
+    assert kostka_custom(
+        roots, [s1, s2], type0, type1, rho_pair, ((3, 1), (4,)), ((1, -1), (0,))
+    ) == QPoly((0, 0, 1, 1, 1))
+
+
+def test_kostka_n9_cold_example():
+    """At N=9 the Weyl sum visits |W(D_4)| * |W(C_4)| = 73,728 pairs."""
+    data = osp_root_data(9)
+    poly = kostka(data, ((1, 0, 0, 0), (1, 0, 0, 0)), ((0,) * 4, (0,) * 4))
+    assert str(poly) == "q + q^3 + q^5 + 2*q^7 + q^9 + q^11 + q^13"
 
 
 def test_kostka_custom_rejects_bad_root_set():

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ospkostka
 from ospkostka.moment import (
     FormsSpec,
     adjoint,
@@ -215,3 +219,29 @@ def test_equivariance_spot_check():
             assert mat_eq(
                 q1(spec, moved), mat_mul(g1, mat_mul(q1(spec, A), mat_inverse(g1)))
             )
+
+
+def test_mat_mul_shape_check():
+    with pytest.raises(ValueError, match="1x2 matrix by a 1x2"):
+        mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_mat_mul_shape_check_survives_optimize():
+    """The check is a raise, not an assert, so python -O keeps it."""
+    code = (
+        "import sys\n"
+        "from ospkostka.moment import mat_mul\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "try:\n"
+        "    mat_mul([[1, 2]], [[1, 2]])\n"
+        "except ValueError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('mat_mul accepted mismatched shapes')\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 
+from conftest import cone_coordinates_oracle, fraction_rank
 from ospkostka.oddroots import (
+    ConeSolver,
     biweight,
     dominance_ge,
     dominance_ge_cone,
@@ -112,6 +114,103 @@ def test_simple_root_coordinates_examples():
     assert simple_root_coordinates(d3, d3.zero()) == (0, 0)
     assert simple_root_coordinates(d3, biweight((1,), (1,))) == (0, 1)
     assert simple_root_coordinates(d3, biweight((1,), (0,))) is None
+
+
+@pytest.mark.parametrize("N", range(3, 11))
+def test_builtin_cone_scale_is_two(N):
+    simples = [s.flat() for s in simple_odd_roots(osp_root_data(N))]
+    assert ConeSolver(simples).scale == 2
+
+
+def _combination(columns, coeffs, dim):
+    return tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim))
+
+
+@st.composite
+def query_vectors(draw, columns, dim):
+    """A vector to solve for: a random lattice point, or an integer
+    combination of the columns (a hit when the coefficients are
+    nonnegative), or such a combination pushed off by one unit vector."""
+    kind = draw(st.sampled_from(("random", "combination", "shifted")))
+    if kind == "random":
+        return tuple(draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)))
+    coeffs = draw(st.lists(st.integers(-3, 5), min_size=len(columns), max_size=len(columns)))
+    vector = list(_combination(columns, coeffs, dim))
+    if kind == "shifted":
+        vector[draw(st.integers(0, dim - 1))] += draw(st.sampled_from((-1, 1)))
+    return tuple(vector)
+
+
+@given(st.data())
+def test_cone_solver_matches_oracle_on_builtin_simples(data):
+    N = data.draw(st.integers(3, 10))
+    columns = [s.flat() for s in simple_odd_roots(osp_root_data(N))]
+    dim = len(columns[0])
+    vector = data.draw(query_vectors(columns, dim))
+    assert ConeSolver(columns).coordinates(vector) == cone_coordinates_oracle(columns, vector)
+
+
+@st.composite
+def full_rank_columns(draw):
+    dim = draw(st.integers(1, 5))
+    k = draw(st.integers(1, dim))
+    entry = st.integers(-4, 4)
+    column = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    columns = draw(st.lists(column, min_size=k, max_size=k))
+    assume(fraction_rank(columns) == k)
+    return columns
+
+
+@given(st.data())
+def test_cone_solver_matches_oracle_on_random_columns(data):
+    columns = data.draw(full_rank_columns())
+    dim = len(columns[0])
+    vector = data.draw(query_vectors(columns, dim))
+    solver = ConeSolver(columns)
+    expected = cone_coordinates_oracle(columns, vector)
+    event(f"scale > 2: {solver.scale > 2}; square: {len(columns) == dim}")
+    event(f"hit: {expected is not None}")
+    assert solver.coordinates(vector) == expected
+
+
+@pytest.mark.parametrize(
+    "columns, vector, expected",
+    [
+        # square, scale 3
+        ([(3, 0), (0, 1)], (3, 5), (1, 5)),
+        ([(3, 0), (0, 1)], (0, 0), (0, 0)),
+        ([(3, 0), (0, 1)], (1, 0), None),  # solution (1/3, 0)
+        ([(3, 0), (0, 1)], (-3, 0), None),  # solution (-1, 0)
+        # square, scale 5
+        ([(2, 1), (1, 3)], (3, 4), (1, 1)),
+        ([(2, 1), (1, 3)], (1, 0), None),  # solution (3/5, -1/5)
+        # non-square: consistency row (-1/2, 0, 1) cleared to (-1, 0, 2)
+        ([(2, 0, 1)], (4, 0, 2), (2,)),
+        ([(2, 0, 1)], (0, 0, 0), (0,)),
+        ([(2, 0, 1)], (1, 0, 1), None),  # inconsistent
+        ([(2, 0, 1)], (2, 1, 1), None),  # inconsistent
+        ([(2, 0, 1)], (-2, 0, -1), None),  # solution (-1,)
+        # non-square, two columns in rank 3
+        ([(1, 1, 0), (0, 1, 2)], (2, 5, 6), (2, 3)),
+        ([(1, 1, 0), (0, 1, 2)], (1, 0, 0), None),  # inconsistent
+        ([(1, 1, 0), (0, 1, 2)], (0, 1, 2), (0, 1)),
+    ],
+)
+def test_cone_solver_examples(columns, vector, expected):
+    assert cone_coordinates_oracle(columns, vector) == expected
+    assert ConeSolver(columns).coordinates(vector) == expected
+
+
+def test_cone_solver_scale_and_errors():
+    assert ConeSolver([(3, 0), (0, 1)]).scale == 3
+    assert ConeSolver([(2, 1), (1, 3)]).scale == 5
+    assert ConeSolver([(1, 0), (0, 1)]).scale == 1
+    with pytest.raises(ValueError, match="dependent"):
+        ConeSolver([(1, 2), (2, 4)])
+    with pytest.raises(ValueError, match="inconsistent"):
+        ConeSolver([(1, 2), (2,)])
+    with pytest.raises(ValueError, match="rank"):
+        ConeSolver([(1, 0), (0, 1)]).coordinates((1, 2, 3))
 
 
 def test_dominance_examples():
