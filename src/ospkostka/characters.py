@@ -15,6 +15,7 @@ dominant translates of rho.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .roots import (
     GroupType,
@@ -52,12 +53,7 @@ class CharElt:
     def add_scaled(self, other, c: int):
         if self.context != other.context:
             raise ValueError("lattice context mismatch")
-        for w, m in other.terms.items():
-            new = self.terms.get(w, 0) + c * m
-            if new:
-                self.terms[w] = new
-            else:
-                self.terms.pop(w, None)
+        _add_into(self.terms, other.terms.items(), c)
         return self
 
     def scaled(self, c: int):
@@ -89,6 +85,32 @@ class CharElt:
         return sorted(self.terms.items())
 
 
+def _add_into(acc: dict, terms, c: int) -> dict:
+    """acc += c * terms in the group ring, in place, dropping zeros;
+    `terms` is an iterable of (weight, multiplicity) pairs."""
+    for w, m in terms:
+        new = acc.get(w, 0) + c * m
+        if new:
+            acc[w] = new
+        else:
+            acc.pop(w, None)
+    return acc
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """Product of two group-ring elements: convolution of supports."""
+    acc = {}
+    for w1, m1 in a.items():
+        for w2, m2 in b.items():
+            w = tuple(map(add, w1, w2))
+            new = acc.get(w, 0) + m1 * m2
+            if new:
+                acc[w] = new
+            else:
+                acc.pop(w, None)
+    return acc
+
+
 def zero_char(context) -> CharElt:
     return CharElt(tuple(context), {})
 
@@ -103,16 +125,7 @@ def product(a: CharElt, b: CharElt) -> CharElt:
     """Tensor-product character: convolution of supports, same context."""
     if a.context != b.context:
         raise ValueError("lattice context mismatch")
-    terms = {}
-    for w1, m1 in a.terms.items():
-        for w2, m2 in b.terms.items():
-            w = tuple(x + y for x, y in zip(w1, w2))
-            new = terms.get(w, 0) + m1 * m2
-            if new:
-                terms[w] = new
-            else:
-                terms.pop(w, None)
-    return CharElt(a.context, terms)
+    return CharElt(a.context, _convolve(a.terms, b.terms))
 
 
 def outer(a: CharElt, b: CharElt) -> CharElt:
@@ -125,16 +138,17 @@ def outer(a: CharElt, b: CharElt) -> CharElt:
 
 
 def _alternant(gtype: GroupType, x) -> dict:
-    acc = {}
-    for w in weyl_elements(gtype):
-        wx = act(w, x)
-        s = sign(w)
-        new = acc.get(wx, 0) + s
-        if new:
-            acc[wx] = new
-        else:
-            acc.pop(wx, None)
-    return acc
+    return _add_into({}, ((act(w, x), sign(w)) for w in weyl_elements(gtype)), 1)
+
+
+def _product_alternant(context, parts) -> dict:
+    """The alternant of each part on its factor's lattice; for two factors,
+    their outer product on the concatenated lattice."""
+    blocks = [_alternant(t, x) for t, x in zip(context, parts)]
+    if len(blocks) == 1:
+        return blocks[0]
+    first, second = blocks
+    return {w0 + w1: c0 * c1 for w0, c0 in first.items() for w1, c1 in second.items()}
 
 
 def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:
@@ -151,13 +165,7 @@ def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:
         c = numer[top]
         qw = tuple(a - b for a, b in zip(top, lead))
         quotient[qw] = quotient.get(qw, 0) + c
-        for t, ct in denom.items():
-            w = tuple(a + b for a, b in zip(qw, t))
-            new = numer.get(w, 0) - c * ct
-            if new:
-                numer[w] = new
-            else:
-                numer.pop(w, None)
+        _add_into(numer, _convolve({qw: 1}, denom).items(), -c)
     return quotient
 
 
@@ -178,13 +186,6 @@ def _irreducible_character(gtype: GroupType, lam) -> CharElt:
     denom = _alternant(gtype, rho_t)
     quotient = _divide_by_alternant(numer, denom, rho_t)
     return CharElt((gtype,), quotient)
-
-
-def irreducible_pair_character(type0, lam0, type1, lam1) -> CharElt:
-    return outer(
-        irreducible_character(type0, tuple(lam0)),
-        irreducible_character(type1, tuple(lam1)),
-    )
 
 
 def dual_label(gtype: GroupType, lam):
@@ -259,23 +260,7 @@ def decompose(ch: CharElt) -> dict:
         raise ValueError("character is not Weyl-invariant")
     context = ch.context
     rhos = [rho(t) for t in context]
-    alternants = [_alternant(t, r) for t, r in zip(context, rhos)]
-    a_rho = alternants[0]
-    if len(context) == 2:
-        a_rho = {
-            w0 + w1: c0 * c1
-            for w0, c0 in alternants[0].items()
-            for w1, c1 in alternants[1].items()
-        }
-    prod = {}
-    for w, m in ch.terms.items():
-        for t, ct in a_rho.items():
-            key = tuple(a + b for a, b in zip(w, t))
-            new = prod.get(key, 0) + m * ct
-            if new:
-                prod[key] = new
-            else:
-                prod.pop(key, None)
+    prod = _convolve(ch.terms, _product_alternant(context, rhos))
     rho_cat = sum(rhos, ())
     result = {}
     reconstruction = {}
@@ -300,20 +285,7 @@ def decompose(ch: CharElt) -> dict:
             label = (lam_cat[:r0], lam_cat[r0:])
         result[label] = c
         # rebuild c * A_{lam+rho}; parts already carry the rho shift
-        blocks = [_alternant(t, part) for t, part in zip(context, parts)]
-        combined = blocks[0]
-        if len(blocks) == 2:
-            combined = {
-                w0 + w1: c0 * c1
-                for w0, c0 in blocks[0].items()
-                for w1, c1 in blocks[1].items()
-            }
-        for t, ct in combined.items():
-            new = reconstruction.get(t, 0) + c * ct
-            if new:
-                reconstruction[t] = new
-            else:
-                reconstruction.pop(t, None)
+        _add_into(reconstruction, _product_alternant(context, parts).items(), c)
     if reconstruction != prod:
         raise ValueError("internal error: alternant reconstruction mismatch")
     return {label: c for label, c in sorted(result.items()) if c}

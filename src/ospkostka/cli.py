@@ -18,6 +18,7 @@ from .kostka import (
     RootSet,
     kostka as kostka_poly,
     kostka_custom,
+    kostka_defect,
     kostka_memo_export,
     kostka_memo_import,
     l_poly,
@@ -78,10 +79,7 @@ def parse_orbit_label(text, data, what="orbit"):
         parse_int_vector(s_text, what=f"{what} lam_s"),
         parse_int_vector(b_text, what=f"{what} lam_b"),
     )
-    try:
-        orbits.validate_label(data, label)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    orbits.validate_label(data, label)
     return label
 
 
@@ -135,46 +133,6 @@ def cache_store(path, entries):
         except OSError:
             pass
         raise
-
-
-def _kostka_key(N, lam0, lam1, mu0, mu1):
-    return "|".join(
-        [
-            str(N),
-            "K",
-            ",".join(map(str, lam0)),
-            ",".join(map(str, lam1)),
-            ",".join(map(str, mu0)),
-            ",".join(map(str, mu1)),
-        ]
-    )
-
-
-def _import_cache_entries(entries):
-    imported = {}
-    for key, coeffs in entries.items():
-        parts = key.split("|")
-        if len(parts) != 6 or parts[1] != "K":
-            continue
-        if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
-            continue
-        try:
-            N = int(parts[0])
-            vecs = [
-                tuple(int(x) for x in p.split(",")) if p else ()
-                for p in parts[2:]
-            ]
-        except ValueError:
-            continue
-        imported[(N, *vecs)] = coeffs
-    kostka_memo_import(imported)
-
-
-def _export_cache_entries():
-    out = {}
-    for (N, lam0, lam1, mu0, mu1), coeffs in kostka_memo_export().items():
-        out[_kostka_key(N, lam0, lam1, mu0, mu1)] = list(coeffs)
-    return out
 
 
 # ---------------------------------------------------------------- commands
@@ -234,10 +192,7 @@ def cmd_kostka(args):
     data = oddroots.osp_root_data(args.N)
     lam = parse_biweight(args.lam, data, "lambda")
     mu = parse_biweight(args.mu, data, "mu")
-    try:
-        poly = kostka_poly(data, lam, mu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    poly = kostka_poly(data, lam, mu)
     payload = {"poly": poly_json(poly)}
     print(emit(payload, args.format, lambda p: str(poly)))
     return 0
@@ -259,18 +214,9 @@ def cmd_kostka_custom(args):
     )
     lam = parse_biweight(args.lam, what="lambda")
     mu = parse_biweight(args.mu, what="mu")
-    try:
-        poly = kostka_custom(
-            RootSet(tuple(root_list), args.label),
-            simple_list,
-            type0,
-            type1,
-            rho_pair,
-            lam,
-            mu,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    poly = kostka_custom(
+        RootSet(tuple(root_list), args.label), simple_list, type0, type1, rho_pair, lam, mu
+    )
     payload = {"poly": poly_json(poly)}
     print(emit(payload, args.format, lambda p: str(poly)))
     return 0
@@ -280,10 +226,7 @@ def cmd_dominance(args):
     data = oddroots.osp_root_data(args.N)
     lam = parse_biweight(args.lam, data, "lambda")
     mu = parse_biweight(args.mu, data, "mu")
-    try:
-        ge = oddroots.dominance_ge(data, lam, mu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    ge = oddroots.dominance_ge(data, lam, mu)
     certificate = None
     if ge:
         diff = oddroots.BiWeight(*lam) - oddroots.BiWeight(*mu)
@@ -322,10 +265,7 @@ def cmd_stalk(args):
     data = oddroots.osp_root_data(args.N)
     lam = parse_orbit_label(args.lam, data, "lambda orbit")
     mu = parse_orbit_label(args.mu, data, "mu orbit")
-    try:
-        table = orbits.stalk_poincare(data, lam, mu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    table = orbits.stalk_poincare(data, lam, mu)
     payload = {"stalk": [{"degree": d, "dim": m} for d, m in table]}
 
     def render(p):
@@ -426,10 +366,7 @@ def cmd_stabilizer(args):
 def cmd_char(args):
     gtype = roots.GroupType(args.type, args.rank)
     lam = parse_int_vector(args.lam, "lambda")
-    try:
-        ch = characters.irreducible_character(gtype, lam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    ch = characters.irreducible_character(gtype, lam)
     payload = {"dim": ch.dim(), "weights": char_json(ch)}
 
     def render(p):
@@ -444,10 +381,7 @@ def cmd_char(args):
 def cmd_verify_bryl(args):
     data = oddroots.osp_root_data(args.N)
     mu = parse_biweight(args.mu, data, "mu")
-    try:
-        report = euler.verify_bryl(data, mu, args.qmax)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = euler.verify_bryl(data, mu, args.qmax)
     payload = {
         "N": args.N,
         "mu": [list(mu[0]), list(mu[1])],
@@ -480,15 +414,7 @@ def cmd_verify_positivity(args):
                 continue
             checked += 1
             poly = kostka_poly(data, lam, mu)
-            bad = None
-            if any(c < 0 for c in poly.coeffs):
-                bad = "negative coefficient"
-            elif not poly:
-                bad = "vanishes on the dominance cone"
-            elif lam != mu and poly[0] != 0:
-                bad = "nonzero constant term off the diagonal"
-            elif lam == mu and poly.coeffs != (1,):
-                bad = "diagonal value is not 1"
+            bad = kostka_defect(lam, mu, poly)
             if bad:
                 failures.append(
                     {"lambda": [list(lam[0]), list(lam[1])],
@@ -517,7 +443,7 @@ def cmd_verify_positivity(args):
 
 
 def cmd_moment_check(args):
-    if args.jobs > 1:
+    if args.jobs > 1 and args.trials > 1:
         reports = _parallel_moment(args.N, args.trials, args.seed, args.jobs)
     else:
         reports = [moment.moment_check(args.N, args.trials, args.seed)]
@@ -534,16 +460,14 @@ def cmd_moment_check(args):
 
 
 def _parallel_moment(N, trials, seed, jobs):
-    """Split trials into deterministic per-chunk seeds; the merge is an
-    exact counter sum, so the result is independent of the pool size."""
+    """Split the trials into contiguous index ranges, the first of which
+    runs the spot check.  Each trial's RNG depends only on (seed, index),
+    so the merged counters are those of the serial run."""
     chunk = (trials + jobs - 1) // jobs
-    tasks = []
-    start = 0
-    idx = 0
-    while start < trials:
-        tasks.append((N, min(chunk, trials - start), seed + idx))
-        start += chunk
-        idx += 1
+    tasks = [
+        (N, min(chunk, trials - start), seed, start, start == 0)
+        for start in range(0, trials, chunk)
+    ]
     try:
         import multiprocessing
 
@@ -554,8 +478,6 @@ def _parallel_moment(N, trials, seed, jobs):
 
 
 def _merge_moment_reports(N, reports):
-    # chunked runs do one equivariance spot check each; report the
-    # conjunction so the payload is independent of the chunk count
     merged = {
         "N": N,
         "trials": sum(r["trials"] for r in reports),
@@ -570,6 +492,13 @@ def _merge_moment_reports(N, reports):
 
 
 # ---------------------------------------------------------------- parser
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -682,7 +611,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=42)
     p.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         help="worker processes for trial batches",
     )
@@ -692,17 +621,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; re-raise unchanged
-        raise exc
+    args = build_parser().parse_args(argv)
     cache_path = None
     if args.command in CACHE_COMMANDS:
         cache_path = args.cache or os.environ.get(CACHE_ENV)
     if cache_path:
-        _import_cache_entries(cache_load(cache_path))
+        kostka_memo_import(cache_load(cache_path))
     try:
         code = args.func(args)
     except ValueError as exc:
@@ -712,7 +636,7 @@ def main(argv=None):
         return 2
     if cache_path:
         try:
-            cache_store(cache_path, _export_cache_entries())
+            cache_store(cache_path, kostka_memo_export())
         except OSError as exc:
             print(f"warning: could not write cache {cache_path}: {exc}", file=sys.stderr)
     return code

@@ -19,7 +19,9 @@ from .oddroots import (
     ConeSolver,
     OspRootData,
     _check_dominant_pair,
+    dominance_ge,
     odd_positive_roots,
+    osp_root_data,
     simple_odd_roots,
 )
 from .roots import EnumerationTooLargeError, GroupType, act, sign, weyl_elements
@@ -308,13 +310,52 @@ def weighted_partition_table(data: OspRootData, box: int, dmax: int):
     return out
 
 
+def kostka_defect(lam_pair, mu_pair, poly: QPoly):
+    """Why poly cannot be K_{lam,mu} for lam >= mu, or None if it can."""
+    if any(c < 0 for c in poly.coeffs):
+        return "negative coefficient"
+    if not poly:
+        return "vanishes on the dominance cone"
+    if lam_pair != mu_pair and poly[0] != 0:
+        return "nonzero constant term off the diagonal"
+    if lam_pair == mu_pair and poly.coeffs != (1,):
+        return "diagonal value is not 1"
+    return None
+
+
 def kostka_memo_export():
-    """Snapshot of the cross-call Kostka memo, JSON-friendly."""
+    """The cross-call Kostka memo as cache entries: the key
+    "N|K|lam0|lam1|mu0|mu1" (comma-separated vectors) maps to the
+    coefficient list."""
     return {
-        key: poly.coeffs for key, poly in _kostka_memo.items()
+        "|".join([str(N), "K", *(",".join(map(str, v)) for v in vecs)]): list(poly.coeffs)
+        for (N, *vecs), poly in _kostka_memo.items()
     }
 
 
 def kostka_memo_import(entries):
+    """Load entries in the kostka_memo_export format into the memo,
+    skipping any that is malformed or cannot be a Kostka polynomial."""
     for key, coeffs in entries.items():
-        _kostka_memo[key] = QPoly(tuple(coeffs))
+        parts = key.split("|")
+        if len(parts) != 6 or parts[1] != "K":
+            continue
+        if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+            continue
+        try:
+            N = int(parts[0])
+            lam0, lam1, mu0, mu1 = (
+                tuple(int(x) for x in p.split(",")) if p else () for p in parts[2:]
+            )
+            # before any root data is built, so a corrupt N costs nothing
+            if N < 3 or N // 2 > KOSTKA_RANK_GUARD:
+                continue
+            # raises unless both pairs are dominant with the ranks of N
+            ge = dominance_ge(osp_root_data(N), (lam0, lam1), (mu0, mu1))
+        except ValueError:
+            continue
+        poly = QPoly(tuple(coeffs))
+        # K vanishes unless lam >= mu, and then has no defect
+        if kostka_defect((lam0, lam1), (mu0, mu1), poly) if ge else poly:
+            continue
+        _kostka_memo[(N, lam0, lam1, mu0, mu1)] = poly

@@ -14,11 +14,11 @@ of interleaved partial-sum inequalities with a parity constraint.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 
+from .moment import row_reduce
 from .roots import GroupType, is_dominant, rho
 
 
@@ -196,31 +196,15 @@ class ConeSolver:
     """
 
     def __init__(self, columns):
+        if not columns:
+            raise ValueError("simple root set is empty")
         k = len(columns)
         dim = len(columns[0])
         if any(len(col) != dim for col in columns):
             raise ValueError("simple roots have inconsistent lengths")
-        # Row-reduce [S | I]: afterwards rows 0..k-1 of the right block
-        # read off coordinates and the remaining rows test consistency.
-        mat = [
-            [Fraction(columns[j][i]) for j in range(k)]
-            + [Fraction(1) if t == i else Fraction(0) for t in range(dim)]
-            for i in range(dim)
-        ]
-        row = 0
-        for col in range(k):
-            piv = next((i for i in range(row, dim) if mat[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("simple roots are linearly dependent")
-            mat[row], mat[piv] = mat[piv], mat[row]
-            pivot = mat[row][col]
-            mat[row] = [x / pivot for x in mat[row]]
-            for i in range(dim):
-                if i != row and mat[i][col] != 0:
-                    f = mat[i][col]
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[row])]
-            row += 1
-        elim = [r[k:] for r in mat]
+        # E S = [I; 0]: rows 0..k-1 of E read off coordinates and the
+        # remaining rows test consistency.
+        elim = row_reduce([list(row) for row in zip(*columns)])
         self.dim = dim
         self.scale, self._rows = _clear_denominators(elim[:k])
         # A consistency row only has to vanish, so each is cleared of
@@ -270,23 +254,25 @@ def _check_dominant_pair(data: OspRootData, pair, name: str):
     return tuple(lam0), tuple(lam1)
 
 
-def _shuffled_sequence(data: OspRootData, lam0, lam1):
-    """Interleaving used by the concrete form of the dominance order.
-    odd N starts with the delta side, even N with the eps side; the
-    final entry is always the last eps coordinate."""
-    n = data.n
-    if data.parity == "odd":
-        seq = []
-        for k in range(n):
-            seq.append(lam1[k])
-            seq.append(lam0[k])
-        return seq
-    seq = []
-    for k in range(n - 1):
-        seq.append(lam0[k])
-        seq.append(lam1[k])
-    seq.append(lam0[n - 1])
-    return seq
+def interleave(first, second):
+    """[first[0], second[0], first[1], second[1], ...]; `first` has the same
+    length as `second` or one more."""
+    out = [None] * (len(first) + len(second))
+    out[::2] = first
+    out[1::2] = second
+    return out
+
+
+def prefix_totals_ge(a, b):
+    """(sum(a[:-1]), sum(b[:-1])) when every proper prefix sum of a is at
+    least the matching prefix sum of b; None at the first that is not."""
+    total_a = total_b = 0
+    for k in range(len(a) - 1):
+        total_a += a[k]
+        total_b += b[k]
+        if total_a < total_b:
+            return None
+    return total_a, total_b
 
 
 def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
@@ -302,14 +288,16 @@ def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
     """
     lam0, lam1 = _check_dominant_pair(data, lam_pair, "lambda")
     mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
-    seq_l = _shuffled_sequence(data, lam0, lam1)
-    seq_m = _shuffled_sequence(data, mu0, mu1)
-    total_l = total_m = 0
-    for k in range(len(seq_l) - 1):
-        total_l += seq_l[k]
-        total_m += seq_m[k]
-        if total_l < total_m:
-            return False
+    # odd N starts with the delta side, even N with the eps side; the
+    # final entry is always the last eps coordinate.
+    if data.parity == "odd":
+        seq_l, seq_m = interleave(lam1, lam0), interleave(mu1, mu0)
+    else:
+        seq_l, seq_m = interleave(lam0, lam1), interleave(mu0, mu1)
+    totals = prefix_totals_ge(seq_l, seq_m)
+    if totals is None:
+        return False
+    total_l, total_m = totals
     gap = (total_l + seq_l[-1]) - (total_m + seq_m[-1])
     if gap < 0 or gap % 2 != 0:
         return False

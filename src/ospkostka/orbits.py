@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .kostka import kostka
-from .oddroots import OspRootData, dominance_ge
+from .oddroots import OspRootData, dominance_ge, interleave, prefix_totals_ge
 from .roots import dominant_weights, is_dominant
 
 
@@ -179,13 +179,7 @@ def shuffled_alpha_beta(data: OspRootData, mu: SignatureSeq, nu: SignatureSeq):
     stabilizer is SO_{m_0} x prod_{i>0} GL_{m_i}.
     """
     _expect_lengths(data, mu, nu)
-    seq_long = nu.sorted_signature()
-    seq_short = mu.sorted_signature()
-    alpha = []
-    for k in range(data.N - 1):
-        alpha.append(seq_long[k])
-        alpha.append(seq_short[k])
-    alpha.append(seq_long[data.N - 1])
+    alpha = interleave(nu.sorted_signature(), mu.sorted_signature())
     beta = tuple(alpha[k] + alpha[k + 1] for k in range(2 * data.N - 2))
     counts = Counter(beta)
     n_mult = dict(sorted(counts.items()))
@@ -241,15 +235,10 @@ def gl_bisignature_ge(theta_pair, zeta_pair) -> bool:
     zeta0, zeta1 = _checked_bisignature(zeta_pair)
     if len(theta0) != len(zeta0) or len(theta1) != len(zeta1):
         raise ValueError("bisignature length mismatch")
-    inter_t = _interleave(theta1, theta0)
-    inter_z = _interleave(zeta1, zeta0)
-    run_t = run_z = 0
-    for k in range(len(inter_t) - 1):
-        run_t += inter_t[k]
-        run_z += inter_z[k]
-        if run_t < run_z:
-            return False
-    return run_t + inter_t[-1] == run_z + inter_z[-1]
+    inter_t = interleave(theta1, theta0)
+    inter_z = interleave(zeta1, zeta0)
+    totals = prefix_totals_ge(inter_t, inter_z)
+    return totals is not None and totals[0] + inter_t[-1] == totals[1] + inter_z[-1]
 
 
 def _checked_bisignature(pair):
@@ -260,15 +249,6 @@ def _checked_bisignature(pair):
         if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
             raise ValueError(f"{seq} is not weakly decreasing")
     return first, second
-
-
-def _interleave(longer, shorter):
-    out = []
-    for k in range(len(shorter)):
-        out.append(longer[k])
-        out.append(shorter[k])
-    out.append(longer[-1])
-    return out
 
 
 def label_bisignature(data: OspRootData, o: OrbitLabel):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +15,9 @@ from ospkostka.cli import (
     parse_biweight,
     UsageError,
 )
+
+# The package attribute `kostka` is the function; the memo lives in the module.
+kostka_module = importlib.import_module("ospkostka.kostka")
 
 
 def run_cli(*argv):
@@ -198,7 +202,7 @@ def test_verify_positivity_exit_zero():
 
 def test_moment_check_deterministic_across_jobs():
     runs = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         code, out, _ = run_cli("moment-check", "-N", "3", "--trials", "8",
                                "--seed", "5", "--jobs", jobs, "--format", "json")
         assert code == 0
@@ -302,3 +306,93 @@ def test_cache_output_identical_with_and_without(tmp_path):
     assert cache_load(path)  # the run populated the cache
     # in-process entry point agrees with the subprocess surface
     assert main(list(args)) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kostka", "-N", "3", "--lambda=0;-1", "--mu", "0;0"],
+         "lambda delta-part (-1,) is not C_1-dominant"),
+        (["kostka", "-N", "11", "--lambda", "0,0,0,0,0;0,0,0,0,0",
+          "--mu", "0,0,0,0,0;0,0,0,0,0"],
+         "enumeration too large: n=5 exceeds guard 4"),
+        (["kostka-custom", "--roots", "1;0", "--simple=-1;0", "--rank0", "1",
+          "--rank1", "1", "--lambda", "0;0", "--mu", "0;0"],
+         "root 1;0 has no nonnegative integral expansion over the simple set"),
+        (["dominance", "-N", "3", "--lambda", "1;1", "--mu=0;-1"],
+         "mu delta-part (-1,) is not C_1-dominant"),
+        (["stalk", "-N", "3", "--lambda", "0;0", "--mu", "1;1"],
+         "orbit not in closure"),
+        (["char", "--type", "C", "--rank", "2", "--lambda", "1,2"],
+         "(1, 2) is not C_2-dominant"),
+        (["verify-bryl", "-N", "3", "--mu=0;-1", "--qmax", "1"],
+         "mu delta-part (-1,) is not C_1-dominant"),
+        (["dim", "-N", "3", "--orbit=0;-1"],
+         "lam_b (-1,) is not a dominant C_1 coweight"),
+    ],
+    ids=["kostka", "kostka-guard", "kostka-custom", "dominance", "stalk", "char",
+         "verify-bryl", "orbit-label"],
+)
+def test_library_errors_exit_two(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cache_file_drops_malformed_keys(tmp_path, monkeypatch):
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    path = tmp_path / "cache.json"
+    good = {"3|K|1|1|0|0": [0, 1]}
+    malformed = {
+        "3|K|1|1|0": [0, 1],  # five parts
+        "3|L|1|1|0|0": [0, 1],  # tag other than K
+        "3|K|x|1|0|0": [0, 1],  # non-integer vector entry
+        "3|K|2|2|0|0": "q^2",  # coefficients not a list
+        "3|K|3|3|0|0": [0, 1.5],  # non-int coefficient
+    }
+    cache_store(path, {**good, **malformed})
+    assert main(["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0",
+                 "--cache", str(path)]) == 0
+    assert cache_load(path) == good
+
+
+def test_kostka_custom_empty_simple_set_exit_two(capsys):
+    assert main(["kostka-custom", "--roots", "1;1", "--simple", " ", "--rank0", "1",
+                 "--rank1", "1", "--lambda", "1;1", "--mu", "0;0"]) == 2
+    assert capsys.readouterr().err == "error: simple root set is empty\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["moment-check", "-N", "3", "--trials", "2", f"--jobs={jobs}"])
+    assert exc.value.code == 2
+    assert f"argument --jobs: expected an integer >= 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_cache_file_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    path = tmp_path / "cache.json"
+    assert main(["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0",
+                 "--cache", str(path)]) == 0
+    assert path.read_text() == (
+        '{"entries": {"3|K|1|1|0|0": [0, 1]}, "version": "ospkostka-cache-1"}'
+    )
+
+
+def test_impossible_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cache.json"
+    cache_store(path, {"3|K|1|1|0|0": [7, 7, 7]})
+    args = ("kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0", "--format", "json")
+    code, out, _ = run_cli(*args, "--cache", str(path))
+    assert code == 0
+    assert json.loads(out) == {"poly": {"coeffs": [0, 1]}}
+    assert cache_load(path) == {"3|K|1|1|0|0": [0, 1]}
+    # In one process the entry must not reach the memo that later calls read.
+    cache_store(path, {"3|K|1|1|0|0": [7, 7, 7]})
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    assert main([*args, "--cache", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"poly": {"coeffs": [0, 1]}}
+    data = ospkostka.osp_root_data(3)
+    assert ospkostka.kostka(data, ((1,), (1,)), ((0,), (0,))).coeffs == (0, 1)

@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from itertools import combinations_with_replacement, product as iproduct
 
@@ -5,10 +6,14 @@ import pytest
 
 from conftest import brute_force_l_coeffs, brute_force_partition_table
 from ospkostka.kostka import (
+    KOSTKA_RANK_GUARD,
     QPoly,
     RootSet,
     kostka,
     kostka_custom,
+    kostka_defect,
+    kostka_memo_export,
+    kostka_memo_import,
     l_poly,
     weighted_partition_table,
 )
@@ -29,6 +34,9 @@ from ospkostka.roots import (
     sign,
     weyl_elements,
 )
+
+# The package attribute `kostka` is the function; the memo lives in the module.
+kostka_module = importlib.import_module("ospkostka.kostka")
 
 
 def test_qpoly_normalization_and_arithmetic():
@@ -289,3 +297,97 @@ def test_kostka_custom_rejects_bad_root_set():
             ((0,), (0,)),
             ((0,), (0,)),
         )
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh process-wide Kostka memo for one test, restored afterwards."""
+    memo = {}
+    monkeypatch.setattr(kostka_module, "_kostka_memo", memo)
+    return memo
+
+
+def test_memo_export_import_round_trip(empty_memo):
+    data = osp_root_data(4)
+    labels = [(l0, l1) for l0 in dominant_weights(data.type0, 1)
+              for l1 in dominant_weights(data.type1, 1)]
+    polys = {(lam, mu): kostka(data, lam, mu) for lam in labels for mu in labels}
+    assert any(polys.values()) and not all(polys.values())
+    exported = kostka_memo_export()
+    assert len(exported) == len(polys)
+    assert exported["4|K|1,0|1|0,0|0"] == list(polys[(((1, 0), (1,)), ((0, 0), (0,)))].coeffs)
+    empty_memo.clear()
+    kostka_memo_import(exported)
+    assert kostka_memo_export() == exported
+    assert {(lam, mu): kostka(data, lam, mu) for lam in labels for mu in labels} == polys
+
+
+@pytest.mark.parametrize(
+    "key, coeffs",
+    [
+        ("3|K|1|1|0", [0, 1]),  # five parts
+        ("3|K|1|1|0|0|0", [0, 1]),  # seven parts
+        ("3|L|1|1|0|0", [0, 1]),  # tag other than K
+        ("3|K|x|1|0|0", [0, 1]),  # non-integer vector entry
+        ("three|K|1|1|0|0", [0, 1]),  # non-integer N
+        ("3|K|1|1|0|0", "q"),  # coefficients not a list
+        ("3|K|1|1|0|0", [0, 1.0]),  # non-int coefficient
+        ("3|K|1|1|0|0", [0, "1"]),  # non-int coefficient
+    ],
+)
+def test_memo_import_skips_malformed_entries(empty_memo, key, coeffs):
+    kostka_memo_import({key: coeffs})
+    assert empty_memo == {}
+
+
+@pytest.mark.parametrize(
+    "key, coeffs",
+    [
+        ("2|K|1|1|0|0", [0, 1]),  # N below 3
+        ("3|K|1,0|1|0|0", [0, 1]),  # eps part too long
+        ("4|K|1,0||0,0|0", [0, 1]),  # delta part too short
+        ("3|K|1|-1|0|0", []),  # lambda not dominant
+        ("4|K|1,0|1|0,2|0", []),  # mu not dominant
+        ("3|K|1|0|0|0", [1]),  # lambda >= mu fails, yet nonzero
+        ("3|K|1|1|0|0", [7, 7, 7]),  # constant term off the diagonal
+        ("3|K|1|1|0|0", [0, -1]),  # negative coefficient
+        ("3|K|1|1|0|0", []),  # zero on the dominance cone
+        ("3|K|1|1|1|1", [2]),  # diagonal value not 1
+        ("3|K|1|1|1|1", [1, 1]),  # diagonal value not 1
+    ],
+)
+def test_memo_import_drops_impossible_entries(empty_memo, key, coeffs):
+    kostka_memo_import({key: coeffs})
+    assert empty_memo == {}
+
+
+def test_memo_import_keeps_possible_entries(empty_memo):
+    kostka_memo_import({"3|K|1|1|0|0": [0, 1], "3|K|1|0|0|0": [], "3|K|1|1|1|1": [1]})
+    assert empty_memo == {
+        (3, (1,), (1,), (0,), (0,)): QPoly((0, 1)),
+        (3, (1,), (0,), (0,), (0,)): QPoly(()),
+        (3, (1,), (1,), (1,), (1,)): QPoly((1,)),
+    }
+
+
+def test_memo_import_checks_n_before_building_root_data(empty_memo, monkeypatch):
+    built = []
+    monkeypatch.setattr(kostka_module, "osp_root_data", lambda N: built.append(N))
+    n_guard = 2 * KOSTKA_RANK_GUARD + 2
+    kostka_memo_import({f"{n_guard}|K|0|0|0|0": [1], f"{10**9}|K|0|0|0|0": [1]})
+    assert built == [] and empty_memo == {}
+
+
+@pytest.mark.parametrize(
+    "lam, mu, coeffs, reason",
+    [
+        ("a", "b", (0, 1), None),
+        ("a", "a", (1,), None),
+        ("a", "b", (0, -1, 2), "negative coefficient"),
+        ("a", "b", (), "vanishes on the dominance cone"),
+        ("a", "b", (1, 1), "nonzero constant term off the diagonal"),
+        ("a", "a", (0, 1), "diagonal value is not 1"),
+    ],
+)
+def test_kostka_defect(lam, mu, coeffs, reason):
+    assert kostka_defect(lam, mu, QPoly(coeffs)) == reason

@@ -5,8 +5,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import ospkostka
+from conftest import fraction_rank, fraction_solve
+from ospkostka import moment as moment_module
 from ospkostka.moment import (
     FormsSpec,
     adjoint,
@@ -15,6 +18,7 @@ from ospkostka.moment import (
     fft_generator,
     identity,
     mat_eq,
+    mat_inverse,
     mat_mul,
     mat_scale,
     mat_transpose,
@@ -25,6 +29,7 @@ from ospkostka.moment import (
     random_hom,
     random_special_orthogonal,
     random_symplectic,
+    row_reduce,
     verify_char_identity,
     verify_fft_generators,
     verify_pfaffian_vanishing,
@@ -203,8 +208,6 @@ def test_group_element_generators_preserve_forms():
 
 
 def test_equivariance_spot_check():
-    from ospkostka.moment import mat_inverse
-
     for N in (3, 4):
         spec = FormsSpec(N)
         rng = random.Random(31 + N)
@@ -245,3 +248,58 @@ def test_mat_mul_shape_check_survives_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def square_integer_matrices(max_n=5):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+@given(square_integer_matrices())
+def test_mat_inverse_matches_fraction_solve(a):
+    n = len(a)
+    columns = [[a[i][j] for i in range(n)] for j in range(n)]
+    assume(fraction_rank(columns) == n)
+    inverse = mat_inverse(a)
+    for j in range(n):
+        unit = [int(i == j) for i in range(n)]
+        assert tuple(row[j] for row in inverse) == fraction_solve(columns, unit)
+
+
+def test_mat_inverse_rejects_non_square_and_singular():
+    with pytest.raises(ValueError, match="not square"):
+        mat_inverse([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="not square"):
+        mat_inverse([[1, 2], [3]])
+    with pytest.raises(ValueError, match="dependent"):
+        mat_inverse([[1, 2], [2, 4]])
+
+
+def test_row_reduce_left_inverse_and_relations():
+    a = [[2, 0], [0, 1], [1, 0]]
+    e = row_reduce(a)
+    assert mat_mul(e, a) == [[1, 0], [0, 1], [0, 0]]
+
+
+def test_trial_matrices_do_not_depend_on_chunking(monkeypatch):
+    drawn = []
+
+    def recording_hom(spec, rng):
+        A = random_hom(spec, rng)
+        drawn.append(A)
+        return A
+
+    monkeypatch.setattr(moment_module, "random_hom", recording_hom)
+    whole = moment_check(4, 6, seed=11)
+    one_chunk, drawn[:] = list(drawn), []
+    parts = [moment_check(4, 2, seed=11, start=start, spot_check=start == 0)
+             for start in (0, 2, 4)]
+    assert len(one_chunk) == 7  # six trials, then the spot check
+    # the first chunk runs its two trials and then the spot check
+    assert drawn == one_chunk[:2] + one_chunk[6:] + one_chunk[2:6]
+    for key in ("trials", "char_identity", "pfaffian_vanishing", "failures"):
+        assert sum(p[key] for p in parts) == whole[key]
+    assert [p["equivariance"] for p in parts] == [1, 1, 1] and whole["equivariance"] == 1

@@ -7,8 +7,10 @@ from ospkostka.oddroots import (
     biweight,
     dominance_ge,
     dominance_ge_cone,
+    interleave,
     odd_positive_roots,
     osp_root_data,
+    prefix_totals_ge,
     shuffle,
     simple_odd_roots,
     simple_root_coordinates,
@@ -254,3 +256,35 @@ def test_dominance_is_partial_order(N):
             if i != j and down[i] >> j & 1:
                 assert not down[j] >> i & 1  # antisymmetric
                 assert down[i] | down[j] == down[i]  # transitive
+
+
+def test_cone_solver_rejects_empty_simple_set():
+    with pytest.raises(ValueError, match="empty"):
+        ConeSolver([])
+
+
+@pytest.mark.parametrize(
+    "first, second, expected",
+    [
+        ((1, 3), (2, 4), [1, 2, 3, 4]),
+        ((1, 3, 5), (2, 4), [1, 2, 3, 4, 5]),
+        ((7,), (), [7]),
+        ((), (), []),
+    ],
+)
+def test_interleave(first, second, expected):
+    assert interleave(first, second) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ((3, 1, 0), (2, 2, 9), (4, 4)),
+        ((3, 1, 0), (2, 3, 0), None),  # second prefix 4 < 5
+        ((1, 5), (2, 0), None),  # first prefix 1 < 2
+        ((1, 5), (1, 9), (1, 1)),  # the full sum is not compared
+        ((4,), (9,), (0, 0)),
+    ],
+)
+def test_prefix_totals_ge(a, b, expected):
+    assert prefix_totals_ge(a, b) == expected
