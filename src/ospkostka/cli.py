@@ -460,14 +460,11 @@ def cmd_moment_check(args):
 
 
 def _parallel_moment(N, trials, seed, jobs):
-    """Split the trials into contiguous index ranges, the first of which
+    """Split the trials into contiguous index ranges; the one starting at 0
     runs the spot check.  Each trial's RNG depends only on (seed, index),
     so the merged counters are those of the serial run."""
     chunk = (trials + jobs - 1) // jobs
-    tasks = [
-        (N, min(chunk, trials - start), seed, start, start == 0)
-        for start in range(0, trials, chunk)
-    ]
+    tasks = [(N, min(chunk, trials - start), seed, start) for start in range(0, trials, chunk)]
     try:
         import multiprocessing
 

@@ -97,10 +97,11 @@ def mat_eq(a, b):
 
 
 def row_reduce(a):
-    """Gauss-Jordan on [a | I] for an r x k matrix a of rank k: returns the
-    r x r matrix E with E a = [I; 0].  Its first k rows are a left inverse
-    of a; the other r - k rows vanish exactly on the column space of a."""
-    rows, cols = len(a), len(a[0])
+    """Gauss-Jordan on [a | I] for an r x k matrix a: returns the r x r
+    matrix E with E a = [I; 0], or None when the columns of a are linearly
+    dependent.  The first k rows of E are a left inverse of a; the other
+    r - k rows vanish exactly on the column space of a."""
+    rows, cols = len(a), len(a[0]) if a else 0
     work = [
         list(map(Fraction, row)) + [Fraction(1) if i == j else Fraction(0) for j in range(rows)]
         for i, row in enumerate(a)
@@ -108,7 +109,7 @@ def row_reduce(a):
     for col in range(cols):
         piv = next((i for i in range(col, rows) if work[i][col] != 0), None)
         if piv is None:
-            raise ValueError("matrix columns are linearly dependent")
+            return None
         work[col], work[piv] = work[piv], work[col]
         scale = work[col][col]
         work[col] = [x / scale for x in work[col]]
@@ -122,7 +123,10 @@ def row_reduce(a):
 def mat_inverse(a):
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
-    return row_reduce(a)
+    inverse = row_reduce(a)
+    if inverse is None:
+        raise ValueError("matrix is singular")
+    return inverse
 
 
 def is_invertible(a):
@@ -298,10 +302,11 @@ def random_symplectic(spec: FormsSpec, rng: random.Random):
             return mat_mul(mat_sub(eye, S), mat_inverse(mat_add(eye, S)))
 
 
-def moment_check(N: int, trials: int, seed: int, start: int = 0, spot_check: bool = True):
+def moment_check(N: int, trials: int, seed: int, start: int = 0):
     """Run the full battery on trials start..start+trials-1, trial i on a
-    matrix drawn from an RNG seeded by (seed, i) alone, plus one equivariance
-    spot check (counted as passed when spot_check is off).  Returns a dict
+    matrix drawn from an RNG seeded by (seed, i) alone.  The run that starts
+    at trial 0 adds one equivariance spot check; other runs count it as
+    passed, so runs over a split range add up to the whole.  Returns a dict
     of counters; all checks are exact so any failure is structural."""
     spec = FormsSpec(N)
     report = {
@@ -327,7 +332,7 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0, spot_check: boo
             ok = ok and okf
         if not ok:
             report["failures"] += 1
-    report["equivariance"] = int(not spot_check or _equivariance_holds(spec, seed))
+    report["equivariance"] = int(start != 0 or _equivariance_holds(spec, seed))
     if not report["equivariance"]:
         report["failures"] += 1
     report["ok"] = report["failures"] == 0

@@ -203,8 +203,11 @@ class ConeSolver:
         if any(len(col) != dim for col in columns):
             raise ValueError("simple roots have inconsistent lengths")
         # E S = [I; 0]: rows 0..k-1 of E read off coordinates and the
-        # remaining rows test consistency.
-        elim = row_reduce([list(row) for row in zip(*columns)])
+        # remaining rows test consistency.  More roots than coordinates
+        # (dim 0 included) are always dependent.
+        elim = row_reduce([list(row) for row in zip(*columns)]) if k <= dim else None
+        if elim is None:
+            raise ValueError("simple roots are linearly dependent")
         self.dim = dim
         self.scale, self._rows = _clear_denominators(elim[:k])
         # A consistency row only has to vanish, so each is cleared of
@@ -263,16 +266,15 @@ def interleave(first, second):
     return out
 
 
-def prefix_totals_ge(a, b):
-    """(sum(a[:-1]), sum(b[:-1])) when every proper prefix sum of a is at
-    least the matching prefix sum of b; None at the first that is not."""
+def prefix_sums_ge(a, b) -> bool:
+    """Every proper prefix sum of a is at least the matching one of b."""
     total_a = total_b = 0
     for k in range(len(a) - 1):
         total_a += a[k]
         total_b += b[k]
         if total_a < total_b:
-            return None
-    return total_a, total_b
+            return False
+    return True
 
 
 def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
@@ -294,15 +296,13 @@ def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
         seq_l, seq_m = interleave(lam1, lam0), interleave(mu1, mu0)
     else:
         seq_l, seq_m = interleave(lam0, lam1), interleave(mu0, mu1)
-    totals = prefix_totals_ge(seq_l, seq_m)
-    if totals is None:
+    if not prefix_sums_ge(seq_l, seq_m):
         return False
-    total_l, total_m = totals
-    gap = (total_l + seq_l[-1]) - (total_m + seq_m[-1])
+    gap = sum(seq_l) - sum(seq_m)
     if gap < 0 or gap % 2 != 0:
         return False
     # Same comparison with the sign of the last eps coordinate reversed.
-    return (total_l - seq_l[-1]) >= (total_m - seq_m[-1])
+    return gap >= 2 * (seq_l[-1] - seq_m[-1])
 
 
 def dominance_ge_cone(data: OspRootData, lam_pair, mu_pair) -> bool:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .kostka import kostka
-from .oddroots import OspRootData, dominance_ge, interleave, prefix_totals_ge
+from .oddroots import OspRootData, dominance_ge, interleave, prefix_sums_ge
 from .roots import dominant_weights, is_dominant
 
 
@@ -237,8 +237,7 @@ def gl_bisignature_ge(theta_pair, zeta_pair) -> bool:
         raise ValueError("bisignature length mismatch")
     inter_t = interleave(theta1, theta0)
     inter_z = interleave(zeta1, zeta0)
-    totals = prefix_totals_ge(inter_t, inter_z)
-    return totals is not None and totals[0] + inter_t[-1] == totals[1] + inter_z[-1]
+    return prefix_sums_ge(inter_t, inter_z) and sum(inter_t) == sum(inter_z)
 
 
 def _checked_bisignature(pair):

@@ -319,6 +319,12 @@ def test_cache_output_identical_with_and_without(tmp_path):
         (["kostka-custom", "--roots", "1;0", "--simple=-1;0", "--rank0", "1",
           "--rank1", "1", "--lambda", "0;0", "--mu", "0;0"],
          "root 1;0 has no nonnegative integral expansion over the simple set"),
+        (["kostka-custom", "--roots", "1;1", "--simple", ";", "--rank0", "1",
+          "--rank1", "1", "--lambda", "1;1", "--mu", "0;0"],
+         "simple roots are linearly dependent"),
+        (["kostka-custom", "--roots", "1;1", "--simple", "1;0 2;0", "--rank0", "1",
+          "--rank1", "1", "--lambda", "1;1", "--mu", "0;0"],
+         "simple roots are linearly dependent"),
         (["dominance", "-N", "3", "--lambda", "1;1", "--mu=0;-1"],
          "mu delta-part (-1,) is not C_1-dominant"),
         (["stalk", "-N", "3", "--lambda", "0;0", "--mu", "1;1"],
@@ -330,7 +336,8 @@ def test_cache_output_identical_with_and_without(tmp_path):
         (["dim", "-N", "3", "--orbit=0;-1"],
          "lam_b (-1,) is not a dominant C_1 coweight"),
     ],
-    ids=["kostka", "kostka-guard", "kostka-custom", "dominance", "stalk", "char",
+    ids=["kostka", "kostka-guard", "kostka-custom", "kostka-custom-rank-zero",
+         "kostka-custom-dependent", "dominance", "stalk", "char",
          "verify-bryl", "orbit-label"],
 )
 def test_library_errors_exit_two(argv, message, capsys):

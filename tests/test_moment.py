@@ -274,7 +274,7 @@ def test_mat_inverse_rejects_non_square_and_singular():
         mat_inverse([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError, match="not square"):
         mat_inverse([[1, 2], [3]])
-    with pytest.raises(ValueError, match="dependent"):
+    with pytest.raises(ValueError, match="matrix is singular"):
         mat_inverse([[1, 2], [2, 4]])
 
 
@@ -282,6 +282,9 @@ def test_row_reduce_left_inverse_and_relations():
     a = [[2, 0], [0, 1], [1, 0]]
     e = row_reduce(a)
     assert mat_mul(e, a) == [[1, 0], [0, 1], [0, 0]]
+    assert row_reduce([[1, 2], [2, 4], [0, 0]]) is None
+    assert row_reduce([[1, 0]]) is None  # more columns than rows
+    assert row_reduce([]) == mat_inverse([]) == []
 
 
 def test_trial_matrices_do_not_depend_on_chunking(monkeypatch):
@@ -295,8 +298,7 @@ def test_trial_matrices_do_not_depend_on_chunking(monkeypatch):
     monkeypatch.setattr(moment_module, "random_hom", recording_hom)
     whole = moment_check(4, 6, seed=11)
     one_chunk, drawn[:] = list(drawn), []
-    parts = [moment_check(4, 2, seed=11, start=start, spot_check=start == 0)
-             for start in (0, 2, 4)]
+    parts = [moment_check(4, 2, seed=11, start=start) for start in (0, 2, 4)]
     assert len(one_chunk) == 7  # six trials, then the spot check
     # the first chunk runs its two trials and then the spot check
     assert drawn == one_chunk[:2] + one_chunk[6:] + one_chunk[2:6]

@@ -10,7 +10,7 @@ from ospkostka.oddroots import (
     interleave,
     odd_positive_roots,
     osp_root_data,
-    prefix_totals_ge,
+    prefix_sums_ge,
     shuffle,
     simple_odd_roots,
     simple_root_coordinates,
@@ -207,8 +207,9 @@ def test_cone_solver_scale_and_errors():
     assert ConeSolver([(3, 0), (0, 1)]).scale == 3
     assert ConeSolver([(2, 1), (1, 3)]).scale == 5
     assert ConeSolver([(1, 0), (0, 1)]).scale == 1
-    with pytest.raises(ValueError, match="dependent"):
-        ConeSolver([(1, 2), (2, 4)])
+    for columns in ([(1, 2), (2, 4)], [(1,), (2,)], [()]):
+        with pytest.raises(ValueError, match="simple roots are linearly dependent"):
+            ConeSolver(columns)
     with pytest.raises(ValueError, match="inconsistent"):
         ConeSolver([(1, 2), (2,)])
     with pytest.raises(ValueError, match="rank"):
@@ -279,12 +280,12 @@ def test_interleave(first, second, expected):
 @pytest.mark.parametrize(
     "a, b, expected",
     [
-        ((3, 1, 0), (2, 2, 9), (4, 4)),
-        ((3, 1, 0), (2, 3, 0), None),  # second prefix 4 < 5
-        ((1, 5), (2, 0), None),  # first prefix 1 < 2
-        ((1, 5), (1, 9), (1, 1)),  # the full sum is not compared
-        ((4,), (9,), (0, 0)),
+        ((3, 1, 0), (2, 2, 9), True),
+        ((3, 1, 0), (2, 3, 0), False),  # second prefix 4 < 5
+        ((1, 5), (2, 0), False),  # first prefix 1 < 2
+        ((1, 5), (1, 9), True),  # the full sum is not compared
+        ((4,), (9,), True),
     ],
 )
-def test_prefix_totals_ge(a, b, expected):
-    assert prefix_totals_ge(a, b) == expected
+def test_prefix_sums_ge(a, b, expected):
+    assert prefix_sums_ge(a, b) is expected
