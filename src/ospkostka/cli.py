@@ -93,12 +93,6 @@ def char_json(ch):
     ]
 
 
-def emit(payload, fmt, text_renderer):
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True)
-    return text_renderer(payload)
-
-
 # ---------------------------------------------------------------- cache
 
 def cache_load(path):
@@ -136,6 +130,9 @@ def cache_store(path, entries):
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each cmd_* returns (payload, render); main prints the payload as JSON or
+# as render(payload), and sets the exit code.
 
 def cmd_roots(args):
     if args.odd:
@@ -157,8 +154,7 @@ def cmd_roots(args):
             lines.extend(f"  {r}" for r in p["simple_odd_roots"])
             return "\n".join(lines)
 
-        print(emit(payload, args.format, render))
-        return 0
+        return payload, render
     if args.family is None or args.rank is None:
         raise UsageError("roots requires either --odd with -N, or --family and --rank")
     gtype = roots.GroupType(args.family, args.rank)
@@ -175,17 +171,14 @@ def cmd_roots(args):
         lines.extend(f"  {tuple(r)}" for r in p["positive_roots"])
         return "\n".join(lines)
 
-    print(emit(payload, args.format, render))
-    return 0
+    return payload, render
 
 
 def cmd_lpoly(args):
     data = oddroots.osp_root_data(args.N)
     eps, delta = parse_biweight(args.alpha, data, "alpha")
     poly = l_poly(data, oddroots.BiWeight(eps, delta))
-    payload = {"poly": poly_json(poly)}
-    print(emit(payload, args.format, lambda p: str(poly)))
-    return 0
+    return {"poly": poly_json(poly)}, lambda p: str(poly)
 
 
 def cmd_kostka(args):
@@ -193,9 +186,7 @@ def cmd_kostka(args):
     lam = parse_biweight(args.lam, data, "lambda")
     mu = parse_biweight(args.mu, data, "mu")
     poly = kostka_poly(data, lam, mu)
-    payload = {"poly": poly_json(poly)}
-    print(emit(payload, args.format, lambda p: str(poly)))
-    return 0
+    return {"poly": poly_json(poly)}, lambda p: str(poly)
 
 
 def cmd_kostka_custom(args):
@@ -217,9 +208,7 @@ def cmd_kostka_custom(args):
     poly = kostka_custom(
         RootSet(tuple(root_list), args.label), simple_list, type0, type1, rho_pair, lam, mu
     )
-    payload = {"poly": poly_json(poly)}
-    print(emit(payload, args.format, lambda p: str(poly)))
-    return 0
+    return {"poly": poly_json(poly)}, lambda p: str(poly)
 
 
 def cmd_dominance(args):
@@ -233,14 +222,7 @@ def cmd_dominance(args):
         coords = oddroots.simple_root_coordinates(data, diff)
         certificate = list(coords) if coords is not None else None
     payload = {"ge": ge, "certificate": certificate}
-    print(
-        emit(
-            payload,
-            args.format,
-            lambda p: f"ge = {p['ge']}  certificate = {p['certificate']}",
-        )
-    )
-    return 0
+    return payload, lambda p: f"ge = {p['ge']}  certificate = {p['certificate']}"
 
 
 def cmd_closure(args):
@@ -248,17 +230,13 @@ def cmd_closure(args):
     lower = parse_orbit_label(args.lower, data, "lower")
     upper = parse_orbit_label(args.upper, data, "upper")
     le = orbits.closure_le(data, lower, upper)
-    payload = {"le": le}
-    print(emit(payload, args.format, lambda p: f"le = {p['le']}"))
-    return 0
+    return {"le": le}, lambda p: f"le = {p['le']}"
 
 
 def cmd_dim(args):
     data = oddroots.osp_root_data(args.N)
     label = parse_orbit_label(args.orbit, data)
-    payload = {"dim": orbits.orbit_dim(data, label)}
-    print(emit(payload, args.format, lambda p: f"dim = {p['dim']}"))
-    return 0
+    return {"dim": orbits.orbit_dim(data, label)}, lambda p: f"dim = {p['dim']}"
 
 
 def cmd_stalk(args):
@@ -271,8 +249,7 @@ def cmd_stalk(args):
     def render(p):
         return "\n".join(f"H^{e['degree']}: {e['dim']}" for e in p["stalk"])
 
-    print(emit(payload, args.format, render))
-    return 0
+    return payload, render
 
 
 def cmd_poset(args):
@@ -294,15 +271,6 @@ def cmd_poset(args):
                 continue
             edges.append((str(a), str(b)))
     edges.sort()
-    if args.dot:
-        lines = ["digraph closure {"]
-        for node in sorted(str(l) for l in labels):
-            lines.append(f'  "{node}";')
-        for a, b in edges:
-            lines.append(f'  "{a}" -> "{b}";')
-        lines.append("}")
-        print("\n".join(lines))
-        return 0
     payload = {
         "nodes": sorted(str(l) for l in labels),
         "edges": [[a, b] for a, b in edges],
@@ -313,8 +281,14 @@ def cmd_poset(args):
         lines.extend(f"  {a} < {b}" for a, b in p["edges"])
         return "\n".join(lines)
 
-    print(emit(payload, args.format, render))
-    return 0
+    def render_dot(p):
+        lines = ["digraph closure {"]
+        lines.extend(f'  "{node}";' for node in p["nodes"])
+        lines.extend(f'  "{a}" -> "{b}";' for a, b in p["edges"])
+        lines.append("}")
+        return "\n".join(lines)
+
+    return payload, render_dot if args.dot else render
 
 
 def cmd_orbit_rep(args):
@@ -334,8 +308,7 @@ def cmd_orbit_rep(args):
         lines.extend(f"  {g}" for g in p["generators"])
         return "\n".join(lines)
 
-    print(emit(payload, args.format, render))
-    return 0
+    return payload, render
 
 
 def cmd_stabilizer(args):
@@ -359,8 +332,7 @@ def cmd_stabilizer(args):
             f"reductive quotient = {p['reductive']}"
         )
 
-    print(emit(payload, args.format, render))
-    return 0
+    return payload, render
 
 
 def cmd_char(args):
@@ -374,8 +346,7 @@ def cmd_char(args):
         lines.extend(f"  {tuple(e['weight'])}: {e['mult']}" for e in p["weights"])
         return "\n".join(lines)
 
-    print(emit(payload, args.format, render))
-    return 0
+    return payload, render
 
 
 def cmd_verify_bryl(args):
@@ -394,8 +365,7 @@ def cmd_verify_bryl(args):
         status = "ok" if p["ok"] else f"MISMATCH at degrees {report.failing_degrees()}"
         return f"verify-bryl N={p['N']} mu={args.mu} qmax={p['qmax']}: {status}"
 
-    print(emit(payload, args.format, render))
-    return 0 if report.ok else 1
+    return payload, render
 
 
 def cmd_verify_positivity(args):
@@ -438,8 +408,7 @@ def cmd_verify_positivity(args):
             f"{p['comparable']} comparable pairs, {status}"
         )
 
-    print(emit(payload, args.format, render))
-    return 0 if not failures else 1
+    return payload, render
 
 
 def cmd_moment_check(args):
@@ -455,8 +424,7 @@ def cmd_moment_check(args):
             f"moment-check N={p['N']} trials={p['trials']} seed={args.seed}: {status}"
         )
 
-    print(emit(merged, args.format, render))
-    return 0 if merged["ok"] else 1
+    return merged, render
 
 
 def _parallel_moment(N, trials, seed, jobs):
@@ -490,11 +458,17 @@ def _merge_moment_reports(N, reports):
 
 # ---------------------------------------------------------------- parser
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+def int_at_least(minimum):
+    """argparse type: an integer that is at least `minimum`."""
+
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def build_parser():
@@ -504,17 +478,24 @@ def build_parser():
     cached.add_argument(
         "--cache", default=None, help=f"polynomial cache file (default: ${CACHE_ENV})"
     )
+    ranked = argparse.ArgumentParser(add_help=False)
+    ranked.add_argument("-N", type=int, required=True)
     parser = argparse.ArgumentParser(
         prog="ospkostka",
         description="Exact orthosymplectic Kostka polynomials and orbit tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
+    def add_parser(name, needs_n=True, **kwargs):
         parents = [common, cached] if name in CACHE_COMMANDS else [common]
+        # Parents' options print in order, so -N stays after --format/--cache.
+        if needs_n:
+            parents.append(ranked)
         return sub.add_parser(name, parents=parents, **kwargs)
 
-    p = add_parser("roots", help="positive roots of D/C factors or the odd system")
+    p = add_parser(
+        "roots", needs_n=False, help="positive roots of D/C factors or the odd system"
+    )
     p.add_argument("-N", type=int, default=None)
     p.add_argument("--odd", action="store_true")
     p.add_argument("--family", choices=("D", "C"), default=None)
@@ -522,17 +503,15 @@ def build_parser():
     p.set_defaults(func=cmd_roots)
 
     p = add_parser("lpoly", help="partition polynomial of a lattice vector")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.set_defaults(func=cmd_lpoly)
 
     p = add_parser("kostka", help="orthosymplectic Kostka polynomial")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.set_defaults(func=cmd_kostka)
 
-    p = add_parser("kostka-custom", help="Kostka sum for a custom root set")
+    p = add_parser("kostka-custom", needs_n=False, help="Kostka sum for a custom root set")
     p.add_argument("--roots", required=True, help="space-separated eps;delta vectors")
     p.add_argument("--simple", required=True, help="space-separated eps;delta vectors")
     p.add_argument("--family0", choices=("D", "C"), default="D")
@@ -547,68 +526,58 @@ def build_parser():
     p.set_defaults(func=cmd_kostka_custom)
 
     p = add_parser("dominance", help="dominance order with cone certificate")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.set_defaults(func=cmd_dominance)
 
     p = add_parser("closure", help="orbit closure order")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--lower", required=True)
     p.add_argument("--upper", required=True)
     p.set_defaults(func=cmd_closure)
 
     p = add_parser("dim", help="orbit dimension")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--orbit", required=True)
     p.set_defaults(func=cmd_dim)
 
     p = add_parser("stalk", help="IC stalk Poincare table")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.set_defaults(func=cmd_stalk)
 
     p = add_parser("poset", help="closure order on a box of orbit labels")
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--box", type=int, default=2)
+    p.add_argument("--box", type=int_at_least(0), default=2)
     p.add_argument("--dot", action="store_true", help="emit DOT text")
     p.set_defaults(func=cmd_poset)
 
     p = add_parser("orbit-rep", help="lattice representative of an orbit")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--orbit", required=True)
     p.set_defaults(func=cmd_orbit_rep)
 
     p = add_parser("stabilizer", help="stabilizer data of an orbit")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--orbit", required=True)
     p.set_defaults(func=cmd_stabilizer)
 
-    p = add_parser("char", help="irreducible character table")
+    p = add_parser("char", needs_n=False, help="irreducible character table")
     p.add_argument("--type", choices=("D", "C"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.set_defaults(func=cmd_char)
 
     p = add_parser("verify-bryl", help="compare the two Euler series")
-    p.add_argument("-N", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--qmax", type=int, required=True)
     p.set_defaults(func=cmd_verify_bryl)
 
     p = add_parser("verify-positivity", help="Kostka positivity on a box")
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--box", type=int, default=3)
+    p.add_argument("--box", type=int_at_least(0), default=3)
     p.set_defaults(func=cmd_verify_positivity)
 
     p = add_parser("moment-check", help="moment map identity trials")
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument(
         "--jobs",
-        type=positive_int,
+        type=int_at_least(1),
         default=1,
         help="worker processes for trial batches",
     )
@@ -625,18 +594,23 @@ def main(argv=None):
     if cache_path:
         kostka_memo_import(cache_load(cache_path))
     try:
-        code = args.func(args)
+        payload, render = args.func(args)
     except ValueError as exc:
         # UsageError and library validation errors (rank guards, bad
         # weights) are both usage problems at this surface
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # poset --dot prints DOT whatever --format says.
+    if args.format == "json" and not getattr(args, "dot", False):
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(render(payload))
     if cache_path:
         try:
             cache_store(cache_path, kostka_memo_export())
         except OSError as exc:
             print(f"warning: could not write cache {cache_path}: {exc}", file=sys.stderr)
-    return code
+    return 1 if payload.get("ok") is False else 0
 
 
 if __name__ == "__main__":

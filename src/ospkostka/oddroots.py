@@ -6,17 +6,20 @@ Two parity regimes, both with dim V_0 = 2n:
   Z<eps_1..eps_n> + Z<delta_1..delta_n>;
 * even (N = 2n):   V_1 has dimension 2n-2, so the delta block has rank n-1.
 
-The module fixes one distinguished shuffle (of type D), the resulting set
-of positive odd roots, its simple roots, and the dominance order on
-dominant weight pairs in both of its equivalent forms: membership of the
-difference in the nonnegative span of the odd roots, and an explicit list
-of interleaved partial-sum inequalities with a parity constraint.
+The module fixes one distinguished shuffle (of type D): an ordering of
+the coordinates of the flat eps||delta lattice.  Past the rank bookkeeping
+it is the only place the parity of N enters.  The positive odd roots, the
+simple odd roots and the sequence the dominance order compares are all
+read off from it.  The dominance order on dominant weight pairs comes in
+both of its equivalent forms: membership of the difference in the
+nonnegative span of the odd roots, and partial-sum inequalities along the
+shuffle with a parity constraint.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .moment import row_reduce
 from .roots import GroupType, is_dominant, rho
@@ -89,16 +92,6 @@ class OspRootData:
     def zero(self) -> BiWeight:
         return BiWeight((0,) * self.eps_rank, (0,) * self.delta_rank)
 
-    def unit_eps(self, i) -> BiWeight:
-        eps = [0] * self.eps_rank
-        eps[i] = 1
-        return BiWeight(tuple(eps), (0,) * self.delta_rank)
-
-    def unit_delta(self, j) -> BiWeight:
-        delta = [0] * self.delta_rank
-        delta[j] = 1
-        return BiWeight((0,) * self.eps_rank, tuple(delta))
-
 
 @lru_cache(maxsize=None)
 def osp_root_data(N: int) -> OspRootData:
@@ -107,7 +100,9 @@ def osp_root_data(N: int) -> OspRootData:
 
 def shuffle(data: OspRootData) -> tuple:
     """The distinguished type-D shuffle: (n+1,1,n+2,2,...,2n,n) for odd N,
-    (1,n+1,2,n+2,...,n-1,2n-1,n) for even N."""
+    (1,n+1,2,n+2,...,n-1,2n-1,n) for even N.  Entry k is a 1-based position
+    in the flat eps||delta vector (1..n are eps, n+1.. are delta); the last
+    entry is always the last eps coordinate."""
     n = data.n
     if data.parity == "odd":
         out = []
@@ -121,44 +116,39 @@ def shuffle(data: OspRootData) -> tuple:
     return tuple(out)
 
 
+def _unit_pair(data: OspRootData, a: int, b: int, sign: int) -> BiWeight:
+    """e_a + sign * e_b, for 0-based positions a != b of the flat lattice."""
+    flat = [0] * (data.eps_rank + data.delta_rank)
+    flat[a] = 1
+    flat[b] = sign
+    return BiWeight(tuple(flat[: data.eps_rank]), tuple(flat[data.eps_rank :]))
+
+
 @lru_cache(maxsize=None)
 def odd_positive_roots(data: OspRootData) -> tuple:
-    """Positive odd roots, listed family by family with (i, j) lexicographic
-    inside each family.
+    """Positive odd roots: every eps_i+delta_j, then eps_i-delta_j and
+    delta_i-eps_j wherever the first coordinate comes earlier in the
+    shuffle; (i, j) lexicographic inside each of the three families.
 
     odd N:  {eps_i+delta_j | i,j <= n} u {eps_i-delta_j | i<j<=n}
             u {delta_i-eps_j | i<=j<=n}
     even N: {eps_i+delta_j | i<=n, j<n} u {eps_i-delta_j | i<=j<n}
             u {delta_i-eps_j | i<j<=n}
     """
-    n = data.n
-    roots = []
-    if data.parity == "odd":
-        for i in range(n):
-            for j in range(n):
-                roots.append(data.unit_eps(i) + data.unit_delta(j))
-        for i in range(n):
-            for j in range(i + 1, n):
-                roots.append(data.unit_eps(i) - data.unit_delta(j))
-        for i in range(n):
-            for j in range(i, n):
-                roots.append(data.unit_delta(i) - data.unit_eps(j))
-    else:
-        for i in range(n):
-            for j in range(n - 1):
-                roots.append(data.unit_eps(i) + data.unit_delta(j))
-        for i in range(n - 1):
-            for j in range(i, n - 1):
-                roots.append(data.unit_eps(i) - data.unit_delta(j))
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                roots.append(data.unit_delta(i) - data.unit_eps(j))
-    return tuple(roots)
+    rank = {s - 1: k for k, s in enumerate(shuffle(data))}
+    eps = range(data.eps_rank)
+    delta = range(data.eps_rank, data.eps_rank + data.delta_rank)
+    return tuple(
+        [_unit_pair(data, i, j, 1) for i in eps for j in delta]
+        + [_unit_pair(data, i, j, -1) for i in eps for j in delta if rank[i] < rank[j]]
+        + [_unit_pair(data, i, j, -1) for i in delta for j in eps if rank[i] < rank[j]]
+    )
 
 
 @lru_cache(maxsize=None)
 def simple_odd_roots(data: OspRootData) -> tuple:
-    """Simple roots of the odd positive system, in their standard order.
+    """Simple roots of the odd positive system: the differences of
+    consecutive unit vectors in shuffle order, then the sum of the last two.
 
     odd N:  delta_1-eps_1, eps_1-delta_2, delta_2-eps_2, ...,
             delta_n-eps_n, delta_n+eps_n              (length 2n)
@@ -167,22 +157,11 @@ def simple_odd_roots(data: OspRootData) -> tuple:
 
     The list is a basis of the full eps/delta lattice over Q.
     """
-    n = data.n
-    simples = []
-    if data.parity == "odd":
-        for k in range(n - 1):
-            simples.append(data.unit_delta(k) - data.unit_eps(k))
-            simples.append(data.unit_eps(k) - data.unit_delta(k + 1))
-        simples.append(data.unit_delta(n - 1) - data.unit_eps(n - 1))
-        simples.append(data.unit_delta(n - 1) + data.unit_eps(n - 1))
-    else:
-        for k in range(n - 1):
-            simples.append(data.unit_eps(k) - data.unit_delta(k))
-            if k < n - 2:
-                simples.append(data.unit_delta(k) - data.unit_eps(k + 1))
-        simples.append(data.unit_delta(n - 2) - data.unit_eps(n - 1))
-        simples.append(data.unit_delta(n - 2) + data.unit_eps(n - 1))
-    return tuple(simples)
+    order = [s - 1 for s in shuffle(data)]
+    return tuple(
+        [_unit_pair(data, a, b, -1) for a, b in zip(order, order[1:])]
+        + [_unit_pair(data, order[-2], order[-1], 1)]
+    )
 
 
 class ConeSolver:
@@ -277,10 +256,17 @@ def prefix_sums_ge(a, b) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _shuffle_order(data: OspRootData):
+    """Reads a flat eps||delta vector in shuffle order.  The shuffle has at
+    least two entries (N >= 3), so the result is always a tuple."""
+    return itemgetter(*(s - 1 for s in shuffle(data)))
+
+
 def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
     """Dominance order on dominant pairs via partial-sum inequalities.
 
-    All proper partial sums of the interleaved sequences must weakly
+    All proper partial sums of the pairs read in shuffle order must weakly
     decrease from lam to mu, the difference of the totals must be a
     nonnegative even integer, and the inequality must also hold with the
     final eps coordinate negated on both sides.
@@ -290,18 +276,15 @@ def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
     """
     lam0, lam1 = _check_dominant_pair(data, lam_pair, "lambda")
     mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
-    # odd N starts with the delta side, even N with the eps side; the
-    # final entry is always the last eps coordinate.
-    if data.parity == "odd":
-        seq_l, seq_m = interleave(lam1, lam0), interleave(mu1, mu0)
-    else:
-        seq_l, seq_m = interleave(lam0, lam1), interleave(mu0, mu1)
+    in_order = _shuffle_order(data)
+    seq_l, seq_m = in_order(lam0 + lam1), in_order(mu0 + mu1)
     if not prefix_sums_ge(seq_l, seq_m):
         return False
     gap = sum(seq_l) - sum(seq_m)
     if gap < 0 or gap % 2 != 0:
         return False
-    # Same comparison with the sign of the last eps coordinate reversed.
+    # Same comparison with the sign of the last eps coordinate (the last
+    # shuffle entry) reversed.
     return gap >= 2 * (seq_l[-1] - seq_m[-1])
 
 

@@ -1,7 +1,8 @@
 """Shared brute-force oracles, deliberately independent of the library's
-DP code paths: literal multiset enumeration, literal signed sums and a
-plain Fraction linear solve.  Also an autouse fixture that hides the
-caller's OSP_KOSTKA_CACHE."""
+DP code paths: literal multiset enumeration, literal signed sums, a
+plain Fraction linear solve, and the odd root system written out family
+by family.  Also an autouse fixture that hides the caller's
+OSP_KOSTKA_CACHE."""
 
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from ospkostka.oddroots import odd_positive_roots
+from ospkostka.oddroots import BiWeight, odd_positive_roots
 
 
 @pytest.fixture(autouse=True)
@@ -82,3 +83,61 @@ def cone_coordinates_oracle(columns, vector):
     if c is None or any(x < 0 or x.denominator != 1 for x in c):
         return None
     return tuple(int(x) for x in c)
+
+
+def _unit_eps(data, i):
+    eps = [0] * data.eps_rank
+    eps[i] = 1
+    return BiWeight(tuple(eps), (0,) * data.delta_rank)
+
+
+def _unit_delta(data, j):
+    delta = [0] * data.delta_rank
+    delta[j] = 1
+    return BiWeight((0,) * data.eps_rank, tuple(delta))
+
+
+def odd_positive_roots_oracle(data):
+    """The positive odd roots, family by family, (i, j) lexicographic
+    inside each family.
+
+    odd N:  {eps_i+delta_j | i,j <= n} u {eps_i-delta_j | i<j<=n}
+            u {delta_i-eps_j | i<=j<=n}
+    even N: {eps_i+delta_j | i<=n, j<n} u {eps_i-delta_j | i<=j<n}
+            u {delta_i-eps_j | i<j<=n}
+    """
+    e, d = (lambda i: _unit_eps(data, i)), (lambda j: _unit_delta(data, j))
+    n = data.n
+    if data.parity == "odd":
+        return tuple(
+            [e(i) + d(j) for i in range(n) for j in range(n)]
+            + [e(i) - d(j) for i in range(n) for j in range(i + 1, n)]
+            + [d(i) - e(j) for i in range(n) for j in range(i, n)]
+        )
+    return tuple(
+        [e(i) + d(j) for i in range(n) for j in range(n - 1)]
+        + [e(i) - d(j) for i in range(n - 1) for j in range(i, n - 1)]
+        + [d(i) - e(j) for i in range(n - 1) for j in range(i + 1, n)]
+    )
+
+
+def simple_odd_roots_oracle(data):
+    """The simple odd roots in their standard order.
+
+    odd N:  delta_1-eps_1, eps_1-delta_2, delta_2-eps_2, ...,
+            delta_n-eps_n, delta_n+eps_n
+    even N: eps_1-delta_1, delta_1-eps_2, eps_2-delta_2, ...,
+            delta_{n-1}-eps_n, delta_{n-1}+eps_n
+    """
+    e, d = (lambda i: _unit_eps(data, i)), (lambda j: _unit_delta(data, j))
+    n = data.n
+    simples = []
+    if data.parity == "odd":
+        for k in range(n - 1):
+            simples += [d(k) - e(k), e(k) - d(k + 1)]
+        simples += [d(n - 1) - e(n - 1), d(n - 1) + e(n - 1)]
+    else:
+        for k in range(n - 2):
+            simples += [e(k) - d(k), d(k) - e(k + 1)]
+        simples += [e(n - 2) - d(n - 2), d(n - 2) - e(n - 1), d(n - 2) + e(n - 1)]
+    return tuple(simples)

@@ -18,6 +18,7 @@ from ospkostka.cli import (
 
 # The package attribute `kostka` is the function; the memo lives in the module.
 kostka_module = importlib.import_module("ospkostka.kostka")
+cli_module = importlib.import_module("ospkostka.cli")
 
 
 def run_cli(*argv):
@@ -59,7 +60,9 @@ def test_dominance_certificate():
 def test_parse_errors_exit_two():
     code, _, err = run_cli("kostka", "-N", "3", "--lambda", "x;1", "--mu", "0;0")
     assert code == 2
-    assert "expected an integer" in err
+    assert err == (
+        "error: bad lambda eps part 'x': expected an integer at position 0, got 'x'\n"
+    )
     code, _, err = run_cli("kostka", "-N", "3", "--lambda", "1,1;1", "--mu", "0;0")
     assert code == 2
     assert "length" in err
@@ -208,7 +211,7 @@ def test_moment_check_deterministic_across_jobs():
         assert code == 0
         runs.append(out)
     # exact merges make the payload byte-identical across worker counts
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert json.loads(runs[0])["ok"]
 
 
@@ -376,6 +379,96 @@ def test_jobs_below_one_rejected(jobs, capsys):
         main(["moment-check", "-N", "3", "--trials", "2", f"--jobs={jobs}"])
     assert exc.value.code == 2
     assert f"argument --jobs: expected an integer >= 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option, minimum",
+    [
+        (["moment-check", "-N", "3", "--trials=-3"], "--trials", 0),
+        (["verify-positivity", "-N", "3", "--box=-1"], "--box", 0),
+        (["poset", "-N", "3", "--box=-1"], "--box", 0),
+    ],
+    ids=["moment-check-trials", "verify-positivity-box", "poset-box"],
+)
+def test_negative_counts_rejected(argv, option, minimum, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    value = argv[-1].partition("=")[2]
+    assert (f"argument {option}: expected an integer >= {minimum}, got {value}"
+            in capsys.readouterr().err)
+
+
+def test_zero_trials_still_valid(capsys):
+    assert main(["moment-check", "-N", "3", "--trials", "0"]) == 0
+    assert capsys.readouterr().out == "moment-check N=3 trials=0 seed=42: ok\n"
+
+
+# One text-mode invocation per subcommand, plus DOT under --format json.
+TEXT_OUTPUTS = [
+    (["roots", "-N", "4", "--odd"],
+     "N = 4  shuffle = (1, 3, 2)\npositive odd roots:\n  1,0;1\n  0,1;1\n  1,0;-1\n"
+     "  0,-1;1\nsimple odd roots:\n  1,0;-1\n  0,-1;1\n  0,1;1\n"),
+    (["lpoly", "-N", "4", "--alpha", "1,0;1"], "q + q^3\n"),
+    (["kostka", "-N", "3", "--lambda", "2;2", "--mu", "0;0"], "q^2\n"),
+    (["kostka-custom", "--roots", "1;1 -1;1", "--simple", "-1;1 1;1", "--rank0", "1",
+      "--rank1", "1", "--lambda", "1;1", "--mu", "0;0"], "q\n"),
+    (["dominance", "-N", "3", "--lambda", "2;2", "--mu", "0;0"],
+     "ge = True  certificate = [0, 2]\n"),
+    (["closure", "-N", "3", "--lower", "0;0", "--upper", "1;1"], "le = True\n"),
+    (["dim", "-N", "5", "--orbit", "1,0;1,0"], "dim = 5\n"),
+    (["stalk", "-N", "5", "--lambda", "1,0;1,0", "--mu", "0,0;0,0"],
+     "H^-1: 1\nH^-3: 2\nH^-5: 1\n"),
+    (["poset", "-N", "3", "--box", "1"],
+     "6 orbits, 4 cover relations\n  -1;0 < 0;1\n  0;0 < -1;1\n  0;0 < 1;1\n"
+     "  1;0 < 0;1\n"),
+    (["poset", "-N", "3", "--box", "1", "--dot", "--format", "json"],
+     'digraph closure {\n  "-1;0";\n  "-1;1";\n  "0;0";\n  "0;1";\n  "1;0";\n'
+     '  "1;1";\n  "-1;0" -> "0;1";\n  "0;0" -> "-1;1";\n  "0;0" -> "1;1";\n'
+     '  "1;0" -> "0;1";\n}\n'),
+    (["orbit-rep", "-N", "3", "--orbit", "1;1"],
+     "mu = (1, -1)  nu = (1, 0, -1)\n  t^{-2} e1 + t^{-1} e3\n  t^{1} e2 + e3\n"
+     "  t^{1} e3\n"),
+    (["stabilizer", "-N", "3", "--orbit", "0;0"],
+     "alpha = (0, 0, 0, 0, 0)\nbeta  = (0, 0, 0, 0)\nn = {'0': 4}\nm = {'0': 2}\n"
+     "reductive quotient = SO_2\n"),
+    (["char", "--type", "C", "--rank", "1", "--lambda", "2"],
+     "dim = 3\n  (-2,): 1\n  (0,): 1\n  (2,): 1\n"),
+    (["verify-bryl", "-N", "3", "--mu", "0;0", "--qmax", "2"],
+     "verify-bryl N=3 mu=0;0 qmax=2: ok\n"),
+    (["verify-positivity", "-N", "3", "--box", "1"],
+     "verify-positivity N=3 box=1: 10 comparable pairs, ok\n"),
+    (["moment-check", "-N", "3", "--trials", "2", "--seed", "5"],
+     "moment-check N=3 trials=2 seed=5: ok\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    TEXT_OUTPUTS,
+    ids=[a[0] + ("-dot-json" if "--dot" in a else "") for a, _ in TEXT_OUTPUTS],
+)
+def test_text_output_pinned(argv, stdout, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == ""
+
+
+def test_verification_failure_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "kostka_defect", lambda lam, mu, poly: "forced")
+    assert main(["verify-positivity", "-N", "3", "--box", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "verify-positivity N=3 box=1: 10 comparable pairs, 10 failures\n"
+    )
+
+    def failing_check(N, trials, seed, start=0):
+        return {"N": N, "trials": trials, "char_identity": 0, "pfaffian_vanishing": 0,
+                "fft_generators": 0, "equivariance": 1, "failures": trials, "ok": False}
+
+    monkeypatch.setattr(cli_module.moment, "moment_check", failing_check)
+    assert main(["moment-check", "-N", "3", "--trials", "2", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == 2
 
 
 def test_cache_file_bytes(tmp_path, monkeypatch):

@@ -1,7 +1,12 @@
 import pytest
 from hypothesis import assume, event, given, strategies as st
 
-from conftest import cone_coordinates_oracle, fraction_rank
+from conftest import (
+    cone_coordinates_oracle,
+    fraction_rank,
+    odd_positive_roots_oracle,
+    simple_odd_roots_oracle,
+)
 from ospkostka.oddroots import (
     ConeSolver,
     biweight,
@@ -65,6 +70,13 @@ def test_simple_odd_roots_examples():
         biweight((0, 1), (1,)),
     )
     assert len(simple_odd_roots(osp_root_data(5))) == 4
+
+
+@pytest.mark.parametrize("N", range(3, 11))
+def test_roots_match_family_oracle(N):
+    data = osp_root_data(N)
+    assert odd_positive_roots(data) == odd_positive_roots_oracle(data)
+    assert simple_odd_roots(data) == simple_odd_roots_oracle(data)
 
 
 @pytest.mark.parametrize("N", range(3, 11))
