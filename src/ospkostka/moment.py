@@ -1,4 +1,4 @@
-"""Exact rational verification of the quadratic moment-map identities.
+"""Exact verification of the quadratic moment-map identities.
 
 V_0 carries the standard symmetric form in an orthonormal basis (Gram =
 identity, so so(V_0) is the usual skew matrices and the Pfaffian is the
@@ -7,12 +7,24 @@ J = [[0, I], [-I, 0]].  The adjoint of X: V_a -> V_b is
 X^t = G_a^{-1} X^T G_b, i.e. (v, X^t w)_a = (X v, w)_b, and the double
 adjoint of a map out of V_0 is -X because exactly one Gram is skew.
 
-Everything is Fraction arithmetic; every identity is checked exactly.
+The matrix kernels (`mat_mul`, `adjoint`, `q0`, `q1`, the Berkowitz
+`char_poly`, `pfaffian`) never divide: on int matrices they return ints,
+on Fraction matrices Fractions.  `row_reduce` is fraction-free Bareiss
+elimination on integers, shared with `oddroots.ConeSolver`;
+`mat_inverse` clears denominators, calls it and divides once.
+
+The random draws are rational.  `moment_check` clears their denominators
+once and checks every identity on integers.  Each identity is
+homogeneous in A (and in the group elements, once their scalar
+denominators are cross-multiplied), so the integer check is exact and
+equivalent to the rational one.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -42,39 +54,31 @@ class FormsSpec:
         m = self.dim1 // 2
         J = zeros(self.dim1, self.dim1)
         for i in range(m):
-            J[i][m + i] = Fraction(1)
-            J[m + i][i] = Fraction(-1)
+            J[i][m + i] = 1
+            J[m + i][i] = -1
         return J
 
 
 def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
+    return [[0] * c for _ in range(r)]
 
 
 def identity(n):
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = Fraction(1)
+        out[i][i] = 1
     return out
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != inner:
+    rows, inner = len(a), len(b)
+    if not a or not b or any(len(row) != inner for row in a):
         raise ValueError(
-            f"cannot multiply a {rows}x{len(a[0])} matrix by a {inner}x{cols} matrix"
+            f"cannot multiply a {rows}x{len(a[0]) if a else 0} matrix"
+            f" by a {inner}x{len(b[0]) if b else 0} matrix"
         )
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
+    cols = list(zip(*b, strict=True))
+    return [[sum(map(mul, ai, col)) for col in cols] for ai in a]
 
 
 def mat_transpose(a):
@@ -96,37 +100,56 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
+def clear_denominators(a):
+    """(d, d a) with d the lcm of the denominators of a's entries and d a
+    as an int matrix.  Ints have denominator 1, so d = 1 on int input."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+
+
 def row_reduce(a):
-    """Gauss-Jordan on [a | I] for an r x k matrix a: returns the r x r
-    matrix E with E a = [I; 0], or None when the columns of a are linearly
-    dependent.  The first k rows of E are a left inverse of a; the other
-    r - k rows vanish exactly on the column space of a."""
+    """Fraction-free Gauss-Jordan (Bareiss) on [a | I] for an r x k integer
+    matrix a: returns (d, E) with d > 0 and E an integer r x r matrix such
+    that E a = d [I; 0], or None when the columns of a are linearly
+    dependent.  The first k rows of E / d are a left inverse of a; the other
+    r - k rows vanish exactly on the column space of a.  Each step divides
+    by the previous pivot, and that division is exact because every entry
+    is a minor of [a | I] (Bareiss 1968)."""
     rows, cols = len(a), len(a[0]) if a else 0
-    work = [
-        list(map(Fraction, row)) + [Fraction(1) if i == j else Fraction(0) for j in range(rows)]
-        for i, row in enumerate(a)
-    ]
+    work = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
+    prev = 1
     for col in range(cols):
-        piv = next((i for i in range(col, rows) if work[i][col] != 0), None)
+        piv = next((i for i in range(col, rows) if work[i][col]), None)
         if piv is None:
             return None
         work[col], work[piv] = work[piv], work[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
+        top = work[col]
+        p = top[col]
         for i in range(rows):
-            if i != col and work[i][col] != 0:
+            if i != col:
                 f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[cols:] for row in work]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * x for x in row[cols:]] for row in work]
 
 
 def mat_inverse(a):
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
-    inverse = row_reduce(a)
-    if inverse is None:
+    scale, ints = clear_denominators(a)
+    reduced = row_reduce(ints)
+    if reduced is None:
         raise ValueError("matrix is singular")
-    return inverse
+    d, E = reduced
+    # E (scale a) = d I
+    return [[Fraction(x * scale, d) for x in row] for row in E]
+
+
+def _minus_j(X):
+    """-J X = J^{-1} X, with J applied as an index map on the rows of X."""
+    m = len(X) // 2
+    return [[-x for x in row] for row in X[m:]] + [list(row) for row in X[:m]]
 
 
 def adjoint(spec: FormsSpec, A, source: int = 0):
@@ -136,11 +159,11 @@ def adjoint(spec: FormsSpec, A, source: int = 0):
     if source == 0:
         if len(A) != spec.dim1 or len(A[0]) != spec.dim0:
             raise ValueError("expected a dim1 x dim0 matrix")
-        # G0 = identity, so G0^{-1} A^T J1 = A^T J1
-        return mat_mul(mat_transpose(A), spec.gram1())
+        # G0 = identity, so G0^{-1} A^T J = A^T J = (-J A)^T
+        return mat_transpose(_minus_j(A))
     if len(A) != spec.dim0 or len(A[0]) != spec.dim1:
         raise ValueError("expected a dim0 x dim1 matrix")
-    return mat_mul(mat_inverse(spec.gram1()), mat_transpose(A))
+    return _minus_j(mat_transpose(A))
 
 
 def q0(spec: FormsSpec, A):
@@ -154,20 +177,29 @@ def q1(spec: FormsSpec, A):
 
 
 def char_poly(M):
-    """Exact characteristic polynomial det(zI - M) by Faddeev-LeVerrier.
-    Returns coefficients (c_0=1, c_1, ..., c_k) for z^k + c_1 z^{k-1} + ...
-    """
+    """Exact characteristic polynomial det(zI - M), division-free
+    (Berkowitz 1984).  Returns coefficients (c_0=1, c_1, ..., c_k) for
+    z^k + c_1 z^{k-1} + ...
+
+    Step k borders the leading k x k block A with column C, row R and
+    corner a: p_{k+1}(z) = (z - a) p_k(z) - R adj(zI - A) C, and the
+    adjugate expands in powers of A with the coefficients of p_k."""
     k = len(M)
     if any(len(row) != k for row in M):
         raise ValueError("matrix is not square")
-    coeffs = [Fraction(1)]
-    B = identity(k)
-    for i in range(1, k + 1):
-        MB = mat_mul(M, B)
-        trace = sum(MB[j][j] for j in range(k))
-        c = -trace / i
-        coeffs.append(c)
-        B = mat_add(MB, mat_scale(identity(k), c))
+    coeffs = [1]
+    for n in range(k):
+        A = [row[:n] for row in M[:n]]
+        R, v, a = M[n][:n], [row[n] for row in M[:n]], M[n][n]
+        s = []  # s[l] = R A^l C
+        for _ in range(n):
+            s.append(sum(map(mul, R, v)))
+            v = [sum(map(mul, row, v)) for row in A]
+        c = coeffs + [0]
+        coeffs = [1] + [
+            c[t] - a * c[t - 1] - sum(c[i] * s[t - 2 - i] for i in range(t - 1))
+            for t in range(1, n + 2)
+        ]
     return tuple(coeffs)
 
 
@@ -175,6 +207,8 @@ def pfaffian(M):
     """Pfaffian of an antisymmetric even-dimensional matrix, by recursive
     expansion along the first remaining row."""
     k = len(M)
+    if any(len(row) != k for row in M):
+        raise ValueError("matrix is not square")
     if k % 2 != 0:
         raise ValueError("Pfaffian needs even dimension")
     for i in range(k):
@@ -184,10 +218,10 @@ def pfaffian(M):
 
     def rec(indices):
         if not indices:
-            return Fraction(1)
+            return 1
         i = indices[0]
         rest = indices[1:]
-        total = Fraction(0)
+        total = 0
         for pos, j in enumerate(rest):
             x = M[i][j]
             if x:
@@ -212,7 +246,7 @@ def verify_char_identity(spec: FormsSpec, A) -> bool:
     p1 = char_poly(q1(spec, A))
     if spec.parity == "odd":
         return p0 == p1
-    return p0 == p1 + (Fraction(0), Fraction(0))
+    return p0 == p1 + (0, 0)
 
 
 def verify_pfaffian_vanishing(spec: FormsSpec, A) -> bool:
@@ -224,15 +258,12 @@ def verify_pfaffian_vanishing(spec: FormsSpec, A) -> bool:
 
 
 def fft_generator(spec: FormsSpec, A, i: int, j: int):
-    """Q_{ij}(A) evaluated directly from the bilinear definition
-    <p_i(A), p_j(A)> as a double sum over the symplectic Gram."""
-    J = spec.gram1()
-    total = Fraction(0)
-    for a in range(spec.dim1):
-        for b in range(spec.dim1):
-            if J[a][b]:
-                total += A[a][i] * J[a][b] * A[b][j]
-    return total
+    """Q_{ij}(A) = <p_i(A), p_j(A)>, the symplectic pairing of columns i
+    and j of A; J pairs row x with row h + x."""
+    h = spec.dim1 // 2
+    return sum(
+        A[x][i] * A[h + x][j] - A[h + x][i] * A[x][j] for x in range(h)
+    )
 
 
 def verify_fft_generators(spec: FormsSpec, A) -> bool:
@@ -290,17 +321,20 @@ def random_symplectic(spec: FormsSpec, rng: random.Random):
                 P[j][i] = x
         S = mat_mul(J_inv, P)
         eye = identity(n)
-        inverse = row_reduce(mat_add(eye, S))
-        if inverse is not None:
-            return mat_mul(mat_sub(eye, S), inverse)
+        try:
+            inverse = mat_inverse(mat_add(eye, S))
+        except ValueError:  # I + S is singular
+            continue
+        return mat_mul(mat_sub(eye, S), inverse)
 
 
 def moment_check(N: int, trials: int, seed: int, start: int = 0):
     """Run the full battery on trials start..start+trials-1, trial i on a
-    matrix drawn from an RNG seeded by (seed, i) alone.  The run that starts
-    at trial 0 adds one equivariance spot check; other runs count it as
-    passed, so runs over a split range add up to the whole.  Returns a dict
-    of counters; all checks are exact so any failure is structural."""
+    matrix drawn from an RNG seeded by (seed, i) alone and cleared of its
+    denominators.  The run that starts at trial 0 adds one equivariance
+    spot check; other runs count it as passed, so runs over a split range
+    add up to the whole.  Returns a dict of counters; all checks are exact
+    so any failure is structural."""
     spec = FormsSpec(N)
     report = {
         "N": N,
@@ -312,7 +346,7 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
         "failures": 0,
     }
     for i in range(start, start + trials):
-        A = random_hom(spec, random.Random(f"{seed}:{i}"))
+        _, A = clear_denominators(random_hom(spec, random.Random(f"{seed}:{i}")))
         ok = verify_char_identity(spec, A)
         report["char_identity"] += ok
         if spec.parity == "even":
@@ -334,13 +368,27 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
 
 def _equivariance_holds(spec: FormsSpec, seed: int) -> bool:
     """q0 and q1 intertwine the SO(V_0) x Sp(V_1) action, on one random
-    matrix and group element drawn from an RNG of their own."""
+    matrix and group element drawn from an RNG of their own.
+
+    In integers: A = X / a, g0 = G0 / d0, g1 = G1 / d1, and E G = e I
+    gives g^{-1} = d E / e.  So g1 A g0^{-1} = s Y with Y = G1 X E0 and
+    s = d0 / (d1 a e0); both identities are quadratic in A, and clearing
+    the scalars leaves
+        d0^2 q0(Y) = d1^2 e0 G0 q0(X) E0,
+        d0^2 e1 q1(Y) = d1^2 e0^2 G1 q1(X) E1."""
     rng = random.Random(f"{seed}:equivariance")
-    A = random_hom(spec, rng)
-    g0 = random_special_orthogonal(spec, rng)
-    g1 = random_symplectic(spec, rng)
-    g0_inv = mat_inverse(g0)
-    moved = mat_mul(g1, mat_mul(A, g0_inv))
-    eq0 = mat_eq(q0(spec, moved), mat_mul(g0, mat_mul(q0(spec, A), g0_inv)))
-    eq1 = mat_eq(q1(spec, moved), mat_mul(g1, mat_mul(q1(spec, A), mat_inverse(g1))))
+    _, X = clear_denominators(random_hom(spec, rng))
+    d0, G0 = clear_denominators(random_special_orthogonal(spec, rng))
+    d1, G1 = clear_denominators(random_symplectic(spec, rng))
+    e0, E0 = row_reduce(G0)
+    e1, E1 = row_reduce(G1)
+    Y = mat_mul(G1, mat_mul(X, E0))
+    eq0 = mat_eq(
+        mat_scale(q0(spec, Y), d0 * d0),
+        mat_scale(mat_mul(G0, mat_mul(q0(spec, X), E0)), d1 * d1 * e0),
+    )
+    eq1 = mat_eq(
+        mat_scale(q1(spec, Y), d0 * d0 * e1),
+        mat_scale(mat_mul(G1, mat_mul(q1(spec, X), E1)), d1 * d1 * e0 * e0),
+    )
     return eq0 and eq1

@@ -18,7 +18,7 @@ shuffle with a parity constraint.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from operator import itemgetter, mul
 
 from .moment import row_reduce
@@ -168,10 +168,10 @@ class ConeSolver:
     """Exact solver for S c = alpha with a fixed full-column-rank integer
     matrix S; reports None unless c is a nonnegative integer vector.
 
-    The left inverse of S is found once, by Fraction row reduction, and
-    kept as the integer matrix D * S^+ with D the lcm of its denominators.
-    A query is then integer dot products and one divmod by D per
-    coordinate, with no Fraction arithmetic.
+    The left inverse of S is found once, by fraction-free row reduction
+    (`moment.row_reduce`), and kept as the integer matrix D * S^+ with D
+    the lcm of its denominators.  A query is then integer dot products and
+    one divmod by D per coordinate, with no Fraction arithmetic.
     """
 
     def __init__(self, columns):
@@ -181,17 +181,21 @@ class ConeSolver:
         dim = len(columns[0])
         if any(len(col) != dim for col in columns):
             raise ValueError("simple roots have inconsistent lengths")
-        # E S = [I; 0]: rows 0..k-1 of E read off coordinates and the
-        # remaining rows test consistency.  More roots than coordinates
-        # (dim 0 included) are always dependent.
-        elim = row_reduce([list(row) for row in zip(*columns)]) if k <= dim else None
-        if elim is None:
+        # E S = d [I; 0]: rows 0..k-1 of E read off d times the coordinates
+        # and the remaining rows test consistency.  More roots than
+        # coordinates (dim 0 included) are always dependent.
+        reduced = row_reduce([list(row) for row in zip(*columns)]) if k <= dim else None
+        if reduced is None:
             raise ValueError("simple roots are linearly dependent")
+        d, elim = reduced
         self.dim = dim
-        self.scale, self._rows = _clear_denominators(elim[:k])
-        # A consistency row only has to vanish, so each is cleared of
-        # denominators on its own.
-        self._checks = [_clear_denominators([r])[1][0] for r in elim[k:]]
+        # Dividing out the common factor leaves scale = the lcm of the
+        # denominators of the left inverse E[:k] / d.
+        g = gcd(d, *(x for row in elim[:k] for x in row))
+        self.scale = d // g
+        self._rows = [[x // g for x in row] for row in elim[:k]]
+        # A consistency row only has to vanish, so it keeps its own scale.
+        self._checks = elim[k:]
 
     def coordinates(self, flat):
         if len(flat) != self.dim:
@@ -207,12 +211,6 @@ class ConeSolver:
                 return None
             out.append(c)
         return tuple(out)
-
-
-def _clear_denominators(rows):
-    """(D, D * rows as ints), with D the lcm of the denominators in rows."""
-    scale = lcm(*(x.denominator for r in rows for x in r))
-    return scale, [[int(x * scale) for x in r] for r in rows]
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,18 @@
 """Shared brute-force oracles, deliberately independent of the library's
 DP code paths: literal multiset enumeration, literal signed sums, a
-plain Fraction linear solve, and the odd root system written out family
-by family.  Also an autouse fixture that hides the caller's
-OSP_KOSTKA_CACHE."""
+plain Fraction linear solve, the odd root system written out family
+by family, and the moment-map battery in Fraction arithmetic with the
+explicit symplectic Gram.  Also an autouse fixture that hides the
+caller's OSP_KOSTKA_CACHE."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from ospkostka import moment
 from ospkostka.oddroots import BiWeight, odd_positive_roots
 
 
@@ -141,3 +144,97 @@ def simple_odd_roots_oracle(data):
             simples += [e(k) - d(k), d(k) - e(k + 1)]
         simples += [e(n - 2) - d(n - 2), d(n - 2) - e(n - 1), d(n - 2) + e(n - 1)]
     return tuple(simples)
+
+
+def fraction_mat_mul(a, b):
+    return [
+        [sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def fraction_inverse(a):
+    """Inverse of an invertible square matrix, column by column with
+    fraction_solve."""
+    n = len(a)
+    columns = [[a[i][j] for i in range(n)] for j in range(n)]
+    inverse_columns = [fraction_solve(columns, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[col[i] for col in inverse_columns] for i in range(n)]
+
+
+def faddeev_char_poly(M):
+    """det(zI - M) as (1, c_1, ..., c_k), by Faddeev-LeVerrier in Fraction
+    arithmetic."""
+    k = len(M)
+    M = [[Fraction(x) for x in row] for row in M]
+    coeffs = [Fraction(1)]
+    B = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for i in range(1, k + 1):
+        MB = fraction_mat_mul(M, B)
+        c = -sum(MB[j][j] for j in range(k)) / i
+        coeffs.append(c)
+        B = [[x + c * (r == j) for j, x in enumerate(row)] for r, row in enumerate(MB)]
+    return tuple(coeffs)
+
+
+def gram_q0(spec, A):
+    """A^T J A with the symplectic Gram J written out."""
+    At = [list(col) for col in zip(*A)]
+    return fraction_mat_mul(fraction_mat_mul(At, spec.gram1()), A)
+
+
+def gram_q1(spec, A):
+    """A A^T J with the symplectic Gram J written out."""
+    At = [list(col) for col in zip(*A)]
+    return fraction_mat_mul(A, fraction_mat_mul(At, spec.gram1()))
+
+
+def fraction_equivariance_holds(spec, seed):
+    """The equivariance spot check on the rational draws: g1 A g0^{-1} has
+    q0 = g0 q0(A) g0^{-1} and q1 = g1 q1(A) g1^{-1}."""
+    rng = random.Random(f"{seed}:equivariance")
+    A = moment.random_hom(spec, rng)
+    g0 = moment.random_special_orthogonal(spec, rng)
+    g1 = moment.random_symplectic(spec, rng)
+    mm = fraction_mat_mul
+    g0_inv = fraction_inverse(g0)
+    moved = mm(g1, mm(A, g0_inv))
+    eq0 = gram_q0(spec, moved) == mm(g0, mm(gram_q0(spec, A), g0_inv))
+    eq1 = gram_q1(spec, moved) == mm(g1, mm(gram_q1(spec, A), fraction_inverse(g1)))
+    return eq0 and eq1
+
+
+def moment_report_oracle(N, trials, seed, start=0):
+    """What moment.moment_check(N, trials, seed, start) must return, from
+    the same draws checked in Fraction arithmetic: Faddeev characteristic
+    polynomials, a vanishing determinant for the Pfaffian (Pf^2 = det), and
+    the generators as the literal double sum over the Gram."""
+    spec = moment.FormsSpec(N)
+    J = spec.gram1()
+    report = dict.fromkeys(
+        ("char_identity", "pfaffian_vanishing", "fft_generators", "failures"), 0
+    )
+    for t in range(start, start + trials):
+        A = moment.random_hom(spec, random.Random(f"{seed}:{t}"))
+        M0 = gram_q0(spec, A)
+        p0, p1 = faddeev_char_poly(M0), faddeev_char_poly(gram_q1(spec, A))
+        ok = p0 == (p1 if spec.parity == "odd" else p1 + (0, 0))
+        report["char_identity"] += ok
+        if spec.parity == "even":
+            okp = p0[-1] == 0
+            report["pfaffian_vanishing"] += okp
+            ok = ok and okp
+        else:
+            okf = all(
+                M0[i][j]
+                == sum(A[a][i] * J[a][b] * A[b][j] for a in range(spec.dim1) for b in range(spec.dim1))
+                for i in range(spec.dim0)
+                for j in range(i + 1, spec.dim0)
+            )
+            report["fft_generators"] += okf
+            ok = ok and okf
+        report["failures"] += not ok
+    report["equivariance"] = int(start != 0 or fraction_equivariance_holds(spec, seed))
+    report["failures"] += not report["equivariance"]
+    report.update(N=N, trials=trials, ok=report["failures"] == 0)
+    return report

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import ospkostka
-from conftest import fraction_rank, fraction_solve
+from conftest import (
+    faddeev_char_poly,
+    fraction_equivariance_holds,
+    fraction_rank,
+    fraction_solve,
+    moment_report_oracle,
+)
 from ospkostka import moment as moment_module
 from ospkostka.moment import (
     FormsSpec,
@@ -21,6 +27,7 @@ from ospkostka.moment import (
     mat_inverse,
     mat_mul,
     mat_scale,
+    mat_sub,
     mat_transpose,
     moment_check,
     pfaffian,
@@ -250,12 +257,24 @@ def test_mat_mul_shape_check_survives_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def square_integer_matrices(max_n=5):
-    return st.integers(1, max_n).flatmap(
+def square_matrices(entries, min_n=1, max_n=5):
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
+
+
+def square_integer_matrices(max_n=5):
+    return square_matrices(st.integers(-6, 6), max_n=max_n)
+
+
+@given(
+    square_matrices(st.integers(-9, 9), 0, 7)
+    | square_matrices(st.fractions(-9, 9, max_denominator=4), 0, 7)
+)
+def test_char_poly_matches_faddeev_oracle(M):
+    assert char_poly(M) == faddeev_char_poly(M)
 
 
 @given(square_integer_matrices())
@@ -280,11 +299,35 @@ def test_mat_inverse_rejects_non_square_and_singular():
 
 def test_row_reduce_left_inverse_and_relations():
     a = [[2, 0], [0, 1], [1, 0]]
-    e = row_reduce(a)
-    assert mat_mul(e, a) == [[1, 0], [0, 1], [0, 0]]
+    d, e = row_reduce(a)
+    assert mat_mul(e, a) == [[d, 0], [0, d], [0, 0]]
     assert row_reduce([[1, 2], [2, 4], [0, 0]]) is None
     assert row_reduce([[1, 0]]) is None  # more columns than rows
-    assert row_reduce([]) == mat_inverse([]) == []
+    assert row_reduce([]) == (1, [])
+    assert mat_inverse([]) == []
+
+
+@given(st.data())
+def test_row_reduce_matches_fraction_elimination(data):
+    r, k = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+    row = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    a = data.draw(st.lists(row, min_size=r, max_size=r))
+    columns = [[row[j] for row in a] for j in range(k)]
+    reduced = row_reduce(a)
+    if fraction_rank(columns) < k:
+        assert reduced is None
+        return
+    d, E = reduced
+    assert d > 0 and all(type(x) is int for row in E for x in row)
+    # E a = d [I; 0]: a left inverse on top, relation rows below that
+    # vanish on the column space
+    assert mat_mul(E, a) == [[d * (i == j) for j in range(k)] for i in range(r)]
+    # the relation rows are independent, so they cut out exactly the span
+    assert fraction_rank(E) == r
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    v = [sum(c * y for c, y in zip(row, x)) for row in a]
+    left = tuple(Fraction(sum(e * y for e, y in zip(row, v)), d) for row in E[:k])
+    assert left == fraction_solve(columns, v) == tuple(x)
 
 
 def test_trial_matrices_do_not_depend_on_chunking(monkeypatch):
@@ -305,3 +348,110 @@ def test_trial_matrices_do_not_depend_on_chunking(monkeypatch):
     for key in ("trials", "char_identity", "pfaffian_vanishing", "failures"):
         assert sum(p[key] for p in parts) == whole[key]
     assert [p["equivariance"] for p in parts] == [1, 1, 1] and whole["equivariance"] == 1
+
+
+def test_pfaffian_rejects_non_square():
+    with pytest.raises(ValueError, match="not square"):
+        pfaffian([[0, 1, 2], [-1, 0, 3]])
+    with pytest.raises(ValueError, match="not square"):
+        pfaffian([[0, 1], [-1, 0, 5]])
+
+
+def test_mat_mul_rejects_empty_and_ragged_operands():
+    with pytest.raises(ValueError, match="cannot multiply a 0x0 matrix by a 0x0 matrix"):
+        mat_mul([], [])
+    with pytest.raises(ValueError, match="cannot multiply a 1x0 matrix by a 0x0 matrix"):
+        mat_mul([[]], [])
+    with pytest.raises(ValueError, match="cannot multiply"):
+        mat_mul([[1, 2], [3]], [[1], [2]])
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+def test_integer_spot_check_matches_fraction_oracle(N):
+    spec = FormsSpec(N)
+    for seed in range(40):
+        assert moment_module._equivariance_holds(spec, seed) == fraction_equivariance_holds(
+            spec, seed
+        )
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+def test_moment_check_matches_fraction_oracle(N):
+    for seed in (0, 1, 2):
+        assert moment_check(N, 6, seed) == moment_report_oracle(N, 6, seed)
+    assert moment_check(N, 4, 9, start=3) == moment_report_oracle(N, 4, 9, start=3)
+
+
+def test_battery_runs_on_integers(monkeypatch):
+    """Past the random draws, the trials and the spot check see only ints."""
+    spec = FormsSpec(6)
+    rng = random.Random(3)
+    g0, g1 = random_special_orthogonal(spec, rng), random_symplectic(spec, rng)
+    monkeypatch.setattr(moment_module, "random_special_orthogonal", lambda spec, rng: g0)
+    monkeypatch.setattr(moment_module, "random_symplectic", lambda spec, rng: g1)
+    seen = []
+
+    def integer_only(fn):
+        def wrapped(*args):
+            seen.append(fn.__name__)
+            matrices = [m for m in args if isinstance(m, list)]
+            assert matrices and all(type(x) is int for m in matrices for row in m for x in row)
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("mat_mul", "char_poly", "pfaffian", "row_reduce"):
+        monkeypatch.setattr(moment_module, name, integer_only(getattr(moment_module, name)))
+    assert moment_check(6, 3, seed=8)["ok"]
+    assert {"mat_mul", "char_poly", "pfaffian", "row_reduce"} <= set(seen)
+
+
+def breaks_check(monkeypatch, name, replacement):
+    original = getattr(moment_module, name)
+    monkeypatch.setattr(moment_module, name, lambda *args: replacement(original, *args))
+
+
+def test_char_identity_catches_a_scaled_q1(monkeypatch):
+    # q1 off by 2 while q0 is not: the cleared check must still see it
+    breaks_check(monkeypatch, "q1", lambda q1, spec, A: mat_scale(q1(spec, A), 2))
+    report = moment_check(5, 5, seed=4)
+    assert report["char_identity"] == 0 and report["failures"] == 5 and not report["ok"]
+
+
+def test_pfaffian_check_catches_a_nonvanishing_pfaffian(monkeypatch):
+    def shifted(q0, spec, A):
+        # q0 - K, with K block diagonal in [[0, 1], [-1, 0]] (Pf K = 1)
+        K = zeros(spec.dim0, spec.dim0)
+        for i in range(0, spec.dim0, 2):
+            K[i][i + 1], K[i + 1][i] = 1, -1
+        return mat_sub(q0(spec, A), K)
+
+    breaks_check(monkeypatch, "q0", shifted)
+    report = moment_check(4, 5, seed=4)
+    assert report["pfaffian_vanishing"] == 0 and not report["ok"]
+
+
+def test_generator_check_catches_a_wrong_entry(monkeypatch):
+    breaks_check(
+        monkeypatch,
+        "fft_generator",
+        lambda fft, spec, A, i, j: fft(spec, A, i, j) + ((i, j) == (0, 1)),
+    )
+    report = moment_check(5, 5, seed=4)
+    assert report["fft_generators"] == 0 and report["failures"] == 5
+    assert report["char_identity"] == 5 and report["equivariance"] == 1
+
+
+def test_spot_check_catches_a_non_symplectic_g1(monkeypatch):
+    def stretched(spec, rng):
+        # diag(3/2, 1, ..., 1) is invertible but does not preserve J
+        g1 = identity(spec.dim1)
+        g1[0][0] = Fraction(3, 2)
+        return g1
+
+    monkeypatch.setattr(moment_module, "random_symplectic", stretched)
+    for N in (3, 4, 5, 6):
+        report = moment_check(N, 2, seed=4)
+        assert report["equivariance"] == 0 and report["failures"] == 1, N
