@@ -8,19 +8,24 @@ Irreducible characters come from exact alternant division: the quotient
 A_{lam+rho} / A_rho is computed by highest-term peeling in the group ring
 of the lattice, and a nonzero remainder aborts (it would mean corrupted
 input, never rounding).  Decomposition of a Weyl-invariant element goes
-the other way: multiply by A_rho and read off coefficients at strictly
-dominant translates of rho.
+the other way, by Racah-Speiser reflection: each weight x is moved by
+the Weyl element that carries x + rho to the dominant chamber, and its
+multiplicity, times the sign of that element, lands on the label
+lam = w(x + rho) - rho (weights with x + rho on a wall drop out).  The
+labels are then checked exactly: sum c_lam * chi_lam must rebuild the
+input term for term.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .roots import (
     GroupType,
     SignedPermutation,
     act,
+    dominant_representative,
     is_dominant,
     positive_roots,
     rho,
@@ -141,16 +146,6 @@ def _alternant(gtype: GroupType, x) -> dict:
     return _add_into({}, ((act(w, x), sign(w)) for w in weyl_elements(gtype)), 1)
 
 
-def _product_alternant(context, parts) -> dict:
-    """The alternant of each part on its factor's lattice; for two factors,
-    their outer product on the concatenated lattice."""
-    blocks = [_alternant(t, x) for t, x in zip(context, parts)]
-    if len(blocks) == 1:
-        return blocks[0]
-    first, second = blocks
-    return {w0 + w1: c0 * c1 for w0, c0 in first.items() for w1, c1 in second.items()}
-
-
 def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:
     """Exact division in the lattice group ring; `lead` is the unique
     lexicographically maximal weight of denom and must carry coefficient 1."""
@@ -165,7 +160,7 @@ def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:
         c = numer[top]
         qw = tuple(a - b for a, b in zip(top, lead))
         quotient[qw] = quotient.get(qw, 0) + c
-        _add_into(numer, _convolve({qw: 1}, denom).items(), -c)
+        _add_into(numer, ((tuple(map(add, qw, w)), m) for w, m in denom.items()), -c)
     return quotient
 
 
@@ -222,13 +217,18 @@ def _generators(gtype: GroupType):
     return gens
 
 
-def is_weyl_invariant(ch: CharElt) -> bool:
-    offsets = []
+def _blocks(context):
+    """(start, stop) of each factor's coordinates in a concatenated weight."""
+    out = []
     start = 0
-    for t in ch.context:
-        offsets.append((start, start + t.rank))
+    for t in context:
+        out.append((start, start + t.rank))
         start += t.rank
-    for (lo, hi), gtype in zip(offsets, ch.context):
+    return out
+
+
+def is_weyl_invariant(ch: CharElt) -> bool:
+    for (lo, hi), gtype in zip(_blocks(ch.context), ch.context):
         for g in _generators(gtype):
             for w, m in ch.terms.items():
                 moved = w[:lo] + act(g, w[lo:hi]) + w[hi:]
@@ -237,58 +237,65 @@ def is_weyl_invariant(ch: CharElt) -> bool:
     return True
 
 
-def _strictly_dominant(gtype: GroupType, x) -> bool:
-    n = gtype.rank
-    if gtype.family == "C":
-        return all(x[i] > x[i + 1] for i in range(n - 1)) and x[-1] > 0
-    if n == 1:
-        return True
-    return all(x[i] > x[i + 1] for i in range(n - 2)) and x[n - 2] > abs(x[n - 1])
+def _rho_reflection(gtype: GroupType, rho_t, x):
+    """(sign w, lam) with w(x + rho) = lam + rho strictly dominant, or None
+    when x + rho lies on a wall."""
+    rep = dominant_representative(gtype, tuple(map(add, x, rho_t)))
+    if rep is None:
+        return None
+    s, dom = rep
+    return s, tuple(map(sub, dom, rho_t))
 
 
 def decompose(ch: CharElt) -> dict:
     """Decompose a Weyl-invariant virtual character into irreducibles.
 
     Returns {label: multiplicity} with label a weight for a single factor
-    and a (weight, weight) pair for the product lattice.  Multiplies by
-    A_rho, reads coefficients at strictly dominant weights, and checks the
-    reconstruction exactly.
+    and a (weight, weight) pair for the product lattice.
+
+    Racah-Speiser: for invariant ch, the coefficient of e^{lam+rho} in
+    ch * A_rho is the sum of sign(w) * ch[x] over the weights x with
+    w(x + rho) = lam + rho, factor by factor; so each weight is reflected
+    once instead of multiplying by A_rho.  The labels are checked exactly:
+    sum c_lam * chi_lam must equal ch term for term.  That check implies
+    Weyl invariance, so invariance is tested only on a mismatch, to tell
+    non-invariant input from an internal error.
     """
     if ch.is_zero:
         return {}
-    if not is_weyl_invariant(ch):
-        raise ValueError("character is not Weyl-invariant")
     context = ch.context
     rhos = [rho(t) for t in context]
-    prod = _convolve(ch.terms, _product_alternant(context, rhos))
-    rho_cat = sum(rhos, ())
-    result = {}
-    reconstruction = {}
-    for w, c in prod.items():
-        parts = []
-        start = 0
-        ok = True
-        for t in context:
-            block = w[start : start + t.rank]
-            start += t.rank
-            if not _strictly_dominant(t, block):
-                ok = False
+    blocks = _blocks(context)
+    # weights share blocks heavily on the product lattice
+    reflected = [{} for _ in context]
+    coeffs = {}
+    for w, m in ch.terms.items():
+        parts = ()
+        for (lo, hi), t, rho_t, seen in zip(blocks, context, rhos, reflected):
+            x = w[lo:hi]
+            if x not in seen:
+                seen[x] = _rho_reflection(t, rho_t, x)
+            rep = seen[x]
+            if rep is None:
                 break
-            parts.append(block)
-        if not ok:
-            continue
-        lam_cat = tuple(a - b for a, b in zip(w, rho_cat))
-        if len(context) == 1:
-            label = lam_cat
+            m *= rep[0]
+            parts += (rep[1],)
         else:
-            r0 = context[0].rank
-            label = (lam_cat[:r0], lam_cat[r0:])
-        result[label] = c
-        # rebuild c * A_{lam+rho}; parts already carry the rho shift
-        _add_into(reconstruction, _product_alternant(context, parts).items(), c)
-    if reconstruction != prod:
+            coeffs[parts] = coeffs.get(parts, 0) + m
+    residual = {}
+    for parts, c in coeffs.items():
+        if c:
+            chars = [_irreducible_character(t, lam) for t, lam in zip(context, parts)]
+            rebuilt = chars[0] if len(chars) == 1 else outer(*chars)
+            _add_into(residual, rebuilt.terms.items(), c)
+    _add_into(residual, ch.terms.items(), -1)
+    if residual:
+        if not is_weyl_invariant(ch):
+            raise ValueError("character is not Weyl-invariant")
         raise ValueError("internal error: alternant reconstruction mismatch")
-    return {label: c for label, c in sorted(result.items()) if c}
+    if len(context) == 1:
+        coeffs = {parts[0]: c for parts, c in coeffs.items()}
+    return {label: c for label, c in sorted(coeffs.items()) if c}
 
 
 def weyl_dimension(gtype: GroupType, lam) -> int:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .characters import CharElt, irreducible_character, outer, zero_char
 from .kostka import kostka, partition_support_table
-from .oddroots import BiWeight, OspRootData, _check_dominant_pair, dominance_ge
+from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _dominates
 from .roots import (
     EnumerationTooLargeError,
     GroupType,
@@ -42,6 +42,13 @@ def _qmax_guard(data: OspRootData, qmax: int):
         )
 
 
+@lru_cache(maxsize=256)
+def _dual_character(gtype: GroupType, lam) -> CharElt:
+    """Dual of the irreducible character with highest weight lam.  Shared
+    between callers, so it must not be mutated."""
+    return irreducible_character(gtype, lam).negated_weights()
+
+
 @lru_cache(maxsize=None)
 def _euler_factor(gtype: GroupType, nu) -> CharElt:
     """Euler characteristic of the line bundle on one flag-variety factor
@@ -55,7 +62,7 @@ def _euler_factor(gtype: GroupType, nu) -> CharElt:
         return zero_char((gtype,))
     s, dom = rep
     lam = tuple(a - b for a, b in zip(dom, rho_t))
-    return irreducible_character(gtype, lam).negated_weights().scaled(s)
+    return _dual_character(gtype, lam).scaled(s)
 
 
 def euler_line(data: OspRootData, nu: BiWeight) -> CharElt:
@@ -93,12 +100,13 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
     mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
     bound0 = mu0[0] + qmax if data.eps_rank > 1 else abs(mu0[0]) + qmax
     bound1 = mu1[0] + qmax
-    out = []
-    for lam0 in dominant_weights(data.type0, bound0):
-        for lam1 in dominant_weights(data.type1, bound1):
-            if dominance_ge(data, (lam0, lam1), (mu0, mu1)):
-                out.append((lam0, lam1))
-    return out
+    mu_flat = mu0 + mu1
+    return [
+        (lam0, lam1)
+        for lam0 in dominant_weights(data.type0, bound0)
+        for lam1 in dominant_weights(data.type1, bound1)
+        if _dominates(data, lam0 + lam1, mu_flat)
+    ]
 
 
 def bryl_rhs(data: OspRootData, mu_pair, qmax: int):
@@ -115,10 +123,7 @@ def bryl_rhs(data: OspRootData, mu_pair, qmax: int):
         nonzero = [(d, c) for d, c in enumerate(poly.coeffs) if c and d <= qmax]
         if not nonzero:
             continue
-        ch = outer(
-            irreducible_character(data.type0, lam0),
-            irreducible_character(data.type1, lam1),
-        ).negated_weights()
+        ch = outer(_dual_character(data.type0, lam0), _dual_character(data.type1, lam1))
         for d, c in nonzero:
             out[d].add_scaled(ch, c)
     return out

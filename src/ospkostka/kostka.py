@@ -256,23 +256,24 @@ def _weyl_arguments(gtype, rho_t, lam, mu):
 
 
 def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
+    # Most pairs miss the cone, so l_poly_flat's QPoly per pair is skipped.
+    coordinates = counter._solver.coordinates
+    counts = counter._counts
+    k = len(counter.root_coords)
     side1 = _weyl_arguments(type1, rho1, lam1, mu1)
-    acc = {}
+    acc = []
     for arg0, s0 in _weyl_arguments(type0, rho0, lam0, mu0):
         for arg1, s1 in side1:
-            part = counter.l_poly_flat(arg0 + arg1)
-            if not part:
+            coords = coordinates(arg0 + arg1)
+            if coords is None:
                 continue
+            part = counts(k, coords)
+            if len(part) > len(acc):
+                acc.extend([0] * (len(part) - len(acc)))
             s = s0 * s1
-            for d, c in enumerate(part.coeffs):
-                if c:
-                    acc[d] = acc.get(d, 0) + s * c
-    if not acc:
-        return QPoly.zero()
-    out = [0] * (max(acc) + 1)
-    for d, c in acc.items():
-        out[d] = c
-    return QPoly(tuple(out))
+            for d, c in enumerate(part):
+                acc[d] += s * c
+    return QPoly(tuple(acc))
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,13 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from .roots import EnumerationTooLargeError
+
+# One trial costs about 21 ms at N=12 and 0.25 s at N=14: the Pfaffian
+# expands (dim0 - 1)!! terms, about 12x per even step, so the default
+# 1,000 trials would take 4 minutes at N=14 and an hour at N=16.  Odd N
+# (no Pfaffian) costs under 5 ms per trial up to N=15.
+MOMENT_N_GUARD = 13
 
 @dataclass(frozen=True)
 class FormsSpec:
@@ -336,6 +343,10 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
     add up to the whole.  Returns a dict of counters; all checks are exact
     so any failure is structural."""
     spec = FormsSpec(N)
+    if N > MOMENT_N_GUARD:
+        raise EnumerationTooLargeError(
+            f"enumeration too large: N={N} exceeds guard {MOMENT_N_GUARD}"
+        )
     report = {
         "N": N,
         "trials": trials,

@@ -274,8 +274,14 @@ def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
     """
     lam0, lam1 = _check_dominant_pair(data, lam_pair, "lambda")
     mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
+    return _dominates(data, lam0 + lam1, mu0 + mu1)
+
+
+def _dominates(data: OspRootData, lam_flat, mu_flat) -> bool:
+    """dominance_ge on flat eps||delta vectors already known to be
+    dominant pairs."""
     in_order = _shuffle_order(data)
-    seq_l, seq_m = in_order(lam0 + lam1), in_order(mu0 + mu1)
+    seq_l, seq_m = in_order(lam_flat), in_order(mu_flat)
     if not prefix_sums_ge(seq_l, seq_m):
         return False
     gap = sum(seq_l) - sum(seq_m)

@@ -1,9 +1,10 @@
 """Shared brute-force oracles, deliberately independent of the library's
 DP code paths: literal multiset enumeration, literal signed sums, a
 plain Fraction linear solve, the odd root system written out family
-by family, and the moment-map battery in Fraction arithmetic with the
-explicit symplectic Gram.  Also an autouse fixture that hides the
-caller's OSP_KOSTKA_CACHE."""
+by family, the moment-map battery in Fraction arithmetic with the
+explicit symplectic Gram, and character decomposition by multiplying
+with A_rho.  Also an autouse fixture that hides the caller's
+OSP_KOSTKA_CACHE."""
 
 import random
 from collections import Counter
@@ -13,7 +14,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 from ospkostka import moment
+from ospkostka.characters import _add_into, _alternant, _convolve, is_weyl_invariant
 from ospkostka.oddroots import BiWeight, odd_positive_roots
+from ospkostka.roots import rho
 
 
 @pytest.fixture(autouse=True)
@@ -238,3 +241,57 @@ def moment_report_oracle(N, trials, seed, start=0):
     report["failures"] += not report["equivariance"]
     report.update(N=N, trials=trials, ok=report["failures"] == 0)
     return report
+
+
+def _product_alternant(context, parts):
+    """The alternant of each part on its factor's lattice; for two factors,
+    their outer product on the concatenated lattice."""
+    blocks = [_alternant(t, x) for t, x in zip(context, parts)]
+    if len(blocks) == 1:
+        return blocks[0]
+    first, second = blocks
+    return {w0 + w1: c0 * c1 for w0, c0 in first.items() for w1, c1 in second.items()}
+
+
+def _strictly_dominant(gtype, x):
+    n = gtype.rank
+    if gtype.family == "C":
+        return all(x[i] > x[i + 1] for i in range(n - 1)) and x[-1] > 0
+    if n == 1:
+        return True
+    return all(x[i] > x[i + 1] for i in range(n - 2)) and x[n - 2] > abs(x[n - 1])
+
+
+def alternant_decompose(ch):
+    """What characters.decompose(ch) must return: multiply by A_rho, read
+    the coefficients at strictly dominant weights lam + rho, and check that
+    the sum of c * A_{lam+rho} rebuilds the product exactly."""
+    if ch.is_zero:
+        return {}
+    if not is_weyl_invariant(ch):
+        raise ValueError("character is not Weyl-invariant")
+    context = ch.context
+    rhos = [rho(t) for t in context]
+    prod = _convolve(ch.terms, _product_alternant(context, rhos))
+    rho_cat = sum(rhos, ())
+    result = {}
+    reconstruction = {}
+    for w, c in prod.items():
+        parts = []
+        start = 0
+        for t in context:
+            parts.append(w[start : start + t.rank])
+            start += t.rank
+        if not all(_strictly_dominant(t, x) for t, x in zip(context, parts)):
+            continue
+        lam_cat = tuple(a - b for a, b in zip(w, rho_cat))
+        if len(context) == 1:
+            label = lam_cat
+        else:
+            r0 = context[0].rank
+            label = (lam_cat[:r0], lam_cat[r0:])
+        result[label] = c
+        _add_into(reconstruction, _product_alternant(context, parts).items(), c)
+    if reconstruction != prod:
+        raise ValueError("internal error: alternant reconstruction mismatch")
+    return {label: c for label, c in sorted(result.items()) if c}

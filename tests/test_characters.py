@@ -1,6 +1,18 @@
-import pytest
+import importlib
+import os
+import subprocess
+import sys
+from itertools import product as cartesian
+from operator import add
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ospkostka
+from conftest import alternant_decompose
 from ospkostka.characters import (
+    _alternant,
+    _convolve,
     _divide_by_alternant,
     CharElt,
     decompose,
@@ -13,7 +25,10 @@ from ospkostka.characters import (
     weyl_dimension,
     zero_char,
 )
-from ospkostka.roots import GroupType, act, dominant_weights, weyl_elements
+from ospkostka.oddroots import osp_root_data
+from ospkostka.roots import GroupType, act, dominant_weights, rho, weyl_elements
+
+characters_module = importlib.import_module("ospkostka.characters")
 
 C1 = GroupType("C", 1)
 C2 = GroupType("C", 2)
@@ -128,3 +143,126 @@ def test_tensor_decomposition_is_nonnegative():
 def test_divide_by_alternant_rejects_non_monic_denominator():
     with pytest.raises(ValueError, match="coefficient 2"):
         _divide_by_alternant({(2,): 2}, {(1,): 2}, (1,))
+
+
+@pytest.mark.parametrize("gtype", [GroupType(f, r) for f in "CD" for r in (1, 2, 3)])
+def test_irreducible_times_rho_alternant_is_shifted_alternant(gtype):
+    """The alternant division is exact: chi_lam * A_rho == A_{lam+rho}."""
+    rho_t = rho(gtype)
+    denom = _alternant(gtype, rho_t)
+    for lam in dominant_weights(gtype, 3):
+        product_terms = _convolve(irreducible_character(gtype, lam).terms, denom)
+        assert product_terms == _alternant(gtype, tuple(map(add, lam, rho_t)))
+
+
+OSP_CONTEXTS = [
+    context
+    for data in map(osp_root_data, range(3, 7))
+    for context in ((data.type0,), (data.type1,), (data.type0, data.type1))
+]
+
+
+@st.composite
+def virtual_characters(draw):
+    """(sum of c_lam * chi_lam, its expected decomposition) on one factor
+    or on the product lattice of some N in 3..6, with signed coefficients
+    that may cancel."""
+    context = draw(st.sampled_from(OSP_CONTEXTS))
+    bound = 2 if len(context) == 1 else 1
+    labels = list(cartesian(*(dominant_weights(t, bound) for t in context)))
+    terms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(labels), st.integers(-3, 3).filter(bool)),
+            max_size=4,
+        )
+    )
+    ch = zero_char(context)
+    expected = {}
+    for parts, c in terms:
+        chars = [irreducible_character(t, lam) for t, lam in zip(context, parts)]
+        ch.add_scaled(chars[0] if len(chars) == 1 else outer(*chars), c)
+        label = parts[0] if len(parts) == 1 else parts
+        expected[label] = expected.get(label, 0) + c
+    return ch, {label: c for label, c in sorted(expected.items()) if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(virtual_characters())
+def test_decompose_matches_alternant_oracle(case):
+    ch, expected = case
+    assert decompose(ch) == alternant_decompose(ch) == expected
+
+
+def _outcome(fn, ch):
+    try:
+        return fn(ch)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(virtual_characters(), st.data())
+def test_decompose_non_invariant_input_matches_oracle(case, data):
+    ch, _ = case
+    width = sum(t.rank for t in ch.context)
+    x = data.draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
+    ch.add_scaled(CharElt(ch.context, {tuple(x): 1}), data.draw(st.sampled_from([-1, 1])))
+    got = _outcome(decompose, ch)
+    assert got == _outcome(alternant_decompose, ch)
+    if not is_weyl_invariant(ch):
+        assert got == "character is not Weyl-invariant"
+
+
+def test_decompose_label_outside_the_support():
+    """chi_lam - chi_mu where the weight mu cancels: c_mu = -1 although mu
+    is not a weight of the difference."""
+    ch = irreducible_character(C1, (2,)) - irreducible_character(C1, (0,))
+    assert (0,) not in ch.terms
+    assert decompose(ch) == alternant_decompose(ch) == {(0,): -1, (2,): 1}
+    ch = outer(irreducible_character(D1, (0,)), irreducible_character(C1, (2,))) - outer(
+        irreducible_character(D1, (0,)), irreducible_character(C1, (0,))
+    )
+    assert (0, 0) not in ch.terms
+    expected = {((0,), (0,)): -1, ((0,), (2,)): 1}
+    assert decompose(ch) == alternant_decompose(ch) == expected
+
+
+def test_decompose_reconstruction_mismatch_raises(monkeypatch):
+    real = characters_module._rho_reflection
+
+    def wrong_sign(gtype, rho_t, x):
+        rep = real(gtype, rho_t, x)
+        return rep and (-rep[0], rep[1])
+
+    monkeypatch.setattr(characters_module, "_rho_reflection", wrong_sign)
+    with pytest.raises(ValueError, match="^internal error: alternant reconstruction mismatch$"):
+        decompose(irreducible_character(C2, (1, 0)))
+
+
+def test_decompose_checks_survive_optimize():
+    """Both decompose errors are raises, not asserts, so python -O keeps them."""
+    code = (
+        "import importlib, sys\n"
+        "c = importlib.import_module('ospkostka.characters')\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "def message(ch):\n"
+        "    try:\n"
+        "        c.decompose(ch)\n"
+        "    except ValueError as exc:\n"
+        "        return str(exc)\n"
+        "C1 = c.GroupType('C', 1)\n"
+        "print(message(c.CharElt((C1,), {(1,): 1})))\n"
+        "c._rho_reflection = lambda g, r, x: None\n"
+        "print(message(c.irreducible_character(C1, (1,))))\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "character is not Weyl-invariant\n"
+        "internal error: alternant reconstruction mismatch\n"
+    )

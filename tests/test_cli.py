@@ -338,10 +338,12 @@ def test_cache_output_identical_with_and_without(tmp_path):
          "mu delta-part (-1,) is not C_1-dominant"),
         (["dim", "-N", "3", "--orbit=0;-1"],
          "lam_b (-1,) is not a dominant C_1 coweight"),
+        (["moment-check", "-N", "14"],
+         "enumeration too large: N=14 exceeds guard 13"),
     ],
     ids=["kostka", "kostka-guard", "kostka-custom", "kostka-custom-rank-zero",
          "kostka-custom-dependent", "dominance", "stalk", "char",
-         "verify-bryl", "orbit-label"],
+         "verify-bryl", "orbit-label", "moment-check-guard"],
 )
 def test_library_errors_exit_two(argv, message, capsys):
     assert main(argv) == 2

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ospkostka.characters import (
@@ -15,7 +17,7 @@ from ospkostka.euler import (
     verify_bryl,
 )
 from ospkostka.kostka import kostka
-from ospkostka.oddroots import biweight, osp_root_data
+from ospkostka.oddroots import _dominates, biweight, dominance_ge_cone, osp_root_data
 from ospkostka.roots import EnumerationTooLargeError, dominant_weights
 
 
@@ -128,3 +130,23 @@ def test_lhs_degrees_decompose_nonnegatively():
     for series in (bryl_lhs(d4, ((1, 0), (1,)), 3), bryl_lhs(d4, ((0, 0), (0,)), 3)):
         for ch in series:
             assert all(m >= 0 for m in decompose(ch).values())
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_cone_label_candidates_dominance_matches_cone(N):
+    """The unchecked dominance core that dominant_cone_labels uses agrees
+    with cone membership on every candidate it enumerates."""
+    data = osp_root_data(N)
+    qmax = 2
+    for mu in product(dominant_weights(data.type0, 1), dominant_weights(data.type1, 1)):
+        bound0 = mu[0][0] + qmax if data.eps_rank > 1 else abs(mu[0][0]) + qmax
+        candidates = product(
+            dominant_weights(data.type0, bound0), dominant_weights(data.type1, mu[1][0] + qmax)
+        )
+        expected = []
+        for lam in candidates:
+            in_cone = dominance_ge_cone(data, lam, mu)
+            assert _dominates(data, lam[0] + lam[1], mu[0] + mu[1]) == in_cone
+            if in_cone:
+                expected.append(lam)
+        assert dominant_cone_labels(data, mu, qmax) == expected

@@ -17,6 +17,7 @@ from conftest import (
 )
 from ospkostka import moment as moment_module
 from ospkostka.moment import (
+    MOMENT_N_GUARD,
     FormsSpec,
     adjoint,
     char_poly,
@@ -42,6 +43,7 @@ from ospkostka.moment import (
     verify_pfaffian_vanishing,
     zeros,
 )
+from ospkostka.roots import EnumerationTooLargeError
 
 
 def frac_matrix(rows):
@@ -229,6 +231,15 @@ def test_equivariance_spot_check():
             assert mat_eq(
                 q1(spec, moved), mat_mul(g1, mat_mul(q1(spec, A), mat_inverse(g1)))
             )
+
+
+def test_moment_check_size_guard():
+    """The first rejected N is refused whatever the trial count; zero
+    trials without the spot check keep a broken guard cheap here."""
+    N = MOMENT_N_GUARD + 1
+    message = f"^enumeration too large: N={N} exceeds guard {MOMENT_N_GUARD}$"
+    with pytest.raises(EnumerationTooLargeError, match=message):
+        moment_check(N, 0, 0, start=1)
 
 
 def test_mat_mul_shape_check():
