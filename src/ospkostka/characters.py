@@ -260,6 +260,11 @@ def decompose(ch: CharElt) -> dict:
     sum c_lam * chi_lam must equal ch term for term.  That check implies
     Weyl invariance, so invariance is tested only on a mismatch, to tell
     non-invariant input from an internal error.
+
+    The rebuild reads chi_lam from the cache of alternant divisions.
+    Cold, those divisions dominate from rank 4 on, and non-invariant
+    input pays them for spurious labels before the invariance test;
+    ROADMAP direction 3 has the measurements.
     """
     if ch.is_zero:
         return {}

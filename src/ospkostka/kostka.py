@@ -96,6 +96,10 @@ class QPoly:
         return " + ".join(parts)
 
 
+# Shared result for the many Weyl-sum arguments outside the cone.
+_ZERO = QPoly(())
+
+
 @dataclass(frozen=True)
 class RootSet:
     """A positive root set for the generic Kostka mode.  No positivity or
@@ -133,7 +137,7 @@ class PartitionCounter:
     def l_poly_flat(self, flat) -> QPoly:
         coords = self._solver.coordinates(flat)
         if coords is None:
-            return QPoly.zero()
+            return _ZERO
         return QPoly(self._counts(len(self.root_coords), coords))
 
     def _counts(self, k, coords):
@@ -256,18 +260,12 @@ def _weyl_arguments(gtype, rho_t, lam, mu):
 
 
 def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
-    # Most pairs miss the cone, so l_poly_flat's QPoly per pair is skipped.
-    coordinates = counter._solver.coordinates
-    counts = counter._counts
-    k = len(counter.root_coords)
+    l_poly_flat = counter.l_poly_flat
     side1 = _weyl_arguments(type1, rho1, lam1, mu1)
     acc = []
     for arg0, s0 in _weyl_arguments(type0, rho0, lam0, mu0):
         for arg1, s1 in side1:
-            coords = coordinates(arg0 + arg1)
-            if coords is None:
-                continue
-            part = counts(k, coords)
+            part = l_poly_flat(arg0 + arg1).coeffs
             if len(part) > len(acc):
                 acc.extend([0] * (len(part) - len(acc)))
             s = s0 * s1

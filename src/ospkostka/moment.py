@@ -28,11 +28,12 @@ from operator import mul
 
 from .roots import EnumerationTooLargeError
 
-# One trial costs about 21 ms at N=12 and 0.25 s at N=14: the Pfaffian
-# expands (dim0 - 1)!! terms, about 12x per even step, so the default
-# 1,000 trials would take 4 minutes at N=14 and an hour at N=16.  Odd N
-# (no Pfaffian) costs under 5 ms per trial up to N=15.
-MOMENT_N_GUARD = 13
+# Largest even N accepted.  One even trial costs about 21 ms at N=12 and
+# 0.25 s at N=14: the Pfaffian expands (dim0 - 1)!! terms, about 12x per
+# even step, so the default 1,000 trials would take 4 minutes at N=14 and
+# an hour at N=16.  Odd N has no Pfaffian and no guard (under 5 ms per
+# trial up to N=15).
+MOMENT_N_GUARD = 12
 
 @dataclass(frozen=True)
 class FormsSpec:
@@ -343,9 +344,9 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
     add up to the whole.  Returns a dict of counters; all checks are exact
     so any failure is structural."""
     spec = FormsSpec(N)
-    if N > MOMENT_N_GUARD:
+    if spec.parity == "even" and N > MOMENT_N_GUARD:
         raise EnumerationTooLargeError(
-            f"enumeration too large: N={N} exceeds guard {MOMENT_N_GUARD}"
+            f"enumeration too large: even N={N} exceeds guard {MOMENT_N_GUARD}"
         )
     report = {
         "N": N,

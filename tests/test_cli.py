@@ -339,7 +339,7 @@ def test_cache_output_identical_with_and_without(tmp_path):
         (["dim", "-N", "3", "--orbit=0;-1"],
          "lam_b (-1,) is not a dominant C_1 coweight"),
         (["moment-check", "-N", "14"],
-         "enumeration too large: N=14 exceeds guard 13"),
+         "enumeration too large: even N=14 exceeds guard 12"),
     ],
     ids=["kostka", "kostka-guard", "kostka-custom", "kostka-custom-rank-zero",
          "kostka-custom-dependent", "dominance", "stalk", "char",

@@ -234,12 +234,20 @@ def test_equivariance_spot_check():
 
 
 def test_moment_check_size_guard():
-    """The first rejected N is refused whatever the trial count; zero
-    trials without the spot check keep a broken guard cheap here."""
-    N = MOMENT_N_GUARD + 1
-    message = f"^enumeration too large: N={N} exceeds guard {MOMENT_N_GUARD}$"
+    """The first rejected N (the next even one) is refused whatever the
+    trial count; zero trials without the spot check keep a broken guard
+    cheap here."""
+    N = MOMENT_N_GUARD + 2
+    message = f"^enumeration too large: even N={N} exceeds guard {MOMENT_N_GUARD}$"
     with pytest.raises(EnumerationTooLargeError, match=message):
         moment_check(N, 0, 0, start=1)
+
+
+@pytest.mark.parametrize("N", [MOMENT_N_GUARD + 1, MOMENT_N_GUARD + 3])
+def test_moment_check_guard_spares_odd_n(N):
+    """Odd N runs no Pfaffian, so the guard leaves it alone."""
+    report = moment_check(N, 1, 0, start=1)
+    assert report["ok"] and report["fft_generators"] == 1
 
 
 def test_mat_mul_shape_check():
