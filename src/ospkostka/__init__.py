@@ -32,7 +32,6 @@ from .kostka import (
     kostka,
     kostka_custom,
     l_poly,
-    weighted_partition_table,
 )
 from .characters import (
     CharElt,

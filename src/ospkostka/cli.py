@@ -206,7 +206,7 @@ def cmd_kostka_custom(args):
     lam = parse_biweight(args.lam, what="lambda")
     mu = parse_biweight(args.mu, what="mu")
     poly = kostka_custom(
-        RootSet(tuple(root_list), args.label), simple_list, type0, type1, rho_pair, lam, mu
+        RootSet(tuple(root_list)), simple_list, type0, type1, rho_pair, lam, mu
     )
     return {"poly": poly_json(poly)}, lambda p: str(poly)
 
@@ -522,7 +522,6 @@ def build_parser():
     p.add_argument("--rho1", default=None)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--label", default="custom")
     p.set_defaults(func=cmd_kostka_custom)
 
     p = add_parser("dominance", help="dominance order with cone certificate")

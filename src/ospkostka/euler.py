@@ -19,16 +19,10 @@ the main verification target of the package.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characters import CharElt, irreducible_character, outer, zero_char
+from .characters import CharElt, _rho_reflection, irreducible_character, outer, zero_char
 from .kostka import kostka, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _dominates
-from .roots import (
-    EnumerationTooLargeError,
-    GroupType,
-    dominant_representative,
-    dominant_weights,
-    rho,
-)
+from .roots import EnumerationTooLargeError, GroupType, dominant_weights, rho
 
 
 def _qmax_guard(data: OspRootData, qmax: int):
@@ -55,13 +49,10 @@ def _euler_factor(gtype: GroupType, nu) -> CharElt:
     whose fiber carries the Borel character nu.  Normalized so that a
     dominant mu gives euler(-mu) = dual character of the irreducible with
     highest weight mu."""
-    rho_t = rho(gtype)
-    z = tuple(r - x for r, x in zip(rho_t, nu))
-    rep = dominant_representative(gtype, z)
+    rep = _rho_reflection(gtype, rho(gtype), tuple(-x for x in nu))
     if rep is None:
         return zero_char((gtype,))
-    s, dom = rep
-    lam = tuple(a - b for a, b in zip(dom, rho_t))
+    s, lam = rep
     return _dual_character(gtype, lam).scaled(s)
 
 

@@ -106,7 +106,6 @@ class RootSet:
     geometric meaning is guaranteed for sets other than the built-in one."""
 
     roots: tuple
-    label: str
 
 
 class PartitionCounter:
@@ -242,6 +241,11 @@ def kostka_custom(
     result is not guaranteed.  The simple list must be linearly
     independent and every root must expand nonnegatively over it.
     """
+    rank = max(type0.rank, type1.rank)
+    if rank > KOSTKA_RANK_GUARD:
+        raise EnumerationTooLargeError(
+            f"enumeration too large: rank {rank} exceeds guard {KOSTKA_RANK_GUARD}"
+        )
     counter = PartitionCounter(root_set.roots, tuple(simples))
     lam0, lam1 = tuple(lam_pair[0]), tuple(lam_pair[1])
     mu0, mu1 = tuple(mu_pair[0]), tuple(mu_pair[1])
@@ -291,22 +295,6 @@ def partition_support_table(data: OspRootData, dmax: int):
                         table[target] = [0] * (dmax + 1)
                     table[target][d] += c
     return {alpha: tuple(counts) for alpha, counts in table.items()}
-
-
-def weighted_partition_table(data: OspRootData, box: int, dmax: int):
-    """Partition counts p_d(alpha) for all alpha with coordinates bounded
-    by `box` in absolute value and d <= dmax.  Entries with count zero are
-    omitted; read with .get((alpha, d), 0)."""
-    full = partition_support_table(data, dmax)
-    out = {}
-    for flat, counts in full.items():
-        if any(abs(x) > box for x in flat):
-            continue
-        alpha = BiWeight(flat[: data.eps_rank], flat[data.eps_rank :])
-        for d, c in enumerate(counts):
-            if c:
-                out[(alpha, d)] = c
-    return out
 
 
 def kostka_defect(lam_pair, mu_pair, poly: QPoly):

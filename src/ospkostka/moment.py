@@ -318,8 +318,6 @@ def random_symplectic(spec: FormsSpec, rng: random.Random):
     """Cayley transform of a random element of sp(V_1); resamples until
     I + S is invertible (sp elements can have real spectrum)."""
     n = spec.dim1
-    J = spec.gram1()
-    J_inv = mat_inverse(J)
     while True:
         P = zeros(n, n)
         for i in range(n):
@@ -327,7 +325,7 @@ def random_symplectic(spec: FormsSpec, rng: random.Random):
                 x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 P[i][j] = x
                 P[j][i] = x
-        S = mat_mul(J_inv, P)
+        S = _minus_j(P)  # J^{-1} P
         eye = identity(n)
         try:
             inverse = mat_inverse(mat_add(eye, S))

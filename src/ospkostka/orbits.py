@@ -12,7 +12,10 @@ Label conventions (always (lam_s, lam_b) with s the smaller group):
 
 The dominance order of the odd root system compares the pair written in
 (eps side, delta side) order, which is (lam_s, lam_b) for odd N and
-(lam_b, lam_s) for even N.
+(lam_b, lam_s) for even N.  One involution, `_swap_sides`, converts
+between the two orders, and it is the only place that tells odd N from
+even N: the label types, the (eps, delta) pair, the signature embedding
+and the theta signature are all read off from it.
 """
 
 from collections import Counter
@@ -77,10 +80,16 @@ class StabilizerData:
     reductive: str
 
 
+def _swap_sides(data: OspRootData, pair):
+    """(SO_{N-1} side, SO_N side) <-> (eps side, delta side): the identity
+    for odd N, the swap for even N.  It is its own inverse."""
+    first, second = pair
+    return (first, second) if data.parity == "odd" else (second, first)
+
+
 def _label_types(data: OspRootData):
-    if data.parity == "odd":
-        return data.type0, data.type1
-    return data.type1, data.type0
+    """(type of lam_s, type of lam_b): D for the eps side, C for delta."""
+    return _swap_sides(data, (data.type0, data.type1))
 
 
 def validate_label(data: OspRootData, o: OrbitLabel):
@@ -95,9 +104,7 @@ def order_pair(data: OspRootData, o: OrbitLabel):
     """Repackage a label as the (eps, delta) pair the dominance order and
     the Kostka polynomial expect."""
     validate_label(data, o)
-    if data.parity == "odd":
-        return (o.lam_s, o.lam_b)
-    return (o.lam_b, o.lam_s)
+    return _swap_sides(data, (o.lam_s, o.lam_b))
 
 
 def _two_rho_so(M: int):
@@ -154,13 +161,11 @@ def embed_signatures(data: OspRootData, o: OrbitLabel):
     its last coordinate is negative the middle pair comes out inverted
     (flagged, still a valid representative)."""
     validate_label(data, o)
-    if data.parity == "odd":
-        mu = SignatureSeq(_symmetrized(o.lam_s, False), o.lam_s[-1] < 0)
-        nu = SignatureSeq(_symmetrized(o.lam_b, True), False)
-    else:
-        mu = SignatureSeq(_symmetrized(o.lam_s, True), False)
-        nu = SignatureSeq(_symmetrized(o.lam_b, False), o.lam_b[-1] < 0)
-    return mu, nu
+    # a partition never ends negative, so only the D-type half can invert
+    return tuple(
+        SignatureSeq(_symmetrized(lam, t.family == "C"), lam[-1] < 0)
+        for t, lam in zip(_label_types(data), (o.lam_s, o.lam_b))
+    )
 
 
 def _expect_lengths(data: OspRootData, mu: SignatureSeq, nu: SignatureSeq):
@@ -199,17 +204,11 @@ def theta_signature(data: OspRootData, mu: SignatureSeq, nu: SignatureSeq) -> Si
     """Signature of the ambient GL(N,F)-orbit of the representative pair."""
     _expect_lengths(data, mu, nu)
     n = data.n
-    mu_e = mu.entries
-    nu_e = nu.entries
-    if data.parity == "odd":
-        head = [mu_e[k] + nu_e[k] for k in range(n - 1)]
-        head.append(abs(mu_e[n - 1]) + nu_e[n - 1])
-        theta = tuple(head) + (0,) + tuple(-x for x in reversed(head))
-    else:
-        head = [mu_e[k] + nu_e[k] for k in range(n - 1)]
-        head.append(abs(nu_e[n - 1]))
-        theta = tuple(head) + tuple(-x for x in reversed(head))
-    return SignatureSeq(theta, False)
+    d_side, c_side = _swap_sides(data, (mu.entries, nu.entries))
+    head = [mu.entries[k] + nu.entries[k] for k in range(n - 1)]
+    head.append(abs(d_side[n - 1]) + c_side[n - 1])
+    # length N, with a central zero exactly when nu is the C-type half
+    return SignatureSeq(_symmetrized(head, _label_types(data)[1].family == "C"), False)
 
 
 def lattice_representative(mu: SignatureSeq, nu: SignatureSeq) -> LatticeModel:

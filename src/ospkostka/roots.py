@@ -197,32 +197,23 @@ def dominant_representative(gtype: GroupType, weight: Weight):
     The sign is the determinant of the Weyl element carrying `weight` to
     the dominant chamber, so alternants satisfy A_weight = sign * A_dom.
     """
-    n = gtype.rank
-    if len(weight) != n:
+    if len(weight) != gtype.rank:
         raise ValueError("rank mismatch")
-    if gtype.family == "C":
-        if any(x == 0 for x in weight):
-            return None
-        mags = sorted((abs(x) for x in weight), reverse=True)
-        if any(mags[i] == mags[i + 1] for i in range(n - 1)):
-            return None
-        flips = sum(1 for x in weight if x < 0)
-        perm_sign = _sort_parity([abs(x) for x in weight])
-        return (perm_sign * (-1 if flips % 2 else 1), tuple(mags))
-    # type D
-    if n == 1:
-        return (1, tuple(weight))
     mags = sorted((abs(x) for x in weight), reverse=True)
-    if any(mags[i] == mags[i + 1] for i in range(n - 1)):
+    is_c = gtype.family == "C"
+    # walls: |x_i| = |x_j| for both families, x_i = 0 for type C
+    walls = mags + [0] if is_c else mags
+    if any(walls[i] == walls[i + 1] for i in range(len(walls) - 1)):
         return None
-    flips = sum(1 for x in weight if x < 0)
-    perm_sign = _sort_parity([abs(x) for x in weight])
-    dom = list(mags)
-    if flips % 2 != 0:
-        dom[-1] = -dom[-1]
-    # Even sign-change count is restored by the extra flip, so the
-    # determinant reduces to the permutation parity.
-    return (perm_sign, tuple(dom))
+    odd_flips = sum(1 for x in weight if x < 0) % 2
+    s = _sort_parity([abs(x) for x in weight])
+    if is_c:
+        s = -s if odd_flips else s
+    elif odd_flips:
+        # W(D_n) changes evenly many signs, so one minus stays on the last
+        # entry; the determinant reduces to the permutation parity.
+        mags[-1] = -mags[-1]
+    return (s, tuple(mags))
 
 
 def _sort_parity(values) -> int:

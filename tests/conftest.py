@@ -1,15 +1,15 @@
 """Shared brute-force oracles, deliberately independent of the library's
 DP code paths: literal multiset enumeration, literal signed sums, a
-plain Fraction linear solve, the odd root system written out family
-by family, the moment-map battery in Fraction arithmetic with the
-explicit symplectic Gram, and character decomposition by multiplying
-with A_rho.  Also an autouse fixture that hides the caller's
+plain Fraction linear solve, the odd root system and the orbit labels
+written out family by family, the moment-map battery in Fraction
+arithmetic with the explicit symplectic Gram, and character
+decomposition by multiplying with A_rho.  Also an autouse fixture that hides the caller's
 OSP_KOSTKA_CACHE."""
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -147,6 +147,79 @@ def simple_odd_roots_oracle(data):
             simples += [e(k) - d(k), d(k) - e(k + 1)]
         simples += [e(n - 2) - d(n - 2), d(n - 2) - e(n - 1), d(n - 2) + e(n - 1)]
     return tuple(simples)
+
+
+def dominant_in_box_oracle(family, rank, bound):
+    """Every integer vector with entries in [-bound, bound] that passes
+    the literal dominance test, in descending lexicographic order.
+    C: x_1 >= ... >= x_m >= 0.  D: x_1 >= ... >= x_{n-1} >= |x_n|."""
+
+    def dominant(x):
+        seq = x + (0,) if family == "C" else x[:-1] + (abs(x[-1]),)
+        return all(a >= b for a, b in zip(seq, seq[1:]))
+
+    box = product(range(-bound, bound + 1), repeat=rank)
+    return sorted(filter(dominant, box), reverse=True)
+
+
+def orbit_side_types(N):
+    """(family, rank) of lam_s, then of lam_b."""
+    n = N // 2
+    return (("D", n), ("C", n)) if N % 2 else (("C", n - 1), ("D", n))
+
+
+def orbit_oracle(N, bound):
+    """Every orbit label with entries bounded by `bound`, in the library's
+    order, with what the library must derive from it:
+    {"label": (lam_s, lam_b), "order_pair", "mu", "nu" (SignatureSeq
+    field pairs (entries, inverted)), "theta", "bisignature"}.
+
+    odd N = 2n+1:  lam_s is D_n-dominant (eps side), lam_b is a length-n
+        partition (delta side); order_pair = (lam_s, lam_b);
+        mu = (lam_s, -lam_s reversed), inverted iff lam_s[n-1] < 0;
+        nu = (lam_b, 0, -lam_b reversed);
+        theta_k = lam_s[k] + lam_b[k] for k < n-1,
+        theta_{n-1} = |lam_s[n-1]| + lam_b[n-1], then 0, then -theta
+        reversed (length N).
+    even N = 2n:   lam_s is a length-(n-1) partition (delta side), lam_b is
+        D_n-dominant (eps side); order_pair = (lam_b, lam_s);
+        mu = (lam_s, 0, -lam_s reversed);
+        nu = (lam_b, -lam_b reversed), inverted iff lam_b[n-1] < 0;
+        theta_k = lam_s[k] + lam_b[k] for k < n-1,
+        theta_{n-1} = |lam_b[n-1]|, then -theta reversed (length N).
+    """
+    n = N // 2
+    neg_rev = lambda seq: tuple(-x for x in reversed(seq))
+    out = []
+    if N % 2:
+        for lam_s in dominant_in_box_oracle("D", n, bound):
+            for lam_b in dominant_in_box_oracle("C", n, bound):
+                head = tuple(lam_s[k] + lam_b[k] for k in range(n - 1))
+                head += (abs(lam_s[n - 1]) + lam_b[n - 1],)
+                out.append({
+                    "label": (lam_s, lam_b),
+                    "order_pair": (lam_s, lam_b),
+                    "mu": (lam_s + neg_rev(lam_s), lam_s[n - 1] < 0),
+                    "nu": (lam_b + (0,) + neg_rev(lam_b), False),
+                    "theta": head + (0,) + neg_rev(head),
+                })
+    else:
+        for lam_s in dominant_in_box_oracle("C", n - 1, bound):
+            for lam_b in dominant_in_box_oracle("D", n, bound):
+                head = tuple(lam_s[k] + lam_b[k] for k in range(n - 1))
+                head += (abs(lam_b[n - 1]),)
+                out.append({
+                    "label": (lam_s, lam_b),
+                    "order_pair": (lam_b, lam_s),
+                    "mu": (lam_s + (0,) + neg_rev(lam_s), False),
+                    "nu": (lam_b + neg_rev(lam_b), lam_b[n - 1] < 0),
+                    "theta": head + neg_rev(head),
+                })
+    for rec in out:
+        rec["bisignature"] = tuple(
+            tuple(sorted(rec[key][0], reverse=True)) for key in ("mu", "nu")
+        )
+    return out
 
 
 def fraction_mat_mul(a, b):

@@ -162,6 +162,47 @@ def test_closure_command():
     assert json.loads(out) == {"le": False}
 
 
+# The even-N orbit labels put the D-type coweight on the SO_N side, so
+# these pin the side swap through the CLI.
+EVEN_N_ORBIT_JSON = [
+    (["orbit-rep", "-N", "4", "--orbit=1;1,-1"],
+     '{"generators": ["t^{-2} e1 + t^{-1} e4", "t^{1} e2 + t^{1} e4", '
+     '"e3 + t^{-1} e4", "t^{1} e4"], "inverted": true, "mu": [1, 0, -1], '
+     '"nu": [1, -1, 1, -1]}\n'),
+    (["orbit-rep", "-N", "6", "--orbit=1,0;2,1,-1"],
+     '{"generators": ["t^{-3} e1 + t^{-2} e6", "t^{-1} e2 + t^{-1} e6", '
+     '"t^{1} e3 + t^{1} e6", "t^{-1} e4 + t^{-1} e6", "t^{2} e5 + t^{1} e6", '
+     '"t^{2} e6"], "inverted": true, "mu": [1, 0, 0, 0, -1], '
+     '"nu": [2, 1, -1, 1, -1, -2]}\n'),
+    (["stabilizer", "-N", "4", "--orbit=0;1,-1"],
+     '{"alpha": [1, 0, 1, 0, -1, 0, -1], "beta": [1, 1, 1, -1, -1, -1], '
+     '"m": {"-1": 1, "1": 1}, "n": {"-1": 3, "1": 3}, "reductive": "GL_1"}\n'),
+    (["stabilizer", "-N", "6", "--orbit=1,0;1,1,-1"],
+     '{"alpha": [1, 1, 1, 0, 1, 0, -1, 0, -1, -1, -1], '
+     '"beta": [2, 2, 1, 1, 1, -1, -1, -1, -2, -2], '
+     '"m": {"-1": 1, "-2": 1, "1": 1, "2": 1}, '
+     '"n": {"-1": 3, "-2": 2, "1": 3, "2": 2}, "reductive": "GL_1 x GL_1"}\n'),
+    (["closure", "-N", "4", "--lower=0;0,0", "--upper=0;1,-1"], '{"le": true}\n'),
+    (["closure", "-N", "4", "--lower=0;1,-1", "--upper=1;1,1"], '{"le": false}\n'),
+    (["closure", "-N", "6", "--lower=0,0;1,1,0", "--upper=1,0;1,1,-1"],
+     '{"le": true}\n'),
+    (["closure", "-N", "6", "--lower=0,0;1,0,0", "--upper=1,0;1,1,-1"],
+     '{"le": false}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    EVEN_N_ORBIT_JSON,
+    ids=[f"{a[0]}-N{a[2]}-{i}" for i, (a, _) in enumerate(EVEN_N_ORBIT_JSON)],
+)
+def test_even_n_orbit_json_pinned(argv, stdout, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == ""
+
+
 def test_kostka_custom_command():
     code, out, _ = run_cli(
         "kostka-custom",
@@ -367,6 +408,21 @@ def test_cache_file_drops_malformed_keys(tmp_path, monkeypatch):
     assert main(["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0",
                  "--cache", str(path)]) == 0
     assert cache_load(path) == good
+
+
+def test_kostka_custom_rank_guard_is_quick():
+    """Past the guard the Weyl sum would visit |W(D_5)| * |W(C_5)| =
+    7,372,800 pairs; the guard refuses before any of them."""
+    zero = "0,0,0,0,0;0,0,0,0,0"
+    root = "1,0,0,0,0;1,0,0,0,0"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ospkostka.cli", "kostka-custom", "--roots", root,
+         "--simple", root, "--rank0", "5", "--rank1", "5", "--lambda", zero, "--mu", zero],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: enumeration too large: rank 5 exceeds guard 4\n"
+    assert proc.stdout == ""
 
 
 def test_kostka_custom_empty_simple_set_exit_two(capsys):

@@ -15,7 +15,7 @@ from ospkostka.kostka import (
     kostka_memo_export,
     kostka_memo_import,
     l_poly,
-    weighted_partition_table,
+    partition_support_table,
 )
 from ospkostka.oddroots import (
     BiWeight,
@@ -70,9 +70,21 @@ def test_l_poly_against_literal_enumeration(N, box, dmax):
         )
 
 
-def test_weighted_partition_table_examples():
+def boxed_partition_counts(data, box, dmax):
+    """The counts p_d(alpha) of partition_support_table for alpha inside
+    the box, with zeros omitted: read with .get((alpha, d), 0)."""
+    return {
+        (BiWeight(flat[: data.eps_rank], flat[data.eps_rank :]), d): c
+        for flat, counts in partition_support_table(data, dmax).items()
+        if all(abs(x) <= box for x in flat)
+        for d, c in enumerate(counts)
+        if c
+    }
+
+
+def test_partition_support_table_examples():
     d3 = osp_root_data(3)
-    table = weighted_partition_table(d3, box=2, dmax=3)
+    table = boxed_partition_counts(d3, box=2, dmax=3)
     assert table[(d3.zero(), 0)] == 1
     for beta in odd_positive_roots(d3):
         assert table.get((beta, 1), 0) == 1
@@ -81,9 +93,9 @@ def test_weighted_partition_table_examples():
 
 
 @pytest.mark.parametrize("N", [3, 4])
-def test_weighted_partition_table_matches_l_poly(N):
+def test_partition_support_table_matches_l_poly(N):
     data = osp_root_data(N)
-    table = weighted_partition_table(data, box=2, dmax=4)
+    table = boxed_partition_counts(data, box=2, dmax=4)
     r = data.eps_rank + data.delta_rank
     for flat in iproduct(range(-2, 3), repeat=r):
         alpha = BiWeight(flat[: data.eps_rank], flat[data.eps_rank :])
@@ -194,7 +206,7 @@ def test_triangularity_and_cone_nonvanishing(N):
 def test_kostka_custom_agrees_with_builtin():
     for N in (3, 4):
         data = osp_root_data(N)
-        roots = RootSet(odd_positive_roots(data), f"builtin-{N}")
+        roots = RootSet(odd_positive_roots(data))
         simples = simple_odd_roots(data)
         for lam1 in dominant_weights(data.type1, 1):
             lam = (tuple([1] + [0] * (data.eps_rank - 1)), lam1)
@@ -211,7 +223,7 @@ def test_kostka_custom_single_root():
     v = biweight((2,), (0,))
     root = biweight((1,), (0,))
     out = kostka_custom(
-        RootSet((root,), "single"),
+        RootSet((root,)),
         [root],
         GroupType("D", 1),
         GroupType("C", 1),
@@ -225,7 +237,7 @@ def test_kostka_custom_single_root():
 def test_kostka_custom_empty_reach():
     root = biweight((1,), (1,))
     out = kostka_custom(
-        RootSet((root,), "single"),
+        RootSet((root,)),
         [root],
         GroupType("D", 1),
         GroupType("C", 1),
@@ -241,7 +253,7 @@ def test_kostka_custom_non_square_simple_set():
     so many Weyl-sum arguments fail the cone solver's consistency rows.
     Checked against a literal signed sum over enumerated multisets."""
     s1, s2 = biweight((1, 0), (1,)), biweight((0, 1), (1,))
-    roots = RootSet((s1, s2, s1 + s2), "non-square")
+    roots = RootSet((s1, s2, s1 + s2))
     type0, type1 = GroupType("D", 2), GroupType("C", 1)
     rho_pair = (rho(type0), rho(type1))
     dmax = 8
@@ -289,7 +301,7 @@ def test_kostka_custom_rejects_bad_root_set():
     bad = biweight((-1,), (-1,))
     with pytest.raises(ValueError):
         kostka_custom(
-            RootSet((good, bad), "bad"),
+            RootSet((good, bad)),
             [good],
             GroupType("D", 1),
             GroupType("C", 1),
@@ -297,6 +309,20 @@ def test_kostka_custom_rejects_bad_root_set():
             ((0,), (0,)),
             ((0,), (0,)),
         )
+
+
+PAST_GUARD = KOSTKA_RANK_GUARD + 1
+
+
+@pytest.mark.parametrize("rank0, rank1", [(PAST_GUARD, 1), (1, PAST_GUARD)])
+def test_kostka_custom_rank_guard(rank0, rank1):
+    """The guard on kostka applies to either Weyl factor of kostka_custom."""
+    root = biweight((1,) * rank0, (1,) * rank1)
+    zero = ((0,) * rank0, (0,) * rank1)
+    type0, type1 = GroupType("D", rank0), GroupType("C", rank1)
+    with pytest.raises(EnumerationTooLargeError, match=f"rank {PAST_GUARD} exceeds guard {KOSTKA_RANK_GUARD}"):
+        kostka_custom(RootSet((root,)), [root], type0, type1,
+                      (rho(type0), rho(type1)), zero, zero)
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
+import re
+from itertools import product
+
 import pytest
 
+from conftest import dominant_in_box_oracle, orbit_oracle, orbit_side_types
 from ospkostka.oddroots import osp_root_data
 from ospkostka.orbits import (
     OrbitLabel,
@@ -11,6 +15,7 @@ from ospkostka.orbits import (
     lattice_representative,
     orbit_dim,
     orbit_labels_in_box,
+    order_pair,
     shuffled_alpha_beta,
     stalk_poincare,
     theta_signature,
@@ -29,6 +34,43 @@ def test_label_validation():
     with pytest.raises(ValueError):
         validate_label(D4, OrbitLabel((-1,), (1, 0)))  # even case: lam_s partition
     validate_label(D4, OrbitLabel((1,), (1, -1)))
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_orbits_match_family_oracle(N):
+    data = osp_root_data(N)
+    expected = orbit_oracle(N, 2)
+    labels = orbit_labels_in_box(data, 2)
+    assert [(o.lam_s, o.lam_b) for o in labels] == [rec["label"] for rec in expected]
+    for o, rec in zip(labels, expected):
+        assert order_pair(data, o) == rec["order_pair"]
+        mu, nu = embed_signatures(data, o)
+        assert (mu.entries, mu.inverted) == rec["mu"]
+        assert (nu.entries, nu.inverted) == rec["nu"]
+        assert theta_signature(data, mu, nu) == SignatureSeq(rec["theta"], False)
+        assert label_bisignature(data, o) == rec["bisignature"]
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_validate_label_matches_family_oracle(N):
+    """Each side on its own, against every vector in the box, with the
+    other side held at zero."""
+    data = osp_root_data(N)
+    (fam_s, rank_s), (fam_b, rank_b) = orbit_side_types(N)
+    zero_s, zero_b = (0,) * rank_s, (0,) * rank_b
+    sides = [
+        ("lam_s", fam_s, rank_s, lambda x: OrbitLabel(x, zero_b)),
+        ("lam_b", fam_b, rank_b, lambda x: OrbitLabel(zero_s, x)),
+    ]
+    for name, family, rank, label in sides:
+        good = set(dominant_in_box_oracle(family, rank, 2))
+        for x in list(product(range(-2, 3), repeat=rank)) + [(0,) * (rank + 1)]:
+            if x in good:
+                validate_label(data, label(x))
+            else:
+                message = f"{name} {x} is not a dominant {family}_{rank} coweight"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    validate_label(data, label(x))
 
 
 def test_orbit_dim_examples():
