@@ -16,10 +16,9 @@ labels are then checked exactly: sum c_lam * chi_lam must rebuild the
 input term for term.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from math import gcd
+from operator import add, mul, sub
 
 from .roots import (
     GroupType,
@@ -34,12 +33,17 @@ from .roots import (
 )
 
 
-@dataclass
 class CharElt:
     """Virtual character: finitely supported map weight -> multiplicity."""
 
-    context: tuple  # (GroupType,) or (GroupType, GroupType)
-    terms: dict
+    __slots__ = ("context", "terms")
+
+    def __init__(self, context, terms):
+        self.context = context  # (GroupType,) or (GroupType, GroupType)
+        self.terms = terms
+
+    def __repr__(self):
+        return f"CharElt(context={self.context!r}, terms={self.terms!r})"
 
     def copy(self):
         return CharElt(self.context, dict(self.terms))
@@ -304,20 +308,21 @@ def decompose(ch: CharElt) -> dict:
 
 
 def weyl_dimension(gtype: GroupType, lam) -> int:
-    """Weyl dimension formula, evaluated in exact rational arithmetic with
-    the coordinate dot product (normalizations cancel in the ratio)."""
+    """Weyl dimension formula with the coordinate dot product, in integers:
+    the product of the numerators over that of the (positive) denominators."""
     lam = tuple(lam)
     if not is_dominant(gtype, lam):
         raise ValueError(f"{lam} is not {gtype}-dominant")
     rho_t = rho(gtype)
     shifted = tuple(a + b for a, b in zip(lam, rho_t))
-    value = Fraction(1)
+    num = den = 1
     for alpha in positive_roots(gtype):
-        num = sum(a * b for a, b in zip(shifted, alpha))
-        den = sum(a * b for a, b in zip(rho_t, alpha))
-        value *= Fraction(num, den)
-    if value.denominator != 1:
+        num *= sum(map(mul, shifted, alpha))
+        den *= sum(map(mul, rho_t, alpha))
+    value, rem = divmod(num, den)
+    if rem:
+        g = gcd(num, den)
         raise ArithmeticError(
-            f"Weyl dimension of {lam} for {gtype} is not an integer: {value}"
+            f"Weyl dimension of {lam} for {gtype} is not an integer: {num // g}/{den // g}"
         )
-    return int(value)
+    return value

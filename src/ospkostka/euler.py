@@ -16,7 +16,7 @@ Agreement of the two sides, degree by degree and in exact integers, is
 the main verification target of the package.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .characters import CharElt, _rho_reflection, irreducible_character, outer, zero_char
@@ -120,16 +120,11 @@ def bryl_rhs(data: OspRootData, mu_pair, qmax: int):
     return out
 
 
-@dataclass
-class BrylReport:
+class BrylReport(namedtuple("BrylReport", "N mu qmax ok degree_diffs")):
     """Outcome of comparing the two series: ok iff every per-degree
     difference (rhs minus lhs) vanishes identically."""
 
-    N: int
-    mu: tuple
-    qmax: int
-    ok: bool
-    degree_diffs: list
+    __slots__ = ()
 
     def failing_degrees(self):
         return [d for d, diff in enumerate(self.degree_diffs) if not diff.is_zero]

@@ -11,7 +11,7 @@ terminates even though several roots have zero coordinate sum on the raw
 eps/delta basis.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .oddroots import (
@@ -29,17 +29,17 @@ from .roots import EnumerationTooLargeError, GroupType, act, sign, weyl_elements
 KOSTKA_RANK_GUARD = 4
 
 
-@dataclass(frozen=True)
-class QPoly:
+class QPoly(namedtuple("QPoly", "coeffs")):
     """Polynomial in q with integer coefficients; () is the zero polynomial."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
+    def __new__(cls, coeffs):
+        coeffs = tuple(coeffs)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        return tuple.__new__(cls, (coeffs[:end],))
 
     @staticmethod
     def zero():
@@ -100,12 +100,11 @@ class QPoly:
 _ZERO = QPoly(())
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(namedtuple("RootSet", "roots")):
     """A positive root set for the generic Kostka mode.  No positivity or
     geometric meaning is guaranteed for sets other than the built-in one."""
 
-    roots: tuple
+    __slots__ = ()
 
 
 class PartitionCounter:
@@ -241,16 +240,32 @@ def kostka_custom(
     result is not guaranteed.  The simple list must be linearly
     independent and every root must expand nonnegatively over it.
     """
-    rank = max(type0.rank, type1.rank)
-    if rank > KOSTKA_RANK_GUARD:
+    ranks = (type0.rank, type1.rank)
+    if max(ranks) > KOSTKA_RANK_GUARD:
         raise EnumerationTooLargeError(
-            f"enumeration too large: rank {rank} exceeds guard {KOSTKA_RANK_GUARD}"
+            f"enumeration too large: rank {max(ranks)} exceeds guard {KOSTKA_RANK_GUARD}"
         )
-    counter = PartitionCounter(root_set.roots, tuple(simples))
+    named = [("lambda", lam_pair), ("mu", mu_pair), ("rho", rho_pair)]
+    for what, pair in named + [(f"root {beta}", beta) for beta in root_set.roots]:
+        _check_ranks(what, pair, ranks)
+    simples = tuple(simples)
+    # after the counter, which reports an empty or dependent simple set
+    counter = PartitionCounter(root_set.roots, simples)
+    for s in simples:
+        _check_ranks(f"simple root {s}", s, ranks)
     lam0, lam1 = tuple(lam_pair[0]), tuple(lam_pair[1])
     mu0, mu1 = tuple(mu_pair[0]), tuple(mu_pair[1])
     rho0, rho1 = tuple(rho_pair[0]), tuple(rho_pair[1])
     return _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1)
+
+
+def _check_ranks(what, pair, ranks):
+    """Raise ValueError unless the (eps, delta) parts of pair have lengths ranks."""
+    for side, part, rank in zip(("eps", "delta"), pair, ranks):
+        if len(part) != rank:
+            raise ValueError(
+                f"{what} {side} part {tuple(part)} has length {len(part)}, expected {rank}"
+            )
 
 
 def _weyl_arguments(gtype, rho_t, lam, mu):

@@ -21,7 +21,7 @@ equivalent to the rational one.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -35,13 +35,13 @@ from .roots import EnumerationTooLargeError
 # trial up to N=15).
 MOMENT_N_GUARD = 12
 
-@dataclass(frozen=True)
-class FormsSpec:
-    N: int
+class FormsSpec(namedtuple("FormsSpec", "N")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 3:
+    def __new__(cls, N):
+        if N < 3:
             raise ValueError("N must be >= 3")
+        return tuple.__new__(cls, (N,))
 
     @property
     def parity(self):

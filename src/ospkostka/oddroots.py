@@ -16,7 +16,7 @@ nonnegative span of the odd roots, and partial-sum inequalities along the
 shuffle with a parity constraint.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter, mul
@@ -25,12 +25,10 @@ from .moment import row_reduce
 from .roots import GroupType, is_dominant, rho
 
 
-@dataclass(frozen=True)
-class BiWeight:
+class BiWeight(namedtuple("BiWeight", "eps delta")):
     """Integer vector on the combined eps/delta lattice."""
 
-    eps: tuple
-    delta: tuple
+    __slots__ = ()
 
     def __add__(self, other):
         return BiWeight(

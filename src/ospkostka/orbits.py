@@ -18,41 +18,36 @@ even N: the label types, the (eps, delta) pair, the signature embedding
 and the theta signature are all read off from it.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .kostka import kostka
 from .oddroots import OspRootData, dominance_ge, interleave, prefix_sums_ge
 from .roots import dominant_weights, is_dominant
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    lam_s: tuple
-    lam_b: tuple
+class OrbitLabel(namedtuple("OrbitLabel", "lam_s lam_b")):
+    __slots__ = ()
 
     def __str__(self):
         return ",".join(map(str, self.lam_s)) + ";" + ",".join(map(str, self.lam_b))
 
 
-@dataclass(frozen=True)
-class SignatureSeq:
+class SignatureSeq(namedtuple("SignatureSeq", "entries inverted", defaults=(False,))):
     """Weakly decreasing integer sequence, except that `inverted` marks
     the one allowed non-signature pattern (..., -m, m, ...) used when a
     D-type coweight has negative last coordinate."""
 
-    entries: tuple
-    inverted: bool = False
+    __slots__ = ()
 
     def sorted_signature(self):
         return tuple(sorted(self.entries, reverse=True))
 
 
-@dataclass(frozen=True)
-class LatticeRow:
-    """One O-module generator: a sum of t^{exp} e_{index} terms."""
+class LatticeRow(namedtuple("LatticeRow", "terms")):
+    """One O-module generator: a sum of t^{exp} e_{index} terms; `terms`
+    is ((index, exponent), ...) with 1-based basis indices."""
 
-    terms: tuple  # ((index, exponent), ...) with 1-based basis indices
+    __slots__ = ()
 
     def __str__(self):
         def monomial(idx, e):
@@ -63,21 +58,15 @@ class LatticeRow:
         return " + ".join(monomial(i, e) for i, e in self.terms)
 
 
-@dataclass(frozen=True)
-class LatticeModel:
-    rows: tuple
+class LatticeModel(namedtuple("LatticeModel", "rows")):
+    __slots__ = ()
 
     def __str__(self):
         return "\n".join(str(r) for r in self.rows)
 
 
-@dataclass(frozen=True)
-class StabilizerData:
-    alpha: tuple
-    beta: tuple
-    n_mult: dict
-    m_mult: dict
-    reductive: str
+class StabilizerData(namedtuple("StabilizerData", "alpha beta n_mult m_mult reductive")):
+    __slots__ = ()
 
 
 def _swap_sides(data: OspRootData, pair):

@@ -12,7 +12,7 @@ no roots, trivial Weyl group, every weight dominant.
 (2, 1)
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations, product
 
 Weight = tuple
@@ -25,28 +25,25 @@ class EnumerationTooLargeError(ValueError):
     """Raised when a Weyl-group enumeration would exceed the rank guard."""
 
 
-@dataclass(frozen=True)
-class GroupType:
-    family: str  # "D" or "C"
-    rank: int
+class GroupType(namedtuple("GroupType", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("D", "C"):
-            raise ValueError(f"unknown family {self.family!r}, expected 'D' or 'C'")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+    def __new__(cls, family, rank):
+        if family not in ("D", "C"):
+            raise ValueError(f"unknown family {family!r}, expected 'D' or 'C'")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self):
         return f"{self.family}_{self.rank}"
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "perm signs")):
     """Signed permutation w: coordinate j is sent to slot perm[j] with sign
     signs[perm[j]], so (w.l)_i = signs_i * l_{perm^{-1}(i)}."""
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ()
 
     @property
     def rank(self):

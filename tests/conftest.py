@@ -2,8 +2,9 @@
 DP code paths: literal multiset enumeration, literal signed sums, a
 plain Fraction linear solve, the odd root system and the orbit labels
 written out family by family, the moment-map battery in Fraction
-arithmetic with the explicit symplectic Gram, and character
-decomposition by multiplying with A_rho.  Also an autouse fixture that hides the caller's
+arithmetic with the explicit symplectic Gram, character
+decomposition by multiplying with A_rho, and the Weyl dimension formula
+as a product of Fractions.  Also an autouse fixture that hides the caller's
 OSP_KOSTKA_CACHE."""
 
 import random
@@ -16,7 +17,7 @@ import pytest
 from ospkostka import moment
 from ospkostka.characters import _add_into, _alternant, _convolve, is_weyl_invariant
 from ospkostka.oddroots import BiWeight, odd_positive_roots
-from ospkostka.roots import rho
+from ospkostka.roots import positive_roots, rho
 
 
 @pytest.fixture(autouse=True)
@@ -368,3 +369,14 @@ def alternant_decompose(ch):
     if reconstruction != prod:
         raise ValueError("internal error: alternant reconstruction mismatch")
     return {label: c for label, c in sorted(result.items()) if c}
+
+
+def fraction_weyl_dimension(gtype, lam):
+    """Weyl dimension formula, one Fraction factor per positive root."""
+    rho_t = rho(gtype)
+    value = Fraction(1)
+    for alpha in positive_roots(gtype):
+        num = sum((a + r) * b for a, r, b in zip(lam, rho_t, alpha))
+        den = sum(r * b for r, b in zip(rho_t, alpha))
+        value *= Fraction(num, den)
+    return value

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ospkostka
-from conftest import alternant_decompose
+from conftest import alternant_decompose, fraction_weyl_dimension
 from ospkostka.characters import (
     _alternant,
     _convolve,
@@ -110,6 +110,22 @@ def test_dimensions_match_weyl_formula(gtype):
         dim = ch.dim()
         assert dim > 0
         assert dim == weyl_dimension(gtype, lam)
+
+
+@pytest.mark.parametrize("gtype", ALL_SMALL)
+def test_weyl_dimension_matches_fraction_oracle(gtype):
+    """Integer products and one exact division agree with the product of
+    Fractions on every dominant label of sup-norm <= 3, ranks 1-3."""
+    for lam in dominant_weights(gtype, 3):
+        assert weyl_dimension(gtype, lam) == fraction_weyl_dimension(gtype, lam)
+
+
+def test_weyl_dimension_remainder_raises(monkeypatch):
+    """A wrong rho makes the ratio non-integral: (1+2)*2 / (2*2) = 3/2."""
+    monkeypatch.setattr(characters_module, "rho", lambda gtype: (2,))
+    with pytest.raises(ArithmeticError) as err:
+        weyl_dimension(C1, (1,))
+    assert str(err.value) == "Weyl dimension of (1,) for C_1 is not an integer: 3/2"
 
 
 @pytest.mark.parametrize("gtype", [C2, D2, D3])

@@ -431,6 +431,51 @@ def test_kostka_custom_empty_simple_set_exit_two(capsys):
     assert capsys.readouterr().err == "error: simple root set is empty\n"
 
 
+@pytest.mark.parametrize(
+    "rank0, extra, message",
+    [
+        ("1", ["--lambda", "1,5;1", "--mu", "0;0"],
+         "lambda eps part (1, 5) has length 2, expected 1"),
+        ("1", ["--rho0", "1,2", "--lambda", "1;1", "--mu", "0;0"],
+         "rho eps part (1, 2) has length 2, expected 1"),
+        ("2", ["--lambda", "2;1", "--mu", "0,0;0"],
+         "lambda eps part (2,) has length 1, expected 2"),
+    ],
+    ids=["lambda-too-long", "rho-too-long", "lambda-too-short"],
+)
+def test_kostka_custom_checks_ranks(rank0, extra, message, capsys):
+    """zip in the Weyl sum would drop extra entries, and a short vector
+    failed deep inside it; the lengths are checked against the ranks first."""
+    roots = "1;1" if rank0 == "1" else "1,0;1"
+    argv = ["kostka-custom", "--roots", roots, "--simple", roots,
+            "--rank0", rank0, "--rank1", "1", *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Importing the CLI pulls in neither module: together they were about
+    two thirds of its import cost."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ospkostka.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = proc.stdout.split()
+    assert "ospkostka.cli" in new
+    assert "dataclasses" not in new
+    assert "inspect" not in new
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_rejected(jobs, capsys):
     with pytest.raises(SystemExit) as exc:
