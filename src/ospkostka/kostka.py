@@ -9,6 +9,18 @@ Counting runs over simple-root coordinates: every positive odd root has a
 strictly positive coordinate height there, so the multiset recursion
 terminates even though several roots have zero coordinate sum on the raw
 eps/delta basis.
+
+The counter keeps the root coordinate vectors in ascending lexicographic
+order and peels them from the end, so the roots with a positive first
+coordinate are used up first, then those that lead with the second, and
+so on.  A state (k, residual) is dead when the residual is positive in a
+coordinate that none of the first k roots touches; such a state is
+answered () without being stored.  The cut is exact: every multiset of
+the first k roots is zero in each coordinate they all leave at zero, and
+residuals never go negative because every root expands nonnegatively
+(checked on construction).  The order makes the cut bite early: once the
+roots with a positive first coordinate are peeled, any residual still
+positive there is dead.  L_alpha(q) does not depend on the root order.
 """
 
 from collections import namedtuple
@@ -113,15 +125,15 @@ class PartitionCounter:
     Roots are converted to coordinates over a linearly independent simple
     set; all roots must expand nonnegatively and integrally there.  State
     of the memoized recursion is (number of usable roots, residual
-    coordinate vector).
+    coordinate vector); the module docstring gives the root order and the
+    dead-state cut.
     """
 
     def __init__(self, roots, simples):
         if not roots:
             raise ValueError("root set must be nonempty")
         self._solver = ConeSolver([s.flat() for s in simples])
-        self.roots = tuple(roots)
-        self.root_coords = []
+        coords = []
         for beta in roots:
             c = self._solver.coordinates(beta.flat())
             if c is None or not any(c):
@@ -129,7 +141,14 @@ class PartitionCounter:
                     f"root {beta} has no nonnegative integral expansion "
                     "over the simple set"
                 )
-            self.root_coords.append(c)
+            coords.append(c)
+        self.root_coords = sorted(coords)
+        # _untouched[k]: coordinates that none of the first k roots touches
+        dim = len(coords[0])
+        self._untouched = [
+            tuple(i for i in range(dim) if not any(r[i] for r in self.root_coords[:k]))
+            for k in range(len(coords) + 1)
+        ]
         self._memo = {}
 
     def l_poly_flat(self, flat) -> QPoly:
@@ -142,7 +161,11 @@ class PartitionCounter:
         """Counts by multiset size for partitions of `coords` using the
         first k roots, computed with an explicit stack (inputs from the
         Weyl sum can be deep)."""
+        untouched = self._untouched
+        if any(coords[i] for i in untouched[k]):
+            return ()
         memo = self._memo
+        root_coords = self.root_coords
         goal = (k, coords)
         stack = [goal]
         while stack:
@@ -155,21 +178,21 @@ class PartitionCounter:
                 memo[key] = (1,)
                 stack.pop()
                 continue
-            if kk == 0:
-                memo[key] = ()
-                stack.pop()
-                continue
-            rc = self.root_coords[kk - 1]
-            skip_key = (kk - 1, cc)
+            # Every stacked state is live (cc is zero on _untouched[kk]), so
+            # a nonzero cc has kk >= 1 and its residual is live too: only
+            # the skip can die.
+            skip_key = None
+            if not any(cc[i] for i in untouched[kk - 1]):
+                skip_key = (kk - 1, cc)
             use_key = None
-            residual = tuple(a - b for a, b in zip(cc, rc))
+            residual = tuple(a - b for a, b in zip(cc, root_coords[kk - 1]))
             if all(x >= 0 for x in residual):
                 use_key = (kk, residual)
             missing = [K for K in (skip_key, use_key) if K is not None and K not in memo]
             if missing:
                 stack.extend(missing)
                 continue
-            skip = memo[skip_key]
+            skip = memo[skip_key] if skip_key is not None else ()
             use = memo[use_key] if use_key is not None else ()
             n = max(len(skip), len(use) + 1 if use else 0)
             out = [0] * n

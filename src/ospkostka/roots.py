@@ -118,12 +118,14 @@ def weyl_elements(gtype: GroupType):
 
 def act(w: SignedPermutation, weight: Weight) -> Weight:
     """Apply w to a weight: (w.l)_i = signs_i * l_{perm^{-1}(i)}."""
-    if len(weight) != w.rank:
-        raise ValueError(f"rank mismatch: weight {weight} vs rank {w.rank}")
-    out = [0] * w.rank
+    perm, signs = w
+    rank = len(perm)
+    if len(weight) != rank:
+        raise ValueError(f"rank mismatch: weight {weight} vs rank {rank}")
+    out = [0] * rank
     for j, x in enumerate(weight):
-        i = w.perm[j]
-        out[i] = w.signs[i] * x
+        i = perm[j]
+        out[i] = signs[i] * x
     return tuple(out)
 
 

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, deliberately independent of the library's
 DP code paths: literal multiset enumeration, literal signed sums, a
-plain Fraction linear solve, the odd root system and the orbit labels
+plain Fraction linear solve, the partition recursion with no root sort
+and no dead-state cut, the odd root system and the orbit labels
 written out family by family, the moment-map battery in Fraction
 arithmetic with the explicit symplectic Gram, character
 decomposition by multiplying with A_rho, and the Weyl dimension formula
@@ -45,6 +46,67 @@ def brute_force_l_coeffs(data, alpha, dmax):
     """Coefficients of L_alpha up to degree dmax, via the literal table."""
     table = brute_force_partition_table(data, dmax)
     return tuple(table.get((alpha, d), 0) for d in range(dmax + 1))
+
+
+_unpruned_memos = {}
+
+
+def unpruned_partition_counts(root_coords, coords):
+    """Counts by multiset size for partitions of the coordinate vector
+    coords into the root coordinate vectors root_coords, taken in the
+    given order: the memoized (k, residual) recursion with no root sort
+    and no dead-state cut, so every state down to k = 0 is visited.  One
+    memo per root list, kept across calls."""
+    memo = _unpruned_memos.setdefault(tuple(root_coords), {})
+    goal = (len(root_coords), coords)
+    stack = [goal]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        kk, cc = key
+        if not any(cc):
+            memo[key] = (1,)
+            stack.pop()
+            continue
+        if kk == 0:
+            memo[key] = ()
+            stack.pop()
+            continue
+        rc = root_coords[kk - 1]
+        skip_key = (kk - 1, cc)
+        use_key = None
+        residual = tuple(a - b for a, b in zip(cc, rc))
+        if all(x >= 0 for x in residual):
+            use_key = (kk, residual)
+        missing = [K for K in (skip_key, use_key) if K is not None and K not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        skip = memo[skip_key]
+        use = memo[use_key] if use_key is not None else ()
+        n = max(len(skip), len(use) + 1 if use else 0)
+        out = [0] * n
+        for d, c in enumerate(skip):
+            out[d] += c
+        for d, c in enumerate(use):
+            out[d + 1] += c
+        memo[key] = tuple(out)
+        stack.pop()
+    return memo[goal]
+
+
+def unpruned_l_coeffs(roots, simples, flat):
+    """What PartitionCounter(roots, simples).l_poly_flat(flat).coeffs must
+    be: coordinates from the Fraction solve, then the unpruned recursion
+    over the roots in their given order."""
+    columns = [s.flat() for s in simples]
+    coords = cone_coordinates_oracle(columns, flat)
+    if coords is None:
+        return ()
+    root_coords = [cone_coordinates_oracle(columns, b.flat()) for b in roots]
+    return unpruned_partition_counts(root_coords, coords)
 
 
 def fraction_solve(columns, vector):

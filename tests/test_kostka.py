@@ -3,10 +3,17 @@ from collections import Counter
 from itertools import combinations_with_replacement, product as iproduct
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from conftest import brute_force_l_coeffs, brute_force_partition_table
+from conftest import (
+    brute_force_l_coeffs,
+    brute_force_partition_table,
+    fraction_rank,
+    unpruned_l_coeffs,
+)
 from ospkostka.kostka import (
     KOSTKA_RANK_GUARD,
+    PartitionCounter,
     QPoly,
     RootSet,
     kostka,
@@ -68,6 +75,77 @@ def test_l_poly_against_literal_enumeration(N, box, dmax):
         assert tuple(poly[d] for d in range(dmax + 1)) == brute_force_l_coeffs(
             data, alpha, dmax
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_l_poly_flat_against_unpruned_recursion(data):
+    """The sorted, cut counter agrees with the plain recursion on sums of
+    odd roots, on their negatives (off the cone) and on those sums plus a
+    unit vector (odd coordinate sum, so non-integral coordinates)."""
+    N = data.draw(st.integers(min_value=3, max_value=8), label="N")
+    rd = osp_root_data(N)
+    roots, simples = odd_positive_roots(rd), simple_odd_roots(rd)
+    # fewer parts at larger N: the plain recursion's state count grows
+    # steeply (10^4 states for one part at N=8, 2*10^6 for three)
+    parts = data.draw(st.lists(st.sampled_from(roots), min_size=1, max_size=9 - N))
+    flat = [sum(col) for col in zip(*(b.flat() for b in parts))]
+    kind = data.draw(st.sampled_from(["in-cone", "off-cone", "non-integral"]))
+    event(kind)
+    if kind == "off-cone":
+        flat = [-x for x in flat]
+    elif kind == "non-integral":
+        flat[data.draw(st.integers(min_value=0, max_value=len(flat) - 1))] += 1
+    flat = tuple(flat)
+    expected = unpruned_l_coeffs(roots, simples, flat)
+    assert bool(expected) == (kind == "in-cone")
+    assert PartitionCounter(roots, simples).l_poly_flat(flat).coeffs == expected
+
+
+def _split(flat, rank0):
+    return BiWeight(tuple(flat[:rank0]), tuple(flat[rank0:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_custom_counter_against_unpruned_recursion(data):
+    """Random simple sets (square or not, so some carry consistency rows)
+    and random roots over them, many zero in some simple coordinate; goals
+    are sums of roots, simple-root combinations (reachable or not) and
+    arbitrary vectors."""
+    rank0 = data.draw(st.integers(min_value=1, max_value=2))
+    dim = rank0 + data.draw(st.integers(min_value=1, max_value=2))
+    k = data.draw(st.integers(min_value=1, max_value=dim), label="simples")
+    vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+    columns = data.draw(st.lists(vector, min_size=k, max_size=k))
+    if fraction_rank(columns) < k:
+        columns = [[int(i == j) for i in range(dim)] for j in range(k)]
+    event("non-square" if k < dim else "square")
+    simples = [_split(c, rank0) for c in columns]
+
+    def combination(coeffs):
+        return tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim))
+
+    coeffs = st.lists(st.integers(min_value=0, max_value=2), min_size=k, max_size=k)
+    # sparse, with one coefficient raised by 1 so that no root is zero
+    sparse = st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=k, max_size=k)
+    nonzero = st.tuples(sparse, st.integers(min_value=0, max_value=k - 1)).map(
+        lambda t: [c + (i == t[1]) for i, c in enumerate(t[0])]
+    )
+    roots = [
+        _split(combination(c), rank0)
+        for c in data.draw(st.lists(nonzero, min_size=1, max_size=5))
+    ]
+    counter = PartitionCounter(roots, simples)
+    root_sums = st.lists(st.sampled_from(roots), min_size=1, max_size=4).map(
+        lambda parts: tuple(sum(col) for col in zip(*(b.flat() for b in parts)))
+    )
+    goal = st.one_of(root_sums, coeffs.map(combination), vector.map(tuple))
+    goals = data.draw(st.lists(goal, min_size=1, max_size=4))
+    for flat in goals:
+        expected = unpruned_l_coeffs(roots, simples, flat)
+        event("reached" if expected else "not reached")
+        assert counter.l_poly_flat(flat).coeffs == expected
 
 
 def boxed_partition_counts(data, box, dmax):
@@ -294,6 +372,17 @@ def test_kostka_n9_cold_example():
     data = osp_root_data(9)
     poly = kostka(data, ((1, 0, 0, 0), (1, 0, 0, 0)), ((0,) * 4, (0,) * 4))
     assert str(poly) == "q + q^3 + q^5 + 2*q^7 + q^9 + q^11 + q^13"
+
+
+def test_kostka_n9_partition_memo_stays_small(monkeypatch):
+    """Cold, the N=9 example stores fewer than 5,000 partition states; it
+    stored 41,325 when the roots were unsorted and dead states were kept."""
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    kostka_module._counter.cache_clear()
+    data = osp_root_data(9)
+    kostka(data, ((1, 0, 0, 0), (1, 0, 0, 0)), ((0,) * 4, (0,) * 4))
+    states = len(kostka_module._counter(data)._memo)
+    assert states < 5000
 
 
 def test_kostka_custom_rejects_bad_root_set():
