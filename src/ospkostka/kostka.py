@@ -31,10 +31,10 @@ from .oddroots import (
     ConeSolver,
     OspRootData,
     _check_dominant_pair,
-    dominance_ge,
     odd_positive_roots,
     osp_root_data,
     simple_odd_roots,
+    simple_root_coordinates,
 )
 from .roots import EnumerationTooLargeError, GroupType, act, sign, weyl_elements
 
@@ -375,12 +375,27 @@ def kostka_memo_import(entries):
             # before any root data is built, so a corrupt N costs nothing
             if N < 3 or N // 2 > KOSTKA_RANK_GUARD:
                 continue
-            # raises unless both pairs are dominant with the ranks of N
-            ge = dominance_ge(osp_root_data(N), (lam0, lam1), (mu0, mu1))
+            data = osp_root_data(N)
+            # raise unless both pairs are dominant with the ranks of N
+            _check_dominant_pair(data, (lam0, lam1), "lambda")
+            _check_dominant_pair(data, (mu0, mu1), "mu")
         except ValueError:
             continue
         poly = QPoly(tuple(coeffs))
-        # K vanishes unless lam >= mu, and then has no defect
-        if kostka_defect((lam0, lam1), (mu0, mu1), poly) if ge else poly:
-            continue
+        # lam >= mu iff lam - mu has simple odd-root coordinates.  K vanishes
+        # unless it has; then K has no defect, and it is monic of degree
+        # ht(lam - mu), the coordinate sum, with only powers of that parity.
+        coords = simple_root_coordinates(data, BiWeight(lam0, lam1) - BiWeight(mu0, mu1))
+        if coords is None:
+            if poly:
+                continue
+        else:
+            ht = sum(coords)
+            if (
+                kostka_defect((lam0, lam1), (mu0, mu1), poly)
+                or len(poly.coeffs) != ht + 1
+                or poly[ht] != 1
+                or any(poly.coeffs[(ht + 1) % 2 :: 2])
+            ):
+                continue
         _kostka_memo[(N, lam0, lam1, mu0, mu1)] = poly

@@ -4,8 +4,10 @@ plain Fraction linear solve, the partition recursion with no root sort
 and no dead-state cut, the odd root system and the orbit labels
 written out family by family, the moment-map battery in Fraction
 arithmetic with the explicit symplectic Gram, character
-decomposition by multiplying with A_rho, and the Weyl dimension formula
-as a product of Fractions.  Also an autouse fixture that hides the caller's
+decomposition by multiplying with A_rho, the Weyl dimension formula
+as a product of Fractions, and both Euler series summed as whole
+characters (one Euler line per alpha, one dual character per Kostka
+label).  Also an autouse fixture that hides the caller's
 OSP_KOSTKA_CACHE."""
 
 import random
@@ -16,7 +18,17 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from ospkostka import moment
-from ospkostka.characters import _add_into, _alternant, _convolve, is_weyl_invariant
+from ospkostka.characters import (
+    _add_into,
+    _alternant,
+    _convolve,
+    irreducible_character,
+    is_weyl_invariant,
+    outer,
+    zero_char,
+)
+from ospkostka.euler import dominant_cone_labels, euler_line
+from ospkostka.kostka import kostka, partition_support_table
 from ospkostka.oddroots import BiWeight, odd_positive_roots
 from ospkostka.roots import positive_roots, rho
 
@@ -442,3 +454,40 @@ def fraction_weyl_dimension(gtype, lam):
         den = sum(r * b for r, b in zip(rho_t, alpha))
         value *= Fraction(num, den)
     return value
+
+
+def dual_pair_char(data, lam0, lam1):
+    """Dual of the outer product of the two irreducible characters."""
+    return outer(
+        irreducible_character(data.type0, lam0),
+        irreducible_character(data.type1, lam1),
+    ).negated_weights()
+
+
+def euler_line_sum_lhs(data, mu, qmax):
+    """What euler.bryl_lhs must return: for each alpha of the support
+    table, the whole Euler-line character of -(mu + alpha), added once per
+    degree with its partition count."""
+    out = [zero_char((data.type0, data.type1)) for _ in range(qmax + 1)]
+    mu = BiWeight(*mu)
+    for flat, counts in partition_support_table(data, qmax).items():
+        alpha = BiWeight(flat[: data.eps_rank], flat[data.eps_rank :])
+        line = euler_line(data, -(mu + alpha))
+        for d, c in enumerate(counts):
+            if c:
+                out[d].add_scaled(line, c)
+    return out
+
+
+def kostka_label_sum_rhs(data, mu, qmax):
+    """What euler.bryl_rhs must return: for each cone label, its dual
+    character added once per degree with the Kostka coefficient."""
+    out = [zero_char((data.type0, data.type1)) for _ in range(qmax + 1)]
+    for lam0, lam1 in dominant_cone_labels(data, mu, qmax):
+        coeffs = kostka(data, (lam0, lam1), mu).coeffs[: qmax + 1]
+        if any(coeffs):
+            ch = dual_pair_char(data, lam0, lam1)
+            for d, c in enumerate(coeffs):
+                if c:
+                    out[d].add_scaled(ch, c)
+    return out

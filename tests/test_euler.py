@@ -2,13 +2,10 @@ from itertools import product
 
 import pytest
 
-from ospkostka.characters import (
-    decompose,
-    irreducible_character,
-    outer,
-    trivial_char,
-    weyl_dimension,
-)
+import conftest
+from conftest import dual_pair_char, euler_line_sum_lhs, kostka_label_sum_rhs
+from ospkostka import euler
+from ospkostka.characters import decompose, trivial_char, weyl_dimension
 from ospkostka.euler import (
     bryl_lhs,
     bryl_rhs,
@@ -16,16 +13,9 @@ from ospkostka.euler import (
     euler_line,
     verify_bryl,
 )
-from ospkostka.kostka import kostka
+from ospkostka.kostka import QPoly, kostka
 from ospkostka.oddroots import _dominates, biweight, dominance_ge_cone, osp_root_data
 from ospkostka.roots import EnumerationTooLargeError, dominant_weights
-
-
-def dual_pair_char(data, lam0, lam1):
-    return outer(
-        irreducible_character(data.type0, lam0),
-        irreducible_character(data.type1, lam1),
-    ).negated_weights()
 
 
 def test_euler_line_trivial():
@@ -150,3 +140,84 @@ def test_cone_label_candidates_dominance_matches_cone(N):
             if in_cone:
                 expected.append(lam)
         assert dominant_cone_labels(data, mu, qmax) == expected
+
+
+def _small_box(N):
+    """Dominant mu with entries at most 1; at N >= 5 only mu = 0 and the
+    first fundamental weight of the eps factor, because the oracles take
+    2-5 s per mu there at qmax 8."""
+    data = osp_root_data(N)
+    box = product(dominant_weights(data.type0, 1), dominant_weights(data.type1, 1))
+    if N >= 5:
+        box = [mu for mu in box if not any(mu[0][1:] + mu[1])]
+    return [(N, mu) for mu in box]
+
+
+@pytest.mark.parametrize("N, mu", [case for N in (3, 4, 5, 6) for case in _small_box(N)])
+def test_label_tables_match_character_sums(N, mu):
+    """Both sides, expanded from their label tables, equal the per-alpha
+    Euler-line sum and the per-label character sum on every degree, at
+    the largest qmax the guard allows."""
+    data = osp_root_data(N)
+    qmax = 8 if N <= 5 else 4
+    report = verify_bryl(data, mu, qmax)
+    assert report.ok and report.failing_degrees() == []
+    lhs = euler_line_sum_lhs(data, mu, qmax)
+    assert bryl_lhs(data, mu, qmax) == lhs
+    assert bryl_rhs(data, mu, qmax) == kostka_label_sum_rhs(data, mu, qmax) == lhs
+
+
+def _planted_report(data, mu, qmax, degree):
+    """verify_bryl and the oracles' character difference, rhs minus lhs;
+    both read whatever the test has patched."""
+    report = verify_bryl(data, mu, qmax)
+    lhs = euler_line_sum_lhs(data, mu, qmax)
+    rhs = kostka_label_sum_rhs(data, mu, qmax)
+    assert not report.ok and report.failing_degrees() == [degree]
+    assert report.degree_diffs == [r - l for l, r in zip(lhs, rhs)]
+    return report
+
+
+def test_planted_kostka_coefficient_fails_at_its_degree(monkeypatch):
+    data = osp_root_data(4)
+    mu, qmax, degree = ((1, 0), (1,)), 4, 3
+    label = ((3, 0), (3,))
+    real = euler.kostka
+    assert real(data, label, mu) == QPoly((0, 0, 1, 0, 1, 0, 1))
+
+    def planted(data_, lam, mu_):
+        poly = real(data_, lam, mu_)
+        if lam != label:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[degree] += 1
+        return QPoly(coeffs)
+
+    monkeypatch.setattr(euler, "kostka", planted)
+    monkeypatch.setattr(conftest, "kostka", planted)
+    report = _planted_report(data, mu, qmax, degree)
+    assert report.degree_diffs[degree] == dual_pair_char(data, *label)
+
+
+def test_planted_partition_count_fails_at_its_degree(monkeypatch):
+    data = osp_root_data(4)
+    mu, qmax, degree = ((1, 0), (1,)), 4, 2
+    real = euler.partition_support_table(data, qmax)
+    # one sum of two positive odd roots, whose Euler line does not vanish
+    alpha = next(
+        a for a, counts in real.items()
+        if counts[2] and not euler_line(data, -(biweight(*mu) + biweight(a[:2], a[2:]))).is_zero
+    )
+    table = dict(real)
+    counts = list(table[alpha])
+    counts[degree] += 1
+    table[alpha] = tuple(counts)
+
+    def planted(data_, dmax):
+        return table if (data_, dmax) == (data, qmax) else real
+
+    monkeypatch.setattr(euler, "partition_support_table", planted)
+    monkeypatch.setattr(conftest, "partition_support_table", planted)
+    report = _planted_report(data, mu, qmax, degree)
+    line = euler_line(data, -(biweight(*mu) + biweight(alpha[:2], alpha[2:])))
+    assert report.degree_diffs[degree] == line.scaled(-1)

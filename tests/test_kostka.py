@@ -31,6 +31,7 @@ from ospkostka.oddroots import (
     odd_positive_roots,
     osp_root_data,
     simple_odd_roots,
+    simple_root_coordinates,
 )
 from ospkostka.roots import (
     EnumerationTooLargeError,
@@ -469,6 +470,9 @@ def test_memo_import_skips_malformed_entries(empty_memo, key, coeffs):
         ("3|K|1|1|0|0", []),  # zero on the dominance cone
         ("3|K|1|1|1|1", [2]),  # diagonal value not 1
         ("3|K|1|1|1|1", [1, 1]),  # diagonal value not 1
+        ("3|K|1|1|0|0", [0, 2]),  # not monic
+        ("3|K|1|1|0|0", [0, 1, 0, 1]),  # degree 3, not ht(lam - mu) = 1
+        ("3|K|2|2|0|0", [0, 1, 1]),  # a power of the wrong parity
     ],
 )
 def test_memo_import_drops_impossible_entries(empty_memo, key, coeffs):
@@ -483,6 +487,29 @@ def test_memo_import_keeps_possible_entries(empty_memo):
         (3, (1,), (0,), (0,), (0,)): QPoly(()),
         (3, (1,), (1,), (1,), (1,)): QPoly((1,)),
     }
+
+
+def test_kostka_degree_is_the_odd_root_height():
+    """For dominant lam >= mu, K_{lam,mu} is monic of degree ht(lam - mu),
+    the sum of the simple odd-root coordinates, and only powers of that
+    parity occur: on every comparable pair of the box-2 labels at N=3..6
+    and of the box-1 labels at N=7."""
+    pairs = 0
+    for N, box in ((3, 2), (4, 2), (5, 2), (6, 2), (7, 1)):
+        data = osp_root_data(N)
+        labels = list(iproduct(dominant_weights(data.type0, box), dominant_weights(data.type1, box)))
+        for lam in labels:
+            for mu in labels:
+                coords = simple_root_coordinates(data, biweight(*lam) - biweight(*mu))
+                assert (coords is not None) == dominance_ge(data, lam, mu)
+                if coords is None:
+                    continue
+                ht = sum(coords)
+                coeffs = kostka(data, lam, mu).coeffs
+                assert len(coeffs) == ht + 1 and coeffs[ht] == 1, (N, lam, mu)
+                assert not any(coeffs[(ht + 1) % 2 :: 2]), (N, lam, mu)
+                pairs += 1
+    assert pairs == 2371
 
 
 def test_memo_import_checks_n_before_building_root_data(empty_memo, monkeypatch):
