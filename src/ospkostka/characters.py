@@ -90,9 +90,6 @@ class CharElt:
             and self.terms == other.terms
         )
 
-    def sorted_items(self):
-        return sorted(self.terms.items())
-
 
 def _add_into(acc: dict, terms, c: int) -> dict:
     """acc += c * terms in the group ring, in place, dropping zeros;
@@ -266,9 +263,9 @@ def decompose(ch: CharElt) -> dict:
     non-invariant input from an internal error.
 
     The rebuild reads chi_lam from the cache of alternant divisions.
-    Cold, those divisions dominate from rank 4 on, and non-invariant
-    input pays them for spurious labels before the invariance test;
-    ROADMAP direction 3 has the measurements.
+    Cold, those divisions dominate from rank 4 on (a cold C_5 decompose
+    of chi_w1 chi_w1 chi_w2 takes 17.1 s), and non-invariant input pays
+    them for spurious labels before the invariance test.
     """
     if ch.is_zero:
         return {}

@@ -384,7 +384,7 @@ def cmd_verify_positivity(args):
                 continue
             checked += 1
             poly = kostka_poly(data, lam, mu)
-            bad = kostka_defect(lam, mu, poly)
+            bad = kostka_defect(data, lam, mu, poly)
             if bad:
                 failures.append(
                     {"lambda": [list(lam[0]), list(lam[1])],

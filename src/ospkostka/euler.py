@@ -30,7 +30,14 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add, sub
 
-from .characters import CharElt, _rho_reflection, irreducible_character, outer, zero_char
+from .characters import (
+    CharElt,
+    _irreducible_character,
+    _rho_reflection,
+    dual_label,
+    outer,
+    zero_char,
+)
 from .kostka import kostka, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _dominates
 from .roots import EnumerationTooLargeError, GroupType, dominant_weights, rho
@@ -47,20 +54,17 @@ def _qmax_guard(data: OspRootData, qmax: int):
         )
 
 
-@lru_cache(maxsize=256)
-def _dual_character(gtype: GroupType, lam) -> CharElt:
-    """Dual of the irreducible character with highest weight lam.  Shared
-    between callers, so it must not be mutated."""
-    return irreducible_character(gtype, lam).negated_weights()
-
-
 def _expand(data: OspRootData, table, qmax: int):
     """The characters of a label table, degree by degree: one outer
-    product per label whose row is nonzero."""
+    product per label whose row is nonzero, of duals read by label from
+    the irreducible-character cache that decompose's rebuild shares."""
     out = [zero_char((data.type0, data.type1)) for _ in range(qmax + 1)]
     for (lam0, lam1), row in table.items():
         if any(row):
-            ch = outer(_dual_character(data.type0, lam0), _dual_character(data.type1, lam1))
+            ch = outer(
+                _irreducible_character(data.type0, dual_label(data.type0, lam0)),
+                _irreducible_character(data.type1, dual_label(data.type1, lam1)),
+            )
             for d, c in enumerate(row):
                 if c:
                     out[d].add_scaled(ch, c)

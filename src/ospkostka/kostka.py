@@ -335,8 +335,14 @@ def partition_support_table(data: OspRootData, dmax: int):
     return {alpha: tuple(counts) for alpha, counts in table.items()}
 
 
-def kostka_defect(lam_pair, mu_pair, poly: QPoly):
-    """Why poly cannot be K_{lam,mu} for lam >= mu, or None if it can."""
+def kostka_defect(data: OspRootData, lam_pair, mu_pair, poly: QPoly):
+    """Why poly cannot be K_{lam,mu}, or None if it can.  lam >= mu iff
+    lam - mu has simple odd-root coordinates.  K vanishes unless it has;
+    then K is monic of degree ht(lam - mu), the coordinate sum, with only
+    powers of that parity."""
+    coords = simple_root_coordinates(data, BiWeight(*lam_pair) - BiWeight(*mu_pair))
+    if coords is None:
+        return "nonzero off the dominance cone" if poly else None
     if any(c < 0 for c in poly.coeffs):
         return "negative coefficient"
     if not poly:
@@ -345,6 +351,11 @@ def kostka_defect(lam_pair, mu_pair, poly: QPoly):
         return "nonzero constant term off the diagonal"
     if lam_pair == mu_pair and poly.coeffs != (1,):
         return "diagonal value is not 1"
+    ht = sum(coords)
+    if poly.degree != ht or poly[ht] != 1:
+        return "not monic of degree ht(lambda - mu)"
+    if any(poly.coeffs[(ht + 1) % 2 :: 2]):
+        return "a power of the wrong parity"
     return None
 
 
@@ -382,20 +393,6 @@ def kostka_memo_import(entries):
         except ValueError:
             continue
         poly = QPoly(tuple(coeffs))
-        # lam >= mu iff lam - mu has simple odd-root coordinates.  K vanishes
-        # unless it has; then K has no defect, and it is monic of degree
-        # ht(lam - mu), the coordinate sum, with only powers of that parity.
-        coords = simple_root_coordinates(data, BiWeight(lam0, lam1) - BiWeight(mu0, mu1))
-        if coords is None:
-            if poly:
-                continue
-        else:
-            ht = sum(coords)
-            if (
-                kostka_defect((lam0, lam1), (mu0, mu1), poly)
-                or len(poly.coeffs) != ht + 1
-                or poly[ht] != 1
-                or any(poly.coeffs[(ht + 1) % 2 :: 2])
-            ):
-                continue
+        if kostka_defect(data, (lam0, lam1), (mu0, mu1), poly):
+            continue
         _kostka_memo[(N, lam0, lam1, mu0, mu1)] = poly

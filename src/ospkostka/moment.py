@@ -8,10 +8,11 @@ X^t = G_a^{-1} X^T G_b, i.e. (v, X^t w)_a = (X v, w)_b, and the double
 adjoint of a map out of V_0 is -X because exactly one Gram is skew.
 
 The matrix kernels (`mat_mul`, `adjoint`, `q0`, `q1`, the Berkowitz
-`char_poly`, `pfaffian`) never divide: on int matrices they return ints,
-on Fraction matrices Fractions.  `row_reduce` is fraction-free Bareiss
-elimination on integers, shared with `oddroots.ConeSolver`;
-`mat_inverse` clears denominators, calls it and divides once.
+`char_poly`) never divide: on int matrices they return ints, on Fraction
+matrices Fractions.  `row_reduce` is fraction-free Bareiss elimination on
+integers, shared with `oddroots.ConeSolver`; `mat_inverse` clears
+denominators, calls it and divides once.  `pfaffian` is the same
+elimination on the skew form, so its divisions are exact too.
 
 The random draws are rational.  `moment_check` clears their denominators
 once and checks every identity on integers.  Each identity is
@@ -26,14 +27,6 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .roots import EnumerationTooLargeError
-
-# Largest even N accepted.  One even trial costs about 21 ms at N=12 and
-# 0.25 s at N=14: the Pfaffian expands (dim0 - 1)!! terms, about 12x per
-# even step, so the default 1,000 trials would take 4 minutes at N=14 and
-# an hour at N=16.  Odd N has no Pfaffian and no guard (under 5 ms per
-# trial up to N=15).
-MOMENT_N_GUARD = 12
 
 class FormsSpec(namedtuple("FormsSpec", "N")):
     __slots__ = ()
@@ -212,8 +205,13 @@ def char_poly(M):
 
 
 def pfaffian(M):
-    """Pfaffian of an antisymmetric even-dimensional matrix, by recursive
-    expansion along the first remaining row."""
+    """Pfaffian of an antisymmetric even-dimensional matrix, by fraction-free
+    elimination on the skew form.  Each step pivots on p = a_01, after
+    swapping index 1 with the first j where a_0j != 0 (row and column,
+    flipping the sign; with none, Pf = 0), and sets each remaining entry to
+    a_ij = (p a_ij - a_0i a_1j + a_1i a_0j) / prev, the Pfaffian of a principal
+    submatrix: the division is exact, as in `row_reduce`, and the last pivot
+    times the sign is Pf.  Non-int input is cleared of its denominators once."""
     k = len(M)
     if any(len(row) != k for row in M):
         raise ValueError("matrix is not square")
@@ -223,22 +221,28 @@ def pfaffian(M):
         for j in range(k):
             if M[i][j] != -M[j][i]:
                 raise ValueError("matrix is not antisymmetric")
-
-    def rec(indices):
-        if not indices:
-            return 1
-        i = indices[0]
-        rest = indices[1:]
-        total = 0
-        for pos, j in enumerate(rest):
-            x = M[i][j]
-            if x:
-                remaining = rest[:pos] + rest[pos + 1 :]
-                term = x * rec(remaining)
-                total += term if pos % 2 == 0 else -term
-        return total
-
-    return rec(tuple(range(k)))
+    if all(type(x) is int for row in M for x in row):
+        d, a = 1, [list(row) for row in M]
+    else:
+        d, a = clear_denominators(M)
+    sign = prev = 1
+    while a:
+        if not a[0][1]:
+            j = next((j for j, x in enumerate(a[0]) if x), None)
+            if j is None:
+                return 0
+            a[1], a[j] = a[j], a[1]
+            for row in a:
+                row[1], row[j] = row[j], row[1]
+            sign = -sign
+        top, second = a[0][2:], a[1][2:]
+        p = a[0][1]
+        a = [
+            [(p * x - f * y + g * z) // prev for x, y, z in zip(row[2:], second, top)]
+            for f, g, row in zip(top, second, a[2:])
+        ]
+        prev = p
+    return sign * prev if d == 1 else Fraction(sign * prev, d ** (k // 2))
 
 
 def determinant(M):
@@ -342,10 +346,6 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
     add up to the whole.  Returns a dict of counters; all checks are exact
     so any failure is structural."""
     spec = FormsSpec(N)
-    if spec.parity == "even" and N > MOMENT_N_GUARD:
-        raise EnumerationTooLargeError(
-            f"enumeration too large: even N={N} exceeds guard {MOMENT_N_GUARD}"
-        )
     report = {
         "N": N,
         "trials": trials,

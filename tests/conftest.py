@@ -3,7 +3,8 @@ DP code paths: literal multiset enumeration, literal signed sums, a
 plain Fraction linear solve, the partition recursion with no root sort
 and no dead-state cut, the odd root system and the orbit labels
 written out family by family, the moment-map battery in Fraction
-arithmetic with the explicit symplectic Gram, character
+arithmetic with the explicit symplectic Gram, the Pfaffian as its
+full expansion, character
 decomposition by multiplying with A_rho, the Weyl dimension formula
 as a product of Fractions, and both Euler series summed as whole
 characters (one Euler line per alpha, one dual character per Kostka
@@ -326,6 +327,27 @@ def faddeev_char_poly(M):
         coeffs.append(c)
         B = [[x + c * (r == j) for j, x in enumerate(row)] for r, row in enumerate(MB)]
     return tuple(coeffs)
+
+
+def pfaffian_expansion(M):
+    """Pfaffian of an antisymmetric even-dimensional matrix, by recursive
+    expansion along the first remaining row: (k - 1)!! terms."""
+
+    def rec(indices):
+        if not indices:
+            return 1
+        i = indices[0]
+        rest = indices[1:]
+        total = 0
+        for pos, j in enumerate(rest):
+            x = M[i][j]
+            if x:
+                remaining = rest[:pos] + rest[pos + 1 :]
+                term = x * rec(remaining)
+                total += term if pos % 2 == 0 else -term
+        return total
+
+    return rec(tuple(range(len(M))))
 
 
 def gram_q0(spec, A):

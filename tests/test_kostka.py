@@ -520,6 +520,10 @@ def test_memo_import_checks_n_before_building_root_data(empty_memo, monkeypatch)
     assert built == [] and empty_memo == {}
 
 
+# N=3 labels: a lies one simple odd root above b = 0, c two (K_cb = q^2)
+N3_LABELS = {"a": ((1,), (1,)), "b": ((0,), (0,)), "c": ((2,), (2,))}
+
+
 @pytest.mark.parametrize(
     "lam, mu, coeffs, reason",
     [
@@ -529,7 +533,13 @@ def test_memo_import_checks_n_before_building_root_data(empty_memo, monkeypatch)
         ("a", "b", (), "vanishes on the dominance cone"),
         ("a", "b", (1, 1), "nonzero constant term off the diagonal"),
         ("a", "a", (0, 1), "diagonal value is not 1"),
+        ("b", "a", (), None),
+        ("b", "a", (0, 1), "nonzero off the dominance cone"),
+        ("a", "b", (0, 2), "not monic of degree ht(lambda - mu)"),
+        ("c", "b", (0, 0, 1, 1), "not monic of degree ht(lambda - mu)"),
+        ("c", "b", (0, 1, 1), "a power of the wrong parity"),
     ],
 )
 def test_kostka_defect(lam, mu, coeffs, reason):
-    assert kostka_defect(lam, mu, QPoly(coeffs)) == reason
+    data = osp_root_data(3)
+    assert kostka_defect(data, N3_LABELS[lam], N3_LABELS[mu], QPoly(coeffs)) == reason
