@@ -14,9 +14,13 @@ The combinatorial side reads K_{lam,mu}(q) from the Lusztig-Kato Weyl sum
 over the dominance cone above mu.  Every odd root has sup-norm one and
 signed permutations preserve the sup-norm, so a contributing lambda at
 degree <= qmax satisfies lam[0] <= mu[0] + qmax on each factor; that bound
-makes the enumeration provably complete.  Reindexed by alpha instead of
-by w, the Weyl sum is the geometric table term for term, so this side
-keeps the Weyl sum: the comparison would otherwise be a tautology.
+makes the enumeration provably complete.  Every odd root also has l1 norm
+one on each factor, and signed permutations preserve the l1 norm, so
+K_{lam,mu} has no term below degree max_t(|lam_t+rho_t|_1 - |mu_t+rho_t|_1);
+a label whose floor exceeds qmax skips the Weyl sum.  Reindexed by alpha
+instead of by w, the Weyl sum is the geometric table term for term, so
+this side keeps the Weyl sum: the comparison would otherwise be a
+tautology.
 
 verify_bryl compares the tables in exact integers, label by label and
 degree by degree.  Irreducible characters are linearly independent, so
@@ -38,7 +42,7 @@ from .characters import (
     outer,
     zero_char,
 )
-from .kostka import kostka, partition_support_table
+from .kostka import kostka, kostka_degree_floor, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _dominates
 from .roots import EnumerationTooLargeError, GroupType, dominant_weights, rho
 
@@ -132,9 +136,12 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
 
 def _rhs_table(data: OspRootData, mu, qmax: int):
     """Combinatorial side as a label table: the Weyl-sum K_{lam,mu}
-    truncated at qmax, for each cone label where that is nonzero."""
+    truncated at qmax, for each cone label where that is nonzero.  Labels
+    whose degree floor exceeds qmax are zero there and skip the sum."""
     table = {}
     for lam in dominant_cone_labels(data, mu, qmax):
+        if kostka_degree_floor(data, lam, mu) > qmax:
+            continue
         coeffs = kostka(data, lam, mu).coeffs[: qmax + 1]
         if any(coeffs):
             table[lam] = list(coeffs) + [0] * (qmax + 1 - len(coeffs))

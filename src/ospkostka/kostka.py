@@ -21,10 +21,27 @@ residuals never go negative because every root expands nonnegatively
 (checked on construction).  The order makes the cut bite early: once the
 roots with a positive first coordinate are peeled, any residual still
 positive there is dead.  L_alpha(q) does not depend on the root order.
+
+The Weyl sum is separable.  The cone solve is linear, so the raw row sums
+of arg0 + arg1 (the coordinates times the solver's scale, before any
+division) are those of arg0 placed at offset 0 plus those of arg1 placed
+after it, and likewise for the consistency (check) rows.  Each counter
+keeps, per (factor, lam_t, mu_t), that factor's Weyl terms with their
+sums, built once; the side-1 terms are also sorted by each row's sum.
+For a side-0 term only the side-1 terms with raw0[i] + raw1[i] >= 0 can
+land in the cone, and a bisection at -raw0[i] finds them on every row i;
+the row that leaves the fewest survivors is walked.  The cut is exact:
+a pair it drops has a negative coordinate or fails a check row, so L is
+zero there.  A survivor whose check sums add to zero and whose row sums
+are all nonnegative goes to l_poly_flat on the concatenated argument,
+whose exact solve stays the only test of divisibility and of cone
+membership.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
+from operator import add, itemgetter
 
 from .oddroots import (
     BiWeight,
@@ -150,6 +167,32 @@ class PartitionCounter:
             for k in range(len(coords) + 1)
         ]
         self._memo = {}
+        self._weyl_terms = {}
+
+    def weyl_terms(self, factor, gtype, rho_t, lam, mu):
+        """One factor's Weyl terms (arg, sign, check sums, row sums) of the
+        Lusztig-Kato sum, built once per (factor, lam, mu); gtype and rho_t
+        are fixed for one counter.  arg is placed at offset 0 for factor 0
+        and at the end of the lattice for factor 1.  For factor 1 the value
+        is one (sorted row-i sums, terms sorted by them) pair per row i."""
+        key = (factor, lam, mu)
+        terms = self._weyl_terms.get(key)
+        if terms is not None:
+            return terms
+        solver = self._solver
+        offset = solver.dim - len(lam) if factor else 0
+        terms = [
+            (arg, s, *solver.part_sums(arg, offset))
+            for arg, s in _weyl_arguments(gtype, rho_t, lam, mu)
+        ]
+        if factor:
+            by_row = []
+            for i in range(len(terms[0][3])):
+                ordered = sorted(terms, key=lambda t: t[3][i])
+                by_row.append(([t[3][i] for t in ordered], ordered))
+            terms = by_row
+        self._weyl_terms[key] = terms
+        return terms
 
     def l_poly_flat(self, flat) -> QPoly:
         coords = self._solver.coordinates(flat)
@@ -302,11 +345,22 @@ def _weyl_arguments(gtype, rho_t, lam, mu):
 
 
 def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
+    """The signed sum of L(arg0 + arg1) over W0 x W1, over the pairs that
+    survive the sorted cut of the module docstring."""
     l_poly_flat = counter.l_poly_flat
-    side1 = _weyl_arguments(type1, rho1, lam1, mu1)
+    side0 = counter.weyl_terms(0, type0, rho0, lam0, mu0)
+    by_row = counter.weyl_terms(1, type1, rho1, lam1, mu1)
+    first = itemgetter(0)
     acc = []
-    for arg0, s0 in _weyl_arguments(type0, rho0, lam0, mu0):
-        for arg1, s1 in side1:
+    for arg0, s0, checks0, raw0 in side0:
+        # every row's survivors are a suffix of its sorted list: take the shortest
+        start, ordered = max(
+            ((bisect_left(sums, -r), ordered) for (sums, ordered), r in zip(by_row, raw0)),
+            key=first,
+        )
+        for arg1, s1, checks1, raw1 in ordered[start:]:
+            if any(map(add, checks0, checks1)) or min(map(add, raw0, raw1)) < 0:
+                continue
             part = l_poly_flat(arg0 + arg1).coeffs
             if len(part) > len(acc):
                 acc.extend([0] * (len(part) - len(acc)))
@@ -333,6 +387,18 @@ def partition_support_table(data: OspRootData, dmax: int):
                         table[target] = [0] * (dmax + 1)
                     table[target][d] += c
     return {alpha: tuple(counts) for alpha, counts in table.items()}
+
+
+def kostka_degree_floor(data: OspRootData, lam_pair, mu_pair) -> int:
+    """A degree below which K_{lam,mu} has no term: the larger over the two
+    factors of |lam_t + rho_t|_1 - |mu_t + rho_t|_1.  Every odd root has l1
+    norm one on each factor, so a degree-d term of L_alpha has
+    |alpha_t|_1 <= d, and signed permutations keep the l1 norm of
+    w(lam_t + rho_t)."""
+    return max(
+        sum(map(abs, map(add, lam_t, rho_t))) - sum(map(abs, map(add, mu_t, rho_t)))
+        for lam_t, mu_t, rho_t in zip(lam_pair, mu_pair, (data.rho0, data.rho1))
+    )
 
 
 def kostka_defect(data: OspRootData, lam_pair, mu_pair, poly: QPoly):

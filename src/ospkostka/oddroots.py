@@ -210,6 +210,21 @@ class ConeSolver:
             out.append(c)
         return tuple(out)
 
+    def part_sums(self, part, offset):
+        """(check-row sums, row sums) of the vector that equals `part` from
+        position `offset` on and is zero elsewhere, with no divmod.  Both
+        are linear, so the sums of two parts placed side by side add up to
+        those of the whole vector: it has coordinates exactly when its
+        check sums vanish and its row sums are nonnegative multiples of
+        `scale`, the coordinates times `scale`."""
+        end = offset + len(part)
+        if offset < 0 or end > self.dim:
+            raise ValueError("part does not fit the lattice rank at this offset")
+        return (
+            tuple(sum(map(mul, row[offset:end], part)) for row in self._checks),
+            tuple(sum(map(mul, row[offset:end], part)) for row in self._rows),
+        )
+
 
 @lru_cache(maxsize=None)
 def _simple_solver(data: OspRootData) -> ConeSolver:

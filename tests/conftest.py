@@ -1,7 +1,8 @@
 """Shared brute-force oracles, deliberately independent of the library's
 DP code paths: literal multiset enumeration, literal signed sums, a
 plain Fraction linear solve, the partition recursion with no root sort
-and no dead-state cut, the odd root system and the orbit labels
+and no dead-state cut, the Lusztig-Kato sum with one cone solve per Weyl
+pair, the odd root system and the orbit labels
 written out family by family, the moment-map battery in Fraction
 arithmetic with the explicit symplectic Gram, the Pfaffian as its
 full expansion, character
@@ -29,7 +30,7 @@ from ospkostka.characters import (
     zero_char,
 )
 from ospkostka.euler import dominant_cone_labels, euler_line
-from ospkostka.kostka import kostka, partition_support_table
+from ospkostka.kostka import QPoly, _weyl_arguments, kostka, partition_support_table
 from ospkostka.oddroots import BiWeight, odd_positive_roots
 from ospkostka.roots import positive_roots, rho
 
@@ -120,6 +121,21 @@ def unpruned_l_coeffs(roots, simples, flat):
         return ()
     root_coords = [cone_coordinates_oracle(columns, b.flat()) for b in roots]
     return unpruned_partition_counts(root_coords, coords)
+
+
+def per_pair_lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
+    """What kostka._lusztig_kato_sum must return: the signed sum of
+    counter.l_poly_flat over every pair of Weyl arguments, so each of the
+    |W0| * |W1| pairs gets its own cone solve and nothing is cut."""
+    acc = []
+    side1 = _weyl_arguments(type1, rho1, lam1, mu1)
+    for arg0, s0 in _weyl_arguments(type0, rho0, lam0, mu0):
+        for arg1, s1 in side1:
+            part = counter.l_poly_flat(arg0 + arg1).coeffs
+            acc.extend([0] * (len(part) - len(acc)))
+            for d, c in enumerate(part):
+                acc[d] += s0 * s1 * c
+    return QPoly(tuple(acc))
 
 
 def fraction_solve(columns, vector):

@@ -134,6 +134,8 @@ def test_criterion_6_stalk_tables():
                 dim_mu = orbit_dim(data, mu)
                 if lam == mu:
                     assert table == ((-dim_lam, 1),), (N, lam)
+                # K is monic of degree dim O_lam - dim O_mu
+                assert table[-1] == (-dim_lam, 1), (N, lam, mu, table)
                 for degree, m in table:
                     i = -degree
                     assert m > 0 and i <= dim_lam, (N, lam, mu, table)

@@ -9,6 +9,7 @@ from conftest import (
     brute_force_l_coeffs,
     brute_force_partition_table,
     fraction_rank,
+    per_pair_lusztig_kato_sum,
     unpruned_l_coeffs,
 )
 from ospkostka.kostka import (
@@ -19,6 +20,7 @@ from ospkostka.kostka import (
     kostka,
     kostka_custom,
     kostka_defect,
+    kostka_degree_floor,
     kostka_memo_export,
     kostka_memo_import,
     l_poly,
@@ -368,8 +370,101 @@ def test_kostka_custom_non_square_simple_set():
     ) == QPoly((0, 0, 1, 1, 1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kostka_matches_per_pair_sum(data):
+    """kostka, past its memo, against one cone solve per Weyl pair at
+    N=3..8 on the box-2 labels; the counter keeps its Weyl terms across
+    examples, so later draws also run on reused terms."""
+    N = data.draw(st.integers(min_value=3, max_value=8), label="N")
+    rd = osp_root_data(N)
+    labels = list(iproduct(dominant_weights(rd.type0, 2), dominant_weights(rd.type1, 2)))
+    lam = data.draw(st.sampled_from(labels), label="lambda")
+    mu = data.draw(st.sampled_from(labels), label="mu")
+    expected = per_pair_lusztig_kato_sum(
+        kostka_module._counter(rd), rd.type0, rd.rho0, rd.type1, rd.rho1, *lam, *mu
+    )
+    event(f"N={N}, " + ("nonzero" if expected else "zero"))
+    kostka_module._kostka_memo.pop((N, *lam, *mu), None)
+    assert kostka(rd, lam, mu) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kostka_custom_matches_per_pair_sum(data):
+    """kostka_custom against one cone solve per Weyl pair, with simple
+    sets that span a proper sublattice (so the solver has check rows),
+    arbitrary rho, and lambda either arbitrary or mu plus a few roots."""
+    rank0 = data.draw(st.integers(min_value=1, max_value=2))
+    rank1 = data.draw(st.integers(min_value=1, max_value=2))
+    dim = rank0 + rank1
+    k = data.draw(st.integers(min_value=1, max_value=dim - 1), label="simples")
+    vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+    columns = data.draw(st.lists(vector, min_size=k, max_size=k))
+    if fraction_rank(columns) < k:
+        columns = [[int(i == j) for i in range(dim)] for j in range(k)]
+    simples = [_split(c, rank0) for c in columns]
+
+    def combination(coeffs):
+        return tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim))
+
+    # one coefficient raised by 1, so that no root is zero
+    nonzero = st.tuples(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=k, max_size=k),
+        st.integers(min_value=0, max_value=k - 1),
+    ).map(lambda t: [c + (i == t[1]) for i, c in enumerate(t[0])])
+    drawn = data.draw(st.lists(nonzero, min_size=1, max_size=4))
+    roots = [_split(combination(c), rank0) for c in drawn]
+    family = st.sampled_from("CD")
+    type0 = GroupType(data.draw(family), rank0)
+    type1 = GroupType(data.draw(family), rank1)
+    entry = st.integers(min_value=-2, max_value=3)
+    rho_flat = tuple(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
+    mu_flat = tuple(data.draw(vector))
+    if data.draw(st.booleans(), label="lambda above mu"):
+        parts = data.draw(st.lists(st.sampled_from(roots), max_size=3))
+        lam_flat = tuple(map(sum, zip(mu_flat, *(b.flat() for b in parts))))
+    else:
+        lam_flat = tuple(data.draw(vector))
+    rho_pair, lam, mu = (_split(v, rank0) for v in (rho_flat, lam_flat, mu_flat))
+    expected = per_pair_lusztig_kato_sum(
+        PartitionCounter(roots, simples), type0, rho_pair.eps, type1, rho_pair.delta, *lam, *mu
+    )
+    event("nonzero" if expected else "zero")
+    got = kostka_custom(RootSet(tuple(roots)), simples, type0, type1, rho_pair, lam, mu)
+    assert got == expected
+
+
+def test_kostka_custom_calls_do_not_share_weyl_terms():
+    """Two root sets over different simple sets, with the same lambda, mu
+    and rho: each call gets its own counter and its own Weyl terms, whose
+    row sums depend on the simple set, so neither call may see the other
+    call's terms, in either order.  lambda - mu = eps_1 is off the
+    sublattice, so the sublattice's check sums would cut the pair that
+    gives q over the full lattice."""
+    s1, s2 = biweight((1, 0), (1,)), biweight((0, 1), (1,))
+    e1, e2, e3 = biweight((1, 0), (0,)), biweight((0, 1), (0,)), biweight((0, 0), (1,))
+    type0, type1 = GroupType("D", 2), GroupType("C", 1)
+    rho_pair = (rho(type0), rho(type1))
+    lam, mu = ((1, 0), (0,)), ((0, 0), (0,))
+    cases = {
+        "sublattice": ((s1, s2, s1 + s2), [s1, s2], QPoly.zero()),
+        "full": ((e1, e2, e3, s1, s2), [e1, e2, e3], QPoly((0, 1))),
+    }
+    for roots, simples, expected in cases.values():
+        assert expected == per_pair_lusztig_kato_sum(
+            PartitionCounter(roots, simples), type0, rho_pair[0], type1, rho_pair[1], *lam, *mu
+        )
+    for order in (("sublattice", "full"), ("full", "sublattice")):
+        for name in order:
+            roots, simples, expected = cases[name]
+            got = kostka_custom(RootSet(roots), simples, type0, type1, rho_pair, lam, mu)
+            assert got == expected, order
+
+
 def test_kostka_n9_cold_example():
-    """At N=9 the Weyl sum visits |W(D_4)| * |W(C_4)| = 73,728 pairs."""
+    """At N=9 the Weyl sum has |W(D_4)| * |W(C_4)| = 73,728 pairs; the
+    sorted cut leaves only the 33 in the cone for l_poly_flat."""
     data = osp_root_data(9)
     poly = kostka(data, ((1, 0, 0, 0), (1, 0, 0, 0)), ((0,) * 4, (0,) * 4))
     assert str(poly) == "q + q^3 + q^5 + 2*q^7 + q^9 + q^11 + q^13"
@@ -489,12 +584,10 @@ def test_memo_import_keeps_possible_entries(empty_memo):
     }
 
 
-def test_kostka_degree_is_the_odd_root_height():
-    """For dominant lam >= mu, K_{lam,mu} is monic of degree ht(lam - mu),
-    the sum of the simple odd-root coordinates, and only powers of that
-    parity occur: on every comparable pair of the box-2 labels at N=3..6
-    and of the box-1 labels at N=7."""
-    pairs = 0
+def comparable_box_pairs():
+    """(data, lam, mu, simple odd-root coordinates of lam - mu) for every
+    comparable pair of the box-2 labels at N=3..6 and of the box-1 labels
+    at N=7."""
     for N, box in ((3, 2), (4, 2), (5, 2), (6, 2), (7, 1)):
         data = osp_root_data(N)
         labels = list(iproduct(dominant_weights(data.type0, box), dominant_weights(data.type1, box)))
@@ -502,14 +595,38 @@ def test_kostka_degree_is_the_odd_root_height():
             for mu in labels:
                 coords = simple_root_coordinates(data, biweight(*lam) - biweight(*mu))
                 assert (coords is not None) == dominance_ge(data, lam, mu)
-                if coords is None:
-                    continue
-                ht = sum(coords)
-                coeffs = kostka(data, lam, mu).coeffs
-                assert len(coeffs) == ht + 1 and coeffs[ht] == 1, (N, lam, mu)
-                assert not any(coeffs[(ht + 1) % 2 :: 2]), (N, lam, mu)
-                pairs += 1
+                if coords is not None:
+                    yield data, lam, mu, coords
+
+
+def test_kostka_degree_is_the_odd_root_height():
+    """For dominant lam >= mu, K_{lam,mu} is monic of degree ht(lam - mu),
+    the sum of the simple odd-root coordinates, and only powers of that
+    parity occur."""
+    pairs = 0
+    for data, lam, mu, coords in comparable_box_pairs():
+        ht = sum(coords)
+        coeffs = kostka(data, lam, mu).coeffs
+        assert len(coeffs) == ht + 1 and coeffs[ht] == 1, (data.N, lam, mu)
+        assert not any(coeffs[(ht + 1) % 2 :: 2]), (data.N, lam, mu)
+        pairs += 1
     assert pairs == 2371
+
+
+def test_kostka_has_no_term_below_the_degree_floor():
+    """On the same pairs, the lowest nonzero degree of K_{lam,mu} is at
+    least max_t(|lam_t + rho_t|_1 - |mu_t + rho_t|_1).  The floor is
+    positive on 2,091 of the 2,371 pairs and is the lowest degree on
+    1,946."""
+    positive = reached = 0
+    for data, lam, mu, _ in comparable_box_pairs():
+        coeffs = kostka(data, lam, mu).coeffs
+        low = next(d for d, c in enumerate(coeffs) if c)
+        floor = kostka_degree_floor(data, lam, mu)
+        assert low >= floor, (data.N, lam, mu)
+        positive += floor > 0
+        reached += low == floor
+    assert (positive, reached) == (2091, 1946)
 
 
 def test_memo_import_checks_n_before_building_root_data(empty_memo, monkeypatch):

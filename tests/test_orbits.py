@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import dominant_in_box_oracle, orbit_oracle, orbit_side_types
-from ospkostka.oddroots import osp_root_data
+from ospkostka.oddroots import biweight, osp_root_data, simple_root_coordinates
 from ospkostka.orbits import (
     OrbitLabel,
     SignatureSeq,
@@ -71,6 +71,27 @@ def test_validate_label_matches_family_oracle(N):
                 message = f"{name} {x} is not a dominant {family}_{rank} coweight"
                 with pytest.raises(ValueError, match=re.escape(message)):
                     validate_label(data, label(x))
+
+
+def test_orbit_dim_gap_is_the_odd_root_height():
+    """orbit_dim and the simple odd-root coordinates share no code: on every
+    pair of the box-2 labels at N=3..7, mu lies in the closure of lam iff
+    lam - mu has coordinates, and then dim O_lam - dim O_mu is their sum."""
+    closure_pairs = 0
+    for N in range(3, 8):
+        data = osp_root_data(N)
+        labels = [
+            (o, orbit_dim(data, o), biweight(*order_pair(data, o)))
+            for o in orbit_labels_in_box(data, 2)
+        ]
+        for lam, dim_lam, weight_lam in labels:
+            for mu, dim_mu, weight_mu in labels:
+                coords = simple_root_coordinates(data, weight_lam - weight_mu)
+                assert (coords is not None) == closure_le(data, mu, lam), (N, lam, mu)
+                if coords is not None:
+                    assert sum(coords) == dim_lam - dim_mu, (N, lam, mu)
+                    closure_pairs += 1
+    assert closure_pairs == 6331
 
 
 def test_orbit_dim_examples():
