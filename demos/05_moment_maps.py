@@ -1,15 +1,14 @@
-"""Moment-map identities in exact rational arithmetic.
+"""Moment-map identities in exact integer arithmetic.
 
 For A in Hom(V_0, V_1) the compositions A^t A and A A^t land in so(V_0)
 and sp(V_1).  Their characteristic polynomials agree (odd N) or differ by
 a factor z^2 (even N), the Pfaffian of A^t A vanishes identically in the
 even case, and in the odd case the entries of A^t A recover the classical
 quadratic invariants of the symplectic group.  All of it is checked on
-seeded random rational matrices; nothing is approximate.
+seeded random integer matrices; nothing is approximate.
 """
 
 import random
-from fractions import Fraction
 
 from ospkostka import FormsSpec, adjoint, char_poly, moment_check, pfaffian, q0, q1
 from ospkostka.moment import mat_eq, mat_scale, random_hom
@@ -25,7 +24,7 @@ print("Pfaffian of A^t A:", pfaffian(q0(spec, A)))
 
 # the double adjoint picks up a sign from the symplectic form
 back = adjoint(spec, adjoint(spec, A), source=1)
-print("adjoint(adjoint(A)) == -A:", mat_eq(back, mat_scale(A, Fraction(-1))))
+print("adjoint(adjoint(A)) == -A:", mat_eq(back, mat_scale(A, -1)))
 
 print()
 for N in (3, 4, 5, 6):

@@ -436,7 +436,7 @@ def _parallel_moment(N, trials, seed, jobs):
     try:
         import multiprocessing
 
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+        with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
             return pool.starmap(moment.moment_check, tasks)
     except (ImportError, OSError):
         return [moment.moment_check(*t) for t in tasks]

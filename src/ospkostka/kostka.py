@@ -125,7 +125,7 @@ class QPoly(namedtuple("QPoly", "coeffs")):
         return " + ".join(parts)
 
 
-# Shared result for the many Weyl-sum arguments outside the cone.
+# Shared result for an l_poly argument outside the cone.
 _ZERO = QPoly(())
 
 

@@ -10,15 +10,14 @@ adjoint of a map out of V_0 is -X because exactly one Gram is skew.
 The matrix kernels (`mat_mul`, `adjoint`, `q0`, `q1`, the Berkowitz
 `char_poly`) never divide: on int matrices they return ints, on Fraction
 matrices Fractions.  `row_reduce` is fraction-free Bareiss elimination on
-integers, shared with `oddroots.ConeSolver`; `mat_inverse` clears
-denominators, calls it and divides once.  `pfaffian` is the same
-elimination on the skew form, so its divisions are exact too.
+integers, shared with `oddroots.ConeSolver` and the Cayley transform that
+draws the group elements; `mat_inverse` clears denominators, calls it and
+divides once.  `pfaffian` is the same elimination on the skew form, so
+its divisions are exact too.
 
-The random draws are rational.  `moment_check` clears their denominators
-once and checks every identity on integers.  Each identity is
-homogeneous in A (and in the group elements, once their scalar
-denominators are cross-multiplied), so the integer check is exact and
-equivalent to the rational one.
+The battery draws integer matrices, and each group element g as (d, G)
+with g = G / d.  Every identity is polynomial and homogeneous, so an
+integer draw tests it exactly as a rational one would.
 """
 
 import random
@@ -291,60 +290,58 @@ def verify_fft_generators(spec: FormsSpec, A) -> bool:
     return True
 
 
-def random_rational_matrix(rng: random.Random, rows: int, cols: int):
-    return [
-        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
-        for _ in range(rows)
-    ]
-
-
 def random_hom(spec: FormsSpec, rng: random.Random):
-    """Random rational A in Hom(V_0, V_1)."""
-    return random_rational_matrix(rng, spec.dim1, spec.dim0)
+    """Random integer A in Hom(V_0, V_1)."""
+    return [[rng.randint(-9, 9) for _ in range(spec.dim0)] for _ in range(spec.dim1)]
+
+
+def _cayley(S):
+    """Cayley transform (I - S)(I + S)^{-1} of an integer matrix S as
+    (d, G) with the transform G / d, or None when I + S is singular.
+    `row_reduce` gives E (I + S) = d I, so G = (I - S) E."""
+    eye = identity(len(S))
+    reduced = row_reduce(mat_add(eye, S))
+    if reduced is None:
+        return None
+    d, E = reduced
+    return d, mat_mul(mat_sub(eye, S), E)
 
 
 def random_special_orthogonal(spec: FormsSpec, rng: random.Random):
-    """Cayley transform of a random rational skew matrix: lands in
-    SO(dim0) because real skew matrices have no eigenvalue -1 and the
-    transform preserves the form with determinant one."""
+    """(d, G) with G / d in SO(dim0): the Cayley transform of a random
+    integer skew matrix, which has no eigenvalue -1."""
     n = spec.dim0
     S = zeros(n, n)
     for i in range(n):
         for j in range(i + 1, n):
-            x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            x = rng.randint(-3, 3)
             S[i][j] = x
             S[j][i] = -x
-    eye = identity(n)
-    return mat_mul(mat_sub(eye, S), mat_inverse(mat_add(eye, S)))
+    return _cayley(S)
 
 
 def random_symplectic(spec: FormsSpec, rng: random.Random):
-    """Cayley transform of a random element of sp(V_1); resamples until
-    I + S is invertible (sp elements can have real spectrum)."""
+    """(d, G) with G / d in Sp(V_1): the Cayley transform of a random
+    integer S in sp(V_1), resampled while I + S is singular."""
     n = spec.dim1
     while True:
         P = zeros(n, n)
         for i in range(n):
             for j in range(i, n):
-                x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                x = rng.randint(-3, 3)
                 P[i][j] = x
                 P[j][i] = x
-        S = _minus_j(P)  # J^{-1} P
-        eye = identity(n)
-        try:
-            inverse = mat_inverse(mat_add(eye, S))
-        except ValueError:  # I + S is singular
-            continue
-        return mat_mul(mat_sub(eye, S), inverse)
+        g = _cayley(_minus_j(P))  # S = J^{-1} P
+        if g is not None:
+            return g
 
 
 def moment_check(N: int, trials: int, seed: int, start: int = 0):
-    """Run the full battery on trials start..start+trials-1, trial i on a
-    matrix drawn from an RNG seeded by (seed, i) alone and cleared of its
-    denominators.  The run that starts at trial 0 adds one equivariance
-    spot check; other runs count it as passed, so runs over a split range
-    add up to the whole.  Returns a dict of counters; all checks are exact
-    so any failure is structural."""
+    """Run the full battery on trials start..start+trials-1, trial i on an
+    integer matrix from an RNG seeded by (seed, i) alone.  The run from
+    trial 0 adds one equivariance spot check; other runs count it as
+    passed, so runs over a split range add up to the whole.  Returns a
+    dict of counters; all checks are exact so any failure is structural."""
     spec = FormsSpec(N)
     report = {
         "N": N,
@@ -356,7 +353,7 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
         "failures": 0,
     }
     for i in range(start, start + trials):
-        _, A = clear_denominators(random_hom(spec, random.Random(f"{seed}:{i}")))
+        A = random_hom(spec, random.Random(f"{seed}:{i}"))
         ok = verify_char_identity(spec, A)
         report["char_identity"] += ok
         if spec.parity == "even":
@@ -380,25 +377,24 @@ def _equivariance_holds(spec: FormsSpec, seed: int) -> bool:
     """q0 and q1 intertwine the SO(V_0) x Sp(V_1) action, on one random
     matrix and group element drawn from an RNG of their own.
 
-    In integers: A = X / a, g0 = G0 / d0, g1 = G1 / d1, and E G = e I
-    gives g^{-1} = d E / e.  So g1 A g0^{-1} = s Y with Y = G1 X E0 and
-    s = d0 / (d1 a e0); both identities are quadratic in A, and clearing
+    With A = C g0 the identities q0(g1 A g0^{-1}) = g0 q0(A) g0^{-1} and
+    q1(g1 A g0^{-1}) = g1 q1(A) g1^{-1} read q0(g1 C) g0 = g0 q0(C g0) and
+    q1(g1 C) g1 = g1 q1(C g0), with no inverse.  Both sides are quadratic
+    in the group elements, so with g0 = G0 / d0 and g1 = G1 / d1 clearing
     the scalars leaves
-        d0^2 q0(Y) = d1^2 e0 G0 q0(X) E0,
-        d0^2 e1 q1(Y) = d1^2 e0^2 G1 q1(X) E1."""
+        d0^2 q0(G1 C) G0 = d1^2 G0 q0(C G0),
+        d0^2 q1(G1 C) G1 = d1^2 G1 q1(C G0)."""
     rng = random.Random(f"{seed}:equivariance")
-    _, X = clear_denominators(random_hom(spec, rng))
-    d0, G0 = clear_denominators(random_special_orthogonal(spec, rng))
-    d1, G1 = clear_denominators(random_symplectic(spec, rng))
-    e0, E0 = row_reduce(G0)
-    e1, E1 = row_reduce(G1)
-    Y = mat_mul(G1, mat_mul(X, E0))
+    C = random_hom(spec, rng)
+    d0, G0 = random_special_orthogonal(spec, rng)
+    d1, G1 = random_symplectic(spec, rng)
+    moved, pulled = mat_mul(G1, C), mat_mul(C, G0)
     eq0 = mat_eq(
-        mat_scale(q0(spec, Y), d0 * d0),
-        mat_scale(mat_mul(G0, mat_mul(q0(spec, X), E0)), d1 * d1 * e0),
+        mat_scale(mat_mul(q0(spec, moved), G0), d0 * d0),
+        mat_scale(mat_mul(G0, q0(spec, pulled)), d1 * d1),
     )
     eq1 = mat_eq(
-        mat_scale(q1(spec, Y), d0 * d0 * e1),
-        mat_scale(mat_mul(G1, mat_mul(q1(spec, X), E1)), d1 * d1 * e0 * e0),
+        mat_scale(mat_mul(q1(spec, moved), G1), d0 * d0),
+        mat_scale(mat_mul(G1, q1(spec, pulled)), d1 * d1),
     )
     return eq0 and eq1

@@ -378,13 +378,20 @@ def gram_q1(spec, A):
     return fraction_mat_mul(A, fraction_mat_mul(At, spec.gram1()))
 
 
+def fraction_group_element(draw):
+    """The Fraction matrix G / d of a (d, G) group-element draw."""
+    d, G = draw
+    return [[Fraction(x, d) for x in row] for row in G]
+
+
 def fraction_equivariance_holds(spec, seed):
-    """The equivariance spot check on the rational draws: g1 A g0^{-1} has
+    """The equivariance spot check on the same draws as Fraction group
+    elements g = G / d, with true inverses: g1 A g0^{-1} has
     q0 = g0 q0(A) g0^{-1} and q1 = g1 q1(A) g1^{-1}."""
     rng = random.Random(f"{seed}:equivariance")
     A = moment.random_hom(spec, rng)
-    g0 = moment.random_special_orthogonal(spec, rng)
-    g1 = moment.random_symplectic(spec, rng)
+    g0 = fraction_group_element(moment.random_special_orthogonal(spec, rng))
+    g1 = fraction_group_element(moment.random_symplectic(spec, rng))
     mm = fraction_mat_mul
     g0_inv = fraction_inverse(g0)
     moved = mm(g1, mm(A, g0_inv))

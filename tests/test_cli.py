@@ -256,6 +256,36 @@ def test_moment_check_deterministic_across_jobs():
     assert json.loads(runs[0])["ok"]
 
 
+def test_moment_check_pool_is_capped_at_the_cpu_count(monkeypatch, capsys):
+    """--jobs past the CPU count asks for one process per CPU; the fake
+    pool runs its tasks in this process, so no process starts."""
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["moment-check", "-N", "3", "--trials", "50", "--seed", "5", "--format", "json"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--jobs", "50"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == [2]
+
+
 def test_jobs_only_on_moment_check():
     code, _, err = run_cli("roots", "--family", "C", "--rank", "2", "--jobs", "2")
     assert code == 2

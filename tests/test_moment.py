@@ -24,6 +24,7 @@ from ospkostka.moment import (
     determinant,
     fft_generator,
     identity,
+    mat_add,
     mat_eq,
     mat_inverse,
     mat_mul,
@@ -249,12 +250,12 @@ def test_identity_battery_small(N):
 def test_group_element_generators_preserve_forms():
     spec = FormsSpec(6)
     rng = random.Random(9)
-    g0 = random_special_orthogonal(spec, rng)
-    assert mat_eq(mat_mul(mat_transpose(g0), g0), identity(spec.dim0))
-    assert determinant(g0) == 1
-    g1 = random_symplectic(spec, rng)
+    d0, G0 = random_special_orthogonal(spec, rng)
+    assert mat_eq(mat_mul(mat_transpose(G0), G0), mat_scale(identity(spec.dim0), d0 * d0))
+    assert determinant(G0) == d0**spec.dim0
+    d1, G1 = random_symplectic(spec, rng)
     J = spec.gram1()
-    assert mat_eq(mat_mul(mat_transpose(g1), mat_mul(J, g1)), J)
+    assert mat_eq(mat_mul(mat_transpose(G1), mat_mul(J, G1)), mat_scale(J, d1 * d1))
 
 
 def test_equivariance_spot_check():
@@ -263,8 +264,9 @@ def test_equivariance_spot_check():
         rng = random.Random(31 + N)
         for _ in range(5):
             A = random_hom(spec, rng)
-            g0 = random_special_orthogonal(spec, rng)
-            g1 = random_symplectic(spec, rng)
+            d0, G0 = random_special_orthogonal(spec, rng)
+            d1, G1 = random_symplectic(spec, rng)
+            g0, g1 = mat_scale(G0, Fraction(1, d0)), mat_scale(G1, Fraction(1, d1))
             moved = mat_mul(g1, mat_mul(A, mat_inverse(g0)))
             assert mat_eq(
                 q0(spec, moved), mat_mul(g0, mat_mul(q0(spec, A), mat_inverse(g0)))
@@ -326,6 +328,21 @@ def square_integer_matrices(max_n=5):
 )
 def test_char_poly_matches_faddeev_oracle(M):
     assert char_poly(M) == faddeev_char_poly(M)
+
+
+@given(square_integer_matrices(max_n=6))
+def test_cayley_transform_solves_its_defining_equation(S):
+    """(I + S) G = d (I - S), so G / d = (I - S)(I + S)^{-1}; None exactly
+    when I + S is singular."""
+    n = len(S)
+    eye = identity(n)
+    plus = mat_add(eye, S)
+    cayley = moment_module._cayley(S)
+    if fraction_rank([[plus[i][j] for i in range(n)] for j in range(n)]) < n:
+        assert cayley is None
+        return
+    d, G = cayley
+    assert d > 0 and mat_mul(plus, G) == mat_scale(mat_sub(eye, S), d)
 
 
 @given(square_integer_matrices())
@@ -436,12 +453,7 @@ def test_moment_check_matches_fraction_oracle(N):
 
 
 def test_battery_runs_on_integers(monkeypatch):
-    """Past the random draws, the trials and the spot check see only ints."""
-    spec = FormsSpec(6)
-    rng = random.Random(3)
-    g0, g1 = random_special_orthogonal(spec, rng), random_symplectic(spec, rng)
-    monkeypatch.setattr(moment_module, "random_special_orthogonal", lambda spec, rng: g0)
-    monkeypatch.setattr(moment_module, "random_symplectic", lambda spec, rng: g1)
+    """The draws, the trials and the spot check see only ints."""
     seen = []
 
     def integer_only(fn):
@@ -498,11 +510,33 @@ def test_generator_check_catches_a_wrong_entry(monkeypatch):
 def test_spot_check_catches_a_non_symplectic_g1(monkeypatch):
     def stretched(spec, rng):
         # diag(3/2, 1, ..., 1) is invertible but does not preserve J
-        g1 = identity(spec.dim1)
-        g1[0][0] = Fraction(3, 2)
-        return g1
+        G1 = mat_scale(identity(spec.dim1), 2)
+        G1[0][0] = 3
+        return 2, G1
 
     monkeypatch.setattr(moment_module, "random_symplectic", stretched)
     for N in (3, 4, 5, 6):
         report = moment_check(N, 2, seed=4)
         assert report["equivariance"] == 0 and report["failures"] == 1, N
+
+
+def test_spot_check_catches_a_non_orthogonal_g0(monkeypatch):
+    def sheared(spec, rng):
+        # I + E_01 has determinant one but does not preserve the form
+        G0 = identity(spec.dim0)
+        G0[0][1] = 1
+        return 1, G0
+
+    monkeypatch.setattr(moment_module, "random_special_orthogonal", sheared)
+    for N in (3, 4, 5, 6):
+        report = moment_check(N, 2, seed=4)
+        assert report["equivariance"] == 0 and report["failures"] == 1, N
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_battery_builds_no_fraction(monkeypatch, N):
+    def no_fraction(*args):
+        raise AssertionError("the battery built a Fraction")
+
+    monkeypatch.setattr(moment_module, "Fraction", no_fraction)
+    assert moment_check(N, 6, seed=N)["ok"]
