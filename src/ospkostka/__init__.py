@@ -31,6 +31,7 @@ from .kostka import (
     RootSet,
     kostka,
     kostka_custom,
+    kostka_degree,
     l_poly,
 )
 from .characters import (

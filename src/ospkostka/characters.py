@@ -12,8 +12,14 @@ the other way, by Racah-Speiser reflection: each weight x is moved by
 the Weyl element that carries x + rho to the dominant chamber, and its
 multiplicity, times the sign of that element, lands on the label
 lam = w(x + rho) - rho (weights with x + rho on a wall drop out).  The
-labels are then checked exactly: sum c_lam * chi_lam must rebuild the
-input term for term.
+reflection of each (factor, x) is memoised for the process.  The labels
+are then checked exactly: sum c_lam * chi_lam must rebuild the input
+term for term.
+
+Every such sum goes through _outer_sum.  On the product lattice it is
+factored on the second label: the c * chi_lam0 with one lam1 are summed
+in the small eps lattice first, so each distinct lam1 costs one external
+product, accumulated in place.  The Euler tables expand the same way.
 """
 
 from functools import lru_cache
@@ -184,6 +190,33 @@ def _irreducible_character(gtype: GroupType, lam) -> CharElt:
     return CharElt((gtype,), quotient)
 
 
+def _outer_sum(context, coeffs) -> dict:
+    """Terms of sum c * chi_parts over coeffs = {parts: c}, with one label
+    per factor of context in parts; zero coefficients are skipped.  The
+    c * chi_lam0 are summed per lam1 first, then each distinct lam1 takes
+    one external product, accumulated in place, dropping zeros."""
+    t0 = context[0]
+    by_tail = {}
+    for parts, c in coeffs.items():
+        if c:
+            acc = by_tail.setdefault(parts[1:], {})
+            _add_into(acc, _irreducible_character(t0, parts[0]).terms.items(), c)
+    if len(context) == 1:
+        return by_tail.get((), {})
+    acc = {}
+    for (lam1,), inner in by_tail.items():
+        chi1 = _irreducible_character(context[1], lam1).terms.items()
+        for w0, m0 in inner.items():
+            for w1, m1 in chi1:
+                w = w0 + w1
+                new = acc.get(w, 0) + m0 * m1
+                if new:
+                    acc[w] = new
+                else:
+                    acc.pop(w, None)
+    return acc
+
+
 def dual_label(gtype: GroupType, lam):
     """Highest weight of the dual module: identity for type C and for D
     with even rank; negate the last coordinate for D with odd rank (so
@@ -238,6 +271,7 @@ def is_weyl_invariant(ch: CharElt) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _rho_reflection(gtype: GroupType, rho_t, x):
     """(sign w, lam) with w(x + rho) = lam + rho strictly dominant, or None
     when x + rho lies on a wall."""
@@ -258,8 +292,10 @@ def decompose(ch: CharElt) -> dict:
     ch * A_rho is the sum of sign(w) * ch[x] over the weights x with
     w(x + rho) = lam + rho, factor by factor; so each weight is reflected
     once instead of multiplying by A_rho.  The labels are checked exactly:
-    sum c_lam * chi_lam must equal ch term for term.  That check implies
-    Weyl invariance, so invariance is tested only on a mismatch, to tell
+    sum c_lam * chi_lam, built by _outer_sum (one external product per
+    distinct second label), must equal ch term for term; a weight of
+    multiplicity zero in ch counts as absent.  That check implies Weyl
+    invariance, so invariance is tested only on a mismatch, to tell
     non-invariant input from an internal error.
 
     The rebuild reads chi_lam from the cache of alternant divisions.
@@ -288,14 +324,9 @@ def decompose(ch: CharElt) -> dict:
             parts += (rep[1],)
         else:
             coeffs[parts] = coeffs.get(parts, 0) + m
-    residual = {}
-    for parts, c in coeffs.items():
-        if c:
-            chars = [_irreducible_character(t, lam) for t, lam in zip(context, parts)]
-            rebuilt = chars[0] if len(chars) == 1 else outer(*chars)
-            _add_into(residual, rebuilt.terms.items(), c)
-    _add_into(residual, ch.terms.items(), -1)
-    if residual:
+    rebuilt = _outer_sum(context, coeffs)
+    # a zero multiplicity in ch is no weight
+    if rebuilt != ch.terms and rebuilt != {w: m for w, m in ch.terms.items() if m}:
         if not is_weyl_invariant(ch):
             raise ValueError("character is not Weyl-invariant")
         raise ValueError("internal error: alternant reconstruction mismatch")

@@ -26,22 +26,18 @@ verify_bryl compares the tables in exact integers, label by label and
 degree by degree.  Irreducible characters are linearly independent, so
 this decides the identity of characters, and it is at least as strong:
 it also catches a character layer that gave two labels one character.
-Characters are built once per label with a nonzero row, so a passing
-comparison builds none.
+A table becomes characters through characters._outer_sum, one call per
+degree: the dual lam0 characters are summed per dual lam1 first, so
+there is one external product per distinct lam1 and degree, not one per
+label.  Only labels with a nonzero row take part, so a passing
+comparison builds no character.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from operator import add, sub
 
-from .characters import (
-    CharElt,
-    _irreducible_character,
-    _rho_reflection,
-    dual_label,
-    outer,
-    zero_char,
-)
+from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
 from .kostka import kostka, kostka_degree_floor, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _dominates
 from .roots import EnumerationTooLargeError, GroupType, dominant_weights, rho
@@ -59,20 +55,21 @@ def _qmax_guard(data: OspRootData, qmax: int):
 
 
 def _expand(data: OspRootData, table, qmax: int):
-    """The characters of a label table, degree by degree: one outer
-    product per label whose row is nonzero, of duals read by label from
-    the irreducible-character cache that decompose's rebuild shares."""
-    out = [zero_char((data.type0, data.type1)) for _ in range(qmax + 1)]
-    for (lam0, lam1), row in table.items():
-        if any(row):
-            ch = outer(
-                _irreducible_character(data.type0, dual_label(data.type0, lam0)),
-                _irreducible_character(data.type1, dual_label(data.type1, lam1)),
-            )
-            for d, c in enumerate(row):
-                if c:
-                    out[d].add_scaled(ch, c)
-    return out
+    """The characters of a label table, degree by degree.  The labels of
+    nonzero rows are mapped to their duals once; each degree is then one
+    _outer_sum, the kernel of decompose's rebuild, which reads the
+    irreducibles from the shared cache and takes one external product per
+    distinct dual lam1, not one per label."""
+    context = (data.type0, data.type1)
+    duals = {
+        (dual_label(data.type0, lam0), dual_label(data.type1, lam1)): row
+        for (lam0, lam1), row in table.items()
+        if any(row)
+    }
+    return [
+        CharElt(context, _outer_sum(context, {parts: row[d] for parts, row in duals.items()}))
+        for d in range(qmax + 1)
+    ]
 
 
 def euler_line(data: OspRootData, nu: BiWeight) -> CharElt:

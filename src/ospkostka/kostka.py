@@ -271,22 +271,28 @@ _kostka_memo = {}
 def kostka(data: OspRootData, lam_pair, mu_pair) -> QPoly:
     """Orthosymplectic Kostka polynomial: the alternating Weyl-group sum
     of L at the arguments (w0(lam0+rho0)-rho0-mu0, w1(lam1+rho1)-rho1-mu1).
+
+    The memo is read first: both of its writers store only checked
+    dominant pairs within the rank guard, so a hit needs no check.
     """
+    try:
+        (lam0, lam1), (mu0, mu1) = lam_pair, mu_pair
+        hit = _kostka_memo.get((data.N, tuple(lam0), tuple(lam1), tuple(mu0), tuple(mu1)))
+    except (TypeError, ValueError):  # malformed input: the checks below report it
+        hit = None
+    if hit is not None:
+        return hit
     lam0, lam1 = _check_dominant_pair(data, lam_pair, "lambda")
     mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
     if data.n > KOSTKA_RANK_GUARD:
         raise EnumerationTooLargeError(
             f"enumeration too large: n={data.n} exceeds guard {KOSTKA_RANK_GUARD}"
         )
-    key = (data.N, lam0, lam1, mu0, mu1)
-    hit = _kostka_memo.get(key)
-    if hit is not None:
-        return hit
     counter = _counter(data)
     poly = _lusztig_kato_sum(
         counter, data.type0, data.rho0, data.type1, data.rho1, lam0, lam1, mu0, mu1
     )
-    _kostka_memo[key] = poly
+    _kostka_memo[(data.N, lam0, lam1, mu0, mu1)] = poly
     return poly
 
 
@@ -401,13 +407,20 @@ def kostka_degree_floor(data: OspRootData, lam_pair, mu_pair) -> int:
     )
 
 
-def kostka_defect(data: OspRootData, lam_pair, mu_pair, poly: QPoly):
-    """Why poly cannot be K_{lam,mu}, or None if it can.  lam >= mu iff
-    lam - mu has simple odd-root coordinates.  K vanishes unless it has;
-    then K is monic of degree ht(lam - mu), the coordinate sum, with only
-    powers of that parity."""
+def kostka_degree(data: OspRootData, lam_pair, mu_pair):
+    """The degree of K_{lam,mu}: ht(lam - mu), the sum of the simple
+    odd-root coordinates of lam - mu, or None off the dominance cone
+    (lam >= mu iff those coordinates exist, and K vanishes otherwise)."""
     coords = simple_root_coordinates(data, BiWeight(*lam_pair) - BiWeight(*mu_pair))
-    if coords is None:
+    return None if coords is None else sum(coords)
+
+
+def kostka_defect(data: OspRootData, lam_pair, mu_pair, poly: QPoly):
+    """Why poly cannot be K_{lam,mu}, or None if it can.  K vanishes off
+    the dominance cone; on it, K is monic of degree ht(lam - mu)
+    (kostka_degree) with only powers of that parity."""
+    ht = kostka_degree(data, lam_pair, mu_pair)
+    if ht is None:
         return "nonzero off the dominance cone" if poly else None
     if any(c < 0 for c in poly.coeffs):
         return "negative coefficient"
@@ -417,7 +430,6 @@ def kostka_defect(data: OspRootData, lam_pair, mu_pair, poly: QPoly):
         return "nonzero constant term off the diagonal"
     if lam_pair == mu_pair and poly.coeffs != (1,):
         return "diagonal value is not 1"
-    ht = sum(coords)
     if poly.degree != ht or poly[ht] != 1:
         return "not monic of degree ht(lambda - mu)"
     if any(poly.coeffs[(ht + 1) % 2 :: 2]):

@@ -14,6 +14,7 @@ from ospkostka.characters import (
     _alternant,
     _convolve,
     _divide_by_alternant,
+    _outer_sum,
     CharElt,
     decompose,
     dual_label,
@@ -81,8 +82,11 @@ def test_decompose_product_lattice():
 
 
 def test_decompose_rejects_non_invariant():
+    """Also with the process-wide reflection memo warm."""
+    assert decompose(irreducible_character(C1, (1,))) == {(1,): 1}
+    assert characters_module._rho_reflection.cache_info().currsize > 0
     ch = CharElt((C1,), {(1,): 1})
-    with pytest.raises(ValueError, match="invariant"):
+    with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
         decompose(ch)
 
 
@@ -244,15 +248,19 @@ def test_decompose_label_outside_the_support():
 
 
 def test_decompose_reconstruction_mismatch_raises(monkeypatch):
+    """With the reflection memo warm; the memo keeps the true reflections."""
+    assert decompose(irreducible_character(C2, (1, 0))) == {(1, 0): 1}
     real = characters_module._rho_reflection
 
     def wrong_sign(gtype, rho_t, x):
         rep = real(gtype, rho_t, x)
         return rep and (-rep[0], rep[1])
 
-    monkeypatch.setattr(characters_module, "_rho_reflection", wrong_sign)
-    with pytest.raises(ValueError, match="^internal error: alternant reconstruction mismatch$"):
-        decompose(irreducible_character(C2, (1, 0)))
+    with monkeypatch.context() as patch:
+        patch.setattr(characters_module, "_rho_reflection", wrong_sign)
+        with pytest.raises(ValueError, match="^internal error: alternant reconstruction mismatch$"):
+            decompose(irreducible_character(C2, (1, 0)))
+    assert decompose(irreducible_character(C2, (1, 0))) == {(1, 0): 1}
 
 
 def test_decompose_checks_survive_optimize():
@@ -282,3 +290,65 @@ def test_decompose_checks_survive_optimize():
         "character is not Weyl-invariant\n"
         "internal error: alternant reconstruction mismatch\n"
     )
+
+
+@st.composite
+def outer_sum_cases(draw):
+    """(context, {parts: c}) on one factor or on the product lattice of
+    some N in 3..6; coefficients may be zero, and on the product lattice
+    several labels usually share their second part."""
+    context = draw(st.sampled_from(OSP_CONTEXTS))
+    bound = 2 if len(context) == 1 else 1
+    labels = list(cartesian(*(dominant_weights(t, bound) for t in context)))
+    coeffs = draw(st.dictionaries(st.sampled_from(labels), st.integers(-3, 3), max_size=8))
+    return context, coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(outer_sum_cases())
+def test_outer_sum_matches_outer_and_add_scaled(case):
+    """The factored kernel equals sum c * outer(chi_lam0, chi_lam1), one
+    external product per label, accumulated with add_scaled."""
+    context, coeffs = case
+    expected = zero_char(context)
+    for parts, c in coeffs.items():
+        chars = [irreducible_character(t, lam) for t, lam in zip(context, parts)]
+        expected.add_scaled(chars[0] if len(chars) == 1 else outer(*chars), c)
+    assert _outer_sum(context, coeffs) == expected.terms
+
+
+def test_outer_sum_cancellations():
+    """Irreducible characters are linearly independent, so the sum cancels
+    to {} exactly when every coefficient is zero; weights that cancel
+    inside one lam1 group, or across groups, are dropped."""
+    data = osp_root_data(4)
+    context = (data.type0, data.type1)
+    labels = list(cartesian(*(dominant_weights(t, 1) for t in context)))
+    assert _outer_sum(context, dict.fromkeys(labels, 0)) == {}
+    assert _outer_sum(context, {}) == {}
+    assert _outer_sum(context[:1], {(lam0,): 0 for lam0, _ in labels}) == {}
+    # chi_(1,1) - chi_(0,0) on D_2: the weight (0, 0) cancels within lam1 = (0,)
+    within = {((1, 1), (0,)): 1, ((0, 0), (0,)): -1}
+    assert _outer_sum(context, within) == {(1, 1, 0): 1, (-1, -1, 0): 1}
+    # chi_(2) - chi_(0) on C_1: the weight (0, 0, 0) cancels across lam1 groups
+    across = {((0, 0), (2,)): 1, ((0, 0), (0,)): -1}
+    assert _outer_sum(context, across) == {(0, 0, 2): 1, (0, 0, -2): 1}
+
+
+def test_decompose_ignores_zero_multiplicity_weights():
+    """A weight stored with multiplicity zero counts as absent, on one
+    factor and on the product lattice; non-invariant input holding one
+    still gets the invariance message."""
+    ch = irreducible_character(C2, (1, 0))
+    ch.terms[(3, 0)] = 0
+    ch.terms[(0, 0)] = 0
+    assert decompose(ch) == {(1, 0): 1}
+    assert decompose(CharElt((C1,), {(1,): 0})) == {}
+    ch = outer(irreducible_character(D2, (1, 0)), irreducible_character(C1, (1,)))
+    ch.terms[(0, 0, 3)] = 0
+    ch.terms[(2, 0, 0)] = 0
+    assert decompose(ch) == {((1, 0), (1,)): 1}
+    assert decompose(CharElt((D2, C1), {(1, 0, 1): 0})) == {}
+    with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
+        decompose(CharElt((C1,), {(1,): 1, (5,): 0}))
+

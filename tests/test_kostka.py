@@ -20,6 +20,7 @@ from ospkostka.kostka import (
     kostka,
     kostka_custom,
     kostka_defect,
+    kostka_degree,
     kostka_degree_floor,
     kostka_memo_export,
     kostka_memo_import,
@@ -602,15 +603,25 @@ def comparable_box_pairs():
 def test_kostka_degree_is_the_odd_root_height():
     """For dominant lam >= mu, K_{lam,mu} is monic of degree ht(lam - mu),
     the sum of the simple odd-root coordinates, and only powers of that
-    parity occur."""
+    parity occur; kostka_degree returns that height."""
     pairs = 0
     for data, lam, mu, coords in comparable_box_pairs():
         ht = sum(coords)
-        coeffs = kostka(data, lam, mu).coeffs
+        poly = kostka(data, lam, mu)
+        assert kostka_degree(data, lam, mu) == ht == poly.degree, (data.N, lam, mu)
+        coeffs = poly.coeffs
         assert len(coeffs) == ht + 1 and coeffs[ht] == 1, (data.N, lam, mu)
         assert not any(coeffs[(ht + 1) % 2 :: 2]), (data.N, lam, mu)
         pairs += 1
     assert pairs == 2371
+
+
+def test_kostka_degree_off_the_cone_is_none():
+    d3 = osp_root_data(3)
+    assert kostka_degree(d3, N3_LABELS["c"], N3_LABELS["b"]) == 2
+    assert kostka_degree(d3, N3_LABELS["b"], N3_LABELS["a"]) is None
+    assert kostka_degree(d3, ((1,), (0,)), N3_LABELS["b"]) is None
+    assert kostka(d3, ((1,), (0,)), N3_LABELS["b"]) == QPoly.zero()
 
 
 def test_kostka_has_no_term_below_the_degree_floor():
@@ -627,6 +638,35 @@ def test_kostka_has_no_term_below_the_degree_floor():
         positive += floor > 0
         reached += low == floor
     assert (positive, reached) == (2091, 1946)
+
+
+def test_warm_memo_keeps_the_input_checks(empty_memo):
+    """kostka reads the memo before checking its input.  Both memo writers
+    store only checked pairs within the rank guard, so with the memo warm
+    a non-dominant lambda or mu, a malformed pair and a rank past the
+    guard still raise as before, and a repeat call returns the stored
+    polynomial itself."""
+    d4 = osp_root_data(4)
+    lam, mu = ((1, 0), (1,)), ((0, 0), (0,))
+    first = kostka(d4, lam, mu)
+    kostka_memo_import({"3|K|1|1|0|0": [0, 1], "10|K|0,0,0,0,0|0,0,0,0|0,0,0,0,0|0,0,0,0": [1]})
+    assert set(empty_memo) == {(4, (1, 0), (1,), (0, 0), (0,)), (3, (1,), (1,), (0,), (0,))}
+    assert empty_memo[(4, (1, 0), (1,), (0, 0), (0,))] is first
+    assert kostka(d4, lam, mu) is first
+    assert kostka(d4, [[1, 0], [1]], [[0, 0], [0]]) is first
+    stored = empty_memo[(3, (1,), (1,), (0,), (0,))]
+    assert kostka(osp_root_data(3), ((1,), (1,)), ((0,), (0,))) is stored
+    with pytest.raises(ValueError, match=r"^lambda eps-part \(0, 1\) is not D_2-dominant$"):
+        kostka(d4, ((0, 1), (1,)), mu)
+    with pytest.raises(ValueError, match=r"^mu delta-part \(-1,\) is not C_1-dominant$"):
+        kostka(d4, lam, ((0, 0), (-1,)))
+    # the flattened parts match a stored key, but the pairs are malformed
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        kostka(d4, ((1, 0),), ((1,), (0, 0), (0,)))
+    zero10 = ((0,) * 5, (0,) * 4)
+    with pytest.raises(EnumerationTooLargeError, match=r"^enumeration too large: n=5 exceeds guard 4$"):
+        kostka(osp_root_data(10), zero10, zero10)
+    assert len(empty_memo) == 2
 
 
 def test_memo_import_checks_n_before_building_root_data(empty_memo, monkeypatch):
