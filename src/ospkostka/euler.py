@@ -11,13 +11,12 @@ zero when mu+alpha+rho is singular, and otherwise sign(w) times the dual
 irreducible labelled w(mu+alpha+rho)-rho, factor by factor.
 
 The combinatorial side reads K_{lam,mu}(q) from the Lusztig-Kato Weyl sum
-over the dominance cone above mu.  Every odd root has sup-norm one and
-signed permutations preserve the sup-norm, so a contributing lambda at
-degree <= qmax satisfies lam[0] <= mu[0] + qmax on each factor; that bound
-makes the enumeration provably complete.  Every odd root also has l1 norm
-one on each factor, and signed permutations preserve the l1 norm, so
-K_{lam,mu} has no term below degree max_t(|lam_t+rho_t|_1 - |mu_t+rho_t|_1);
-a label whose floor exceeds qmax skips the Weyl sum.  Reindexed by alpha
+over the dominance cone above mu.  Every odd root has sup-norm and l1
+norm one on each factor, and signed permutations preserve both norms, so
+a lambda that contributes at degree <= qmax has, on each factor, both
+norms at most those of mu plus qmax.  dominant_cone_labels enumerates the
+cone labels inside both bounds, so the enumeration is provably complete,
+and every label it lists goes through the Weyl sum.  Reindexed by alpha
 instead of by w, the Weyl sum is the geometric table term for term, so
 this side keeps the Weyl sum: the comparison would otherwise be a
 tautology.
@@ -35,10 +34,11 @@ comparison builds no character.
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import product
 from operator import add, sub
 
 from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
-from .kostka import kostka, kostka_degree_floor, partition_support_table
+from .kostka import kostka, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _dominates
 from .roots import EnumerationTooLargeError, GroupType, dominant_weights, rho
 
@@ -117,28 +117,32 @@ def bryl_lhs(data: OspRootData, mu_pair, qmax: int):
 
 
 def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
-    """Dominant pairs lam >= mu that can contribute to degrees <= qmax,
-    in deterministic order."""
-    mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
-    bound0 = mu0[0] + qmax if data.eps_rank > 1 else abs(mu0[0]) + qmax
-    bound1 = mu1[0] + qmax
-    mu_flat = mu0 + mu1
-    return [
-        (lam0, lam1)
-        for lam0 in dominant_weights(data.type0, bound0)
-        for lam1 in dominant_weights(data.type1, bound1)
-        if _dominates(data, lam0 + lam1, mu_flat)
-    ]
+    """Dominant pairs lam >= mu that can contribute to degrees <= qmax, in
+    deterministic order: on each factor, sup-norm at most max|mu_t| + qmax
+    and l1 norm at most |mu_t|_1 + qmax.  Both bounds are exact: a Weyl
+    term at degree d has |w(lam_t+rho_t)| <= |mu_t+rho_t| + d in both
+    norms (d odd roots of norm one per factor; w keeps both norms), and
+    rho_t cancels.  On a dominant weight the first entry of lam_t+rho_t is
+    the largest in absolute value, and every entry is nonnegative but D's
+    last, where rho is 0, so |lam_t+rho_t|_1 = |lam_t|_1 + |rho_t|_1."""
+    mu = _check_dominant_pair(data, mu_pair, "mu")
+    lam0s, lam1s = (
+        [
+            lam_t
+            for lam_t in dominant_weights(gtype, max(map(abs, mu_t)) + qmax)
+            if sum(map(abs, lam_t)) <= sum(map(abs, mu_t)) + qmax
+        ]
+        for gtype, mu_t in zip((data.type0, data.type1), mu)
+    )
+    mu_flat = mu[0] + mu[1]
+    return [lam for lam in product(lam0s, lam1s) if _dominates(data, lam[0] + lam[1], mu_flat)]
 
 
 def _rhs_table(data: OspRootData, mu, qmax: int):
     """Combinatorial side as a label table: the Weyl-sum K_{lam,mu}
-    truncated at qmax, for each cone label where that is nonzero.  Labels
-    whose degree floor exceeds qmax are zero there and skip the sum."""
+    truncated at qmax, for each cone label where that is nonzero."""
     table = {}
     for lam in dominant_cone_labels(data, mu, qmax):
-        if kostka_degree_floor(data, lam, mu) > qmax:
-            continue
         coeffs = kostka(data, lam, mu).coeffs[: qmax + 1]
         if any(coeffs):
             table[lam] = list(coeffs) + [0] * (qmax + 1 - len(coeffs))

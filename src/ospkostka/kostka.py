@@ -395,18 +395,6 @@ def partition_support_table(data: OspRootData, dmax: int):
     return {alpha: tuple(counts) for alpha, counts in table.items()}
 
 
-def kostka_degree_floor(data: OspRootData, lam_pair, mu_pair) -> int:
-    """A degree below which K_{lam,mu} has no term: the larger over the two
-    factors of |lam_t + rho_t|_1 - |mu_t + rho_t|_1.  Every odd root has l1
-    norm one on each factor, so a degree-d term of L_alpha has
-    |alpha_t|_1 <= d, and signed permutations keep the l1 norm of
-    w(lam_t + rho_t)."""
-    return max(
-        sum(map(abs, map(add, lam_t, rho_t))) - sum(map(abs, map(add, mu_t, rho_t)))
-        for lam_t, mu_t, rho_t in zip(lam_pair, mu_pair, (data.rho0, data.rho1))
-    )
-
-
 def kostka_degree(data: OspRootData, lam_pair, mu_pair):
     """The degree of K_{lam,mu}: ht(lam - mu), the sum of the simple
     odd-root coordinates of lam - mu, or None off the dominance cone
@@ -454,7 +442,7 @@ def kostka_memo_import(entries):
         parts = key.split("|")
         if len(parts) != 6 or parts[1] != "K":
             continue
-        if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+        if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
             continue
         try:
             N = int(parts[0])

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 import conftest
-from conftest import dual_pair_char, euler_line_sum_lhs, kostka_label_sum_rhs
+from conftest import dual_pair_char, euler_line_sum_lhs, kostka_label_sum_rhs, sup_norm_box
 from ospkostka import euler
 from ospkostka.characters import decompose, trivial_char, weyl_dimension
 from ospkostka.euler import (
@@ -125,19 +125,19 @@ def test_lhs_degrees_decompose_nonnegatively():
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_cone_label_candidates_dominance_matches_cone(N):
     """The unchecked dominance core that dominant_cone_labels uses agrees
-    with cone membership on every candidate it enumerates."""
+    with cone membership on every label of the sup-norm box, and the
+    labels are the box's cone labels within the l1 bound."""
     data = osp_root_data(N)
     qmax = 2
     for mu in product(dominant_weights(data.type0, 1), dominant_weights(data.type1, 1)):
-        bound0 = mu[0][0] + qmax if data.eps_rank > 1 else abs(mu[0][0]) + qmax
-        candidates = product(
-            dominant_weights(data.type0, bound0), dominant_weights(data.type1, mu[1][0] + qmax)
-        )
         expected = []
-        for lam in candidates:
+        for lam in sup_norm_box(data, mu, qmax):
             in_cone = dominance_ge_cone(data, lam, mu)
             assert _dominates(data, lam[0] + lam[1], mu[0] + mu[1]) == in_cone
-            if in_cone:
+            in_ball = all(
+                sum(map(abs, lam_t)) <= sum(map(abs, mu_t)) + qmax for lam_t, mu_t in zip(lam, mu)
+            )
+            if in_cone and in_ball:
                 expected.append(lam)
         assert dominant_cone_labels(data, mu, qmax) == expected
 

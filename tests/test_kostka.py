@@ -12,6 +12,7 @@ from conftest import (
     per_pair_lusztig_kato_sum,
     unpruned_l_coeffs,
 )
+from ospkostka.euler import dominant_cone_labels
 from ospkostka.kostka import (
     KOSTKA_RANK_GUARD,
     PartitionCounter,
@@ -21,7 +22,6 @@ from ospkostka.kostka import (
     kostka_custom,
     kostka_defect,
     kostka_degree,
-    kostka_degree_floor,
     kostka_memo_export,
     kostka_memo_import,
     l_poly,
@@ -545,6 +545,7 @@ def test_memo_export_import_round_trip(empty_memo):
         ("3|K|1|1|0|0", "q"),  # coefficients not a list
         ("3|K|1|1|0|0", [0, 1.0]),  # non-int coefficient
         ("3|K|1|1|0|0", [0, "1"]),  # non-int coefficient
+        ("3|K|1|1|0|0", [False, True]),  # bool coefficients, though bool subclasses int
     ],
 )
 def test_memo_import_skips_malformed_entries(empty_memo, key, coeffs):
@@ -624,20 +625,17 @@ def test_kostka_degree_off_the_cone_is_none():
     assert kostka(d3, ((1,), (0,)), N3_LABELS["b"]) == QPoly.zero()
 
 
-def test_kostka_has_no_term_below_the_degree_floor():
-    """On the same pairs, the lowest nonzero degree of K_{lam,mu} is at
-    least max_t(|lam_t + rho_t|_1 - |mu_t + rho_t|_1).  The floor is
-    positive on 2,091 of the 2,371 pairs and is the lowest degree on
-    1,946."""
-    positive = reached = 0
+def test_cone_labels_reach_the_lowest_kostka_degree():
+    """On the same pairs, with low the lowest degree of K_{lam,mu}, lam is
+    among dominant_cone_labels(data, mu, low): the label bounds drop no
+    label that contributes.  The bounds are sharp on 1,946 of the 2,371
+    pairs, where lam is absent at low - 1."""
+    absent = 0
     for data, lam, mu, _ in comparable_box_pairs():
-        coeffs = kostka(data, lam, mu).coeffs
-        low = next(d for d, c in enumerate(coeffs) if c)
-        floor = kostka_degree_floor(data, lam, mu)
-        assert low >= floor, (data.N, lam, mu)
-        positive += floor > 0
-        reached += low == floor
-    assert (positive, reached) == (2091, 1946)
+        low = next(d for d, c in enumerate(kostka(data, lam, mu).coeffs) if c)
+        assert lam in dominant_cone_labels(data, mu, low), (data.N, lam, mu)
+        absent += lam not in dominant_cone_labels(data, mu, low - 1)
+    assert absent == 1946
 
 
 def test_warm_memo_keeps_the_input_checks(empty_memo):
