@@ -11,15 +11,17 @@ input, never rounding).  Decomposition of a Weyl-invariant element goes
 the other way, by Racah-Speiser reflection: each weight x is moved by
 the Weyl element that carries x + rho to the dominant chamber, and its
 multiplicity, times the sign of that element, lands on the label
-lam = w(x + rho) - rho (weights with x + rho on a wall drop out).  The
-reflection of each (factor, x) is memoised for the process.  The labels
-are then checked exactly: sum c_lam * chi_lam must rebuild the input
-term for term.
+lam = w(x + rho) - rho (weights with x + rho on a wall drop out).  This
+goes per block: each distinct second-factor block is reflected once (on a
+wall it drops its whole group of weights), then each distinct first one.
+The labels are then checked exactly: sum c_lam * chi_lam must rebuild
+the input term for term.
 
 Every such sum goes through _outer_sum.  On the product lattice it is
 factored on the second label: the c * chi_lam0 with one lam1 are summed
 in the small eps lattice first, so each distinct lam1 costs one external
-product, accumulated in place.  The Euler tables expand the same way.
+product, accumulated in one eps-lattice dict per second-factor weight.
+The Euler tables expand the same way.
 """
 
 from functools import lru_cache
@@ -193,8 +195,10 @@ def _irreducible_character(gtype: GroupType, lam) -> CharElt:
 def _outer_sum(context, coeffs) -> dict:
     """Terms of sum c * chi_parts over coeffs = {parts: c}, with one label
     per factor of context in parts; zero coefficients are skipped.  The
-    c * chi_lam0 are summed per lam1 first, then each distinct lam1 takes
-    one external product, accumulated in place, dropping zeros."""
+    c * chi_lam0 are summed per lam1 first.  Then, for each distinct lam1
+    and each weight w1 of chi_lam1, m1 times that sum is added into one
+    eps-lattice dict per w1, so the inner loop keys on w0 alone; the
+    weights w0||w1 are concatenated once, at the end, dropping zeros."""
     t0 = context[0]
     by_tail = {}
     for parts, c in coeffs.items():
@@ -203,18 +207,13 @@ def _outer_sum(context, coeffs) -> dict:
             _add_into(acc, _irreducible_character(t0, parts[0]).terms.items(), c)
     if len(context) == 1:
         return by_tail.get((), {})
-    acc = {}
+    by_w1 = {}
     for (lam1,), inner in by_tail.items():
-        chi1 = _irreducible_character(context[1], lam1).terms.items()
-        for w0, m0 in inner.items():
-            for w1, m1 in chi1:
-                w = w0 + w1
-                new = acc.get(w, 0) + m0 * m1
-                if new:
-                    acc[w] = new
-                else:
-                    acc.pop(w, None)
-    return acc
+        for w1, m1 in _irreducible_character(context[1], lam1).terms.items():
+            acc = by_w1.setdefault(w1, {})
+            for w0, m0 in inner.items():
+                acc[w0] = acc.get(w0, 0) + m0 * m1
+    return {w0 + w1: m for w1, acc in by_w1.items() for w0, m in acc.items() if m}
 
 
 def dual_label(gtype: GroupType, lam):
@@ -251,18 +250,10 @@ def _generators(gtype: GroupType):
     return gens
 
 
-def _blocks(context):
-    """(start, stop) of each factor's coordinates in a concatenated weight."""
-    out = []
-    start = 0
-    for t in context:
-        out.append((start, start + t.rank))
-        start += t.rank
-    return out
-
-
 def is_weyl_invariant(ch: CharElt) -> bool:
-    for (lo, hi), gtype in zip(_blocks(ch.context), ch.context):
+    hi = 0
+    for gtype in ch.context:
+        lo, hi = hi, hi + gtype.rank
         for g in _generators(gtype):
             for w, m in ch.terms.items():
                 moved = w[:lo] + act(g, w[lo:hi]) + w[hi:]
@@ -290,13 +281,16 @@ def decompose(ch: CharElt) -> dict:
 
     Racah-Speiser: for invariant ch, the coefficient of e^{lam+rho} in
     ch * A_rho is the sum of sign(w) * ch[x] over the weights x with
-    w(x + rho) = lam + rho, factor by factor; so each weight is reflected
-    once instead of multiplying by A_rho.  The labels are checked exactly:
-    sum c_lam * chi_lam, built by _outer_sum (one external product per
-    distinct second label), must equal ch term for term; a weight of
-    multiplicity zero in ch counts as absent.  That check implies Weyl
-    invariance, so invariance is tested only on a mismatch, to tell
-    non-invariant input from an internal error.
+    w(x + rho) = lam + rho, factor by factor; so blocks are reflected
+    instead of multiplying by A_rho: the weights are grouped by their
+    second-factor block, each distinct block is reflected once (on a wall
+    it drops its whole group), then each distinct first-factor block.
+    The labels are checked exactly: sum c_lam * chi_lam, built by
+    _outer_sum (one external product per distinct second label), must
+    equal ch term for term; a weight of multiplicity zero in ch counts as
+    absent.  That check implies Weyl invariance, so invariance is tested
+    only on a mismatch, to tell non-invariant input from an internal
+    error.
 
     The rebuild reads chi_lam from the cache of alternant divisions.
     Cold, those divisions dominate from rank 4 on (a cold C_5 decompose
@@ -306,24 +300,29 @@ def decompose(ch: CharElt) -> dict:
     if ch.is_zero:
         return {}
     context = ch.context
-    rhos = [rho(t) for t in context]
-    blocks = _blocks(context)
-    # weights share blocks heavily on the product lattice
-    reflected = [{} for _ in context]
-    coeffs = {}
+    t0, rhos = context[0], [rho(t) for t in context]
+    r = t0.rank
+    # one group per second-factor block; on one factor, one group keyed ()
+    groups = {}
     for w, m in ch.terms.items():
-        parts = ()
-        for (lo, hi), t, rho_t, seen in zip(blocks, context, rhos, reflected):
-            x = w[lo:hi]
-            if x not in seen:
-                seen[x] = _rho_reflection(t, rho_t, x)
-            rep = seen[x]
-            if rep is None:
-                break
-            m *= rep[0]
-            parts += (rep[1],)
+        groups.setdefault(w[r:], []).append((w[:r], m))
+    reflected = {}
+    coeffs = {}
+    for x1, group in groups.items():
+        if len(context) == 1:
+            s1, tail = 1, ()
         else:
-            coeffs[parts] = coeffs.get(parts, 0) + m
+            rep1 = _rho_reflection(context[1], rhos[1], x1)
+            if rep1 is None:
+                continue
+            s1, tail = rep1[0], (rep1[1],)
+        for x0, m in group:
+            if x0 not in reflected:
+                reflected[x0] = _rho_reflection(t0, rhos[0], x0)
+            rep0 = reflected[x0]
+            if rep0:
+                parts = (rep0[1],) + tail
+                coeffs[parts] = coeffs.get(parts, 0) + s1 * rep0[0] * m
     rebuilt = _outer_sum(context, coeffs)
     # a zero multiplicity in ch is no weight
     if rebuilt != ch.terms and rebuilt != {w: m for w, m in ch.terms.items() if m}:

@@ -16,7 +16,9 @@ norm one on each factor, and signed permutations preserve both norms, so
 a lambda that contributes at degree <= qmax has, on each factor, both
 norms at most those of mu plus qmax.  dominant_cone_labels enumerates the
 cone labels inside both bounds, so the enumeration is provably complete,
-and every label it lists goes through the Weyl sum.  Reindexed by alpha
+and every label it lists goes through the Weyl sum.  The dominance test
+is split by factor (oddroots._dominance_share), so a label pair costs one
+elementwise comparison and two integer checks.  Reindexed by alpha
 instead of by w, the Weyl sum is the geometric table term for term, so
 this side keeps the Weyl sum: the comparison would otherwise be a
 tautology.
@@ -28,18 +30,19 @@ it also catches a character layer that gave two labels one character.
 A table becomes characters through characters._outer_sum, one call per
 degree: the dual lam0 characters are summed per dual lam1 first, so
 there is one external product per distinct lam1 and degree, not one per
-label.  Only labels with a nonzero row take part, so a passing
-comparison builds no character.
+label, accumulated in one eps-lattice dict per delta weight.  Only
+labels with a nonzero row take part, so a passing comparison builds no
+character.
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
 from operator import add, sub
 
 from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
 from .kostka import kostka, partition_support_table
-from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _dominates
+from .oddroots import BiWeight, OspRootData, _check_dominant_pair
+from .oddroots import _dominance_share, _shares_dominate
 from .roots import EnumerationTooLargeError, GroupType, dominant_weights, rho
 
 
@@ -47,7 +50,7 @@ def _qmax_guard(data: OspRootData, qmax: int):
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
     rank = max(data.eps_rank, data.delta_rank)
-    limit = 8 if rank <= 2 else (4 if rank == 3 else 0)
+    limit = 8 if rank <= 2 else (4 if rank == 3 else 2)
     if qmax > limit:
         raise EnumerationTooLargeError(
             f"qmax={qmax} exceeds guard {limit} at rank {rank}"
@@ -124,18 +127,21 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
     norms (d odd roots of norm one per factor; w keeps both norms), and
     rho_t cancels.  On a dominant weight the first entry of lam_t+rho_t is
     the largest in absolute value, and every entry is nonnegative but D's
-    last, where rho is 0, so |lam_t+rho_t|_1 = |lam_t|_1 + |rho_t|_1."""
+    last, where rho is 0, so |lam_t+rho_t|_1 = |lam_t|_1 + |rho_t|_1.
+    Each lam_t gets its share of the dominance test once; each pair, in
+    product order, adds the two shares and checks them."""
     mu = _check_dominant_pair(data, mu_pair, "mu")
-    lam0s, lam1s = (
+    shares0, shares1 = (
         [
-            lam_t
+            (lam_t, _dominance_share(data, t, tuple(map(sub, lam_t, mu_t))))
             for lam_t in dominant_weights(gtype, max(map(abs, mu_t)) + qmax)
             if sum(map(abs, lam_t)) <= sum(map(abs, mu_t)) + qmax
         ]
-        for gtype, mu_t in zip((data.type0, data.type1), mu)
+        for t, gtype, mu_t in zip((0, 1), (data.type0, data.type1), mu)
     )
-    mu_flat = mu[0] + mu[1]
-    return [lam for lam in product(lam0s, lam1s) if _dominates(data, lam[0] + lam[1], mu_flat)]
+    return [
+        (lam0, lam1) for lam0, s0 in shares0 for lam1, s1 in shares1 if _shares_dominate(s0, s1)
+    ]
 
 
 def _rhs_table(data: OspRootData, mu, qmax: int):

@@ -13,13 +13,15 @@ simple odd roots and the sequence the dominance order compares are all
 read off from it.  The dominance order on dominant weight pairs comes in
 both of its equivalent forms: membership of the difference in the
 nonnegative span of the odd roots, and partial-sum inequalities along the
-shuffle with a parity constraint.
+shuffle with a parity constraint, stated once on the two factors' shares
+of lam - mu (_dominance_share, checked by _shares_dominate).
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter, mul
+from itertools import accumulate
+from operator import add, itemgetter, mul, sub
 
 from .moment import row_reduce
 from .roots import GroupType, is_dominant, rho
@@ -290,19 +292,41 @@ def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
     return _dominates(data, lam0 + lam1, mu0 + mu1)
 
 
+def _dominance_share(data: OspRootData, t: int, x) -> tuple:
+    """Factor t's share of what the dominance order reads: for the flat
+    vector that is x on factor t (0 the eps block, 1 the delta block) and
+    zero on the other, its proper prefix sums in shuffle order, its total
+    and its last eps coordinate (the last shuffle entry).  All three are
+    linear, so the shares of the two blocks of a vector add up to its own."""
+    rest = (0,) * (data.delta_rank if t == 0 else data.eps_rank)
+    seq = _shuffle_order(data)(tuple(x) + rest if t == 0 else rest + tuple(x))
+    return tuple(accumulate(seq[:-1])), sum(seq), seq[-1]
+
+
+def _shares_dominate(share0, share1) -> bool:
+    """lam >= mu, read from the shares of lam - mu on the two factors: every
+    proper prefix sum of the difference in shuffle order is nonnegative,
+    its total is a nonnegative even integer, and the total also bounds
+    twice the last eps coordinate (the same prefix test with that
+    coordinate negated on both sides)."""
+    prefix0, total0, last0 = share0
+    prefix1, total1, last1 = share1
+    total = total0 + total1
+    return (
+        total % 2 == 0
+        and total >= max(0, 2 * (last0 + last1))
+        and min(map(add, prefix0, prefix1)) >= 0
+    )
+
+
 def _dominates(data: OspRootData, lam_flat, mu_flat) -> bool:
     """dominance_ge on flat eps||delta vectors already known to be
     dominant pairs."""
-    in_order = _shuffle_order(data)
-    seq_l, seq_m = in_order(lam_flat), in_order(mu_flat)
-    if not prefix_sums_ge(seq_l, seq_m):
-        return False
-    gap = sum(seq_l) - sum(seq_m)
-    if gap < 0 or gap % 2 != 0:
-        return False
-    # Same comparison with the sign of the last eps coordinate (the last
-    # shuffle entry) reversed.
-    return gap >= 2 * (seq_l[-1] - seq_m[-1])
+    r = data.eps_rank
+    diff = tuple(map(sub, lam_flat, mu_flat))
+    return _shares_dominate(
+        _dominance_share(data, 0, diff[:r]), _dominance_share(data, 1, diff[r:])
+    )
 
 
 def dominance_ge_cone(data: OspRootData, lam_pair, mu_pair) -> bool:

@@ -352,3 +352,36 @@ def test_decompose_ignores_zero_multiplicity_weights():
     with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
         decompose(CharElt((C1,), {(1,): 1, (5,): 0}))
 
+
+
+def test_decompose_drops_a_singular_second_block_whole():
+    """On D_2 x C_1 the C_1 block (-1) sits on a wall after the rho shift,
+    so decompose drops the whole group of weights sharing it, whatever
+    their first block; a non-invariant weight inside that group still
+    breaks the exact rebuild and gets the invariance message."""
+    assert characters_module._rho_reflection(C1, rho(C1), (-1,)) is None
+    ch = outer(irreducible_character(D2, (1, 0)), irreducible_character(C1, (1,))).scaled(2)
+    ch.add_scaled(outer(irreducible_character(D2, (1, 1)), irreducible_character(C1, (3,))), -1)
+    group = {w[:2] for w in ch.terms if w[2:] == (-1,)}
+    assert len(group) == 7
+    expected = {((1, 0), (1,)): 2, ((1, 1), (3,)): -1}
+    assert decompose(ch) == alternant_decompose(ch) == expected
+    ch.terms[(5, 0, -1)] = 1
+    for fn in (decompose, alternant_decompose):
+        with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
+            fn(ch)
+
+
+def test_decompose_on_the_d1_torus():
+    """At N = 3 the eps factor is the D_1 torus: every first block is its
+    own label, and only the C_1 block reflects."""
+    data = osp_root_data(3)
+    context = (data.type0, data.type1)
+    assert context == (D1, C1)
+    coeffs = {((2,), (1,)): 1, ((-1,), (2,)): 3, ((0,), (0,)): -1, ((-1,), (0,)): 2}
+    ch = CharElt(context, _outer_sum(context, coeffs))
+    assert decompose(ch) == alternant_decompose(ch) == dict(sorted(coeffs.items()))
+    ch.terms[(0, 1)] = 1
+    for fn in (decompose, alternant_decompose):
+        with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
+            fn(ch)

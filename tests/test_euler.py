@@ -62,6 +62,18 @@ def test_bryl_lhs_guard():
         bryl_lhs(osp_root_data(5), ((0, 0), (0, 0)), 9)
     with pytest.raises(EnumerationTooLargeError):
         bryl_lhs(osp_root_data(7), ((0,) * 3, (0,) * 3), 5)
+    with pytest.raises(EnumerationTooLargeError, match="^qmax=3 exceeds guard 2 at rank 4$"):
+        verify_bryl(osp_root_data(9), ((0,) * 4, (0,) * 4), 3)
+
+
+@pytest.mark.parametrize("N", [8, 9])
+@pytest.mark.parametrize("mu0", [(0, 0, 0, 0), (1, 0, 0, 0)], ids=["zero", "first_fundamental"])
+def test_verify_bryl_rank4_at_the_guard(N, mu0):
+    """At rank 4 the guard allows qmax 2, for mu = 0 and for the first
+    fundamental weight of the eps factor."""
+    data = osp_root_data(N)
+    report = verify_bryl(data, (mu0, (0,) * data.delta_rank), 2)
+    assert report.ok and report.failing_degrees() == []
 
 
 def test_rhs_contributors_n3_qmax2():
@@ -140,6 +152,32 @@ def test_cone_label_candidates_dominance_matches_cone(N):
             if in_cone and in_ball:
                 expected.append(lam)
         assert dominant_cone_labels(data, mu, qmax) == expected
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_cone_labels_match_dominates_product(N):
+    """For mu with entries at most 1 and qmax 0..3, the labels, order
+    included, are the product of the per-factor weights in the sup-norm
+    and l1 bounds filtered pair by pair with _dominates on the flat
+    vectors, and _dominates agrees with cone membership on every pair."""
+    data = osp_root_data(N)
+    for mu in product(dominant_weights(data.type0, 1), dominant_weights(data.type1, 1)):
+        for qmax in range(4):
+            factors = [
+                [
+                    lam_t
+                    for lam_t in dominant_weights(gtype, max(map(abs, mu_t)) + qmax)
+                    if sum(map(abs, lam_t)) <= sum(map(abs, mu_t)) + qmax
+                ]
+                for gtype, mu_t in zip((data.type0, data.type1), mu)
+            ]
+            expected = []
+            for lam in product(*factors):
+                in_order = _dominates(data, lam[0] + lam[1], mu[0] + mu[1])
+                assert in_order == dominance_ge_cone(data, lam, mu)
+                if in_order:
+                    expected.append(lam)
+            assert dominant_cone_labels(data, mu, qmax) == expected
 
 
 def _small_box(N):

@@ -471,6 +471,23 @@ def test_kostka_n9_cold_example():
     assert str(poly) == "q + q^3 + q^5 + 2*q^7 + q^9 + q^11 + q^13"
 
 
+@pytest.mark.parametrize("N", range(3, 10))
+def test_first_fundamental_label_closed_form(N):
+    """K_{lam,0} for lam = (1,0,...;1,0,...) is q + q^3 + ... + q^(2N-5),
+    one term per degree, plus a second q^(N-2) for odd N; at N = 3 it is
+    q, where the formula would give 2q."""
+    data = osp_root_data(N)
+    lam = tuple((1,) + (0,) * (rank - 1) for rank in (data.eps_rank, data.delta_rank))
+    mu = ((0,) * data.eps_rank, (0,) * data.delta_rank)
+    coeffs = [0] * (2 * N - 4)
+    for k in range(N - 2):
+        coeffs[2 * k + 1] += 1
+    if N % 2:
+        coeffs[N - 2] += 1
+    expected = QPoly((0, 1)) if N == 3 else QPoly(coeffs)
+    assert kostka(data, lam, mu) == expected
+
+
 def test_kostka_n9_partition_memo_stays_small(monkeypatch):
     """Cold, the N=9 example stores fewer than 5,000 partition states; it
     stored 41,325 when the roots were unsorted and dead states were kept."""
