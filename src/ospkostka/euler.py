@@ -8,7 +8,8 @@ The geometric side expands Sym^d of the dual odd space over the product
 flag variety: degree d collects p_d(alpha) copies of the Euler
 characteristic of the line bundle twisted by -mu-alpha.  By Bott that is
 zero when mu+alpha+rho is singular, and otherwise sign(w) times the dual
-irreducible labelled w(mu+alpha+rho)-rho, factor by factor.
+irreducible labelled w(mu+alpha+rho)-rho, factor by factor, as read from
+characters._rho_reflection, the reflection memo that decompose shares.
 
 The combinatorial side reads K_{lam,mu}(q) from the Lusztig-Kato Weyl sum
 over the dominance cone above mu.  Every odd root has sup-norm and l1
@@ -36,14 +37,13 @@ character.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from operator import add, sub
 
 from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
 from .kostka import kostka, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair
 from .oddroots import _dominance_share, _shares_dominate
-from .roots import EnumerationTooLargeError, GroupType, dominant_weights, rho
+from .roots import EnumerationTooLargeError, dominant_weights
 
 
 def _qmax_guard(data: OspRootData, qmax: int):
@@ -80,30 +80,22 @@ def euler_line(data: OspRootData, nu: BiWeight) -> CharElt:
     fiber character nu on the product flag variety.  Normalized so that a
     dominant mu gives euler_line(-mu) = dual character of the irreducible
     with highest weight mu."""
-    rep0 = _rho_reflection(data.type0, rho(data.type0), tuple(-x for x in nu.eps))
-    rep1 = _rho_reflection(data.type1, rho(data.type1), tuple(-x for x in nu.delta))
+    rep0 = _rho_reflection(data.type0, tuple(-x for x in nu.eps))
+    rep1 = _rho_reflection(data.type1, tuple(-x for x in nu.delta))
     table = {(rep0[1], rep1[1]): [rep0[0] * rep1[0]]} if rep0 and rep1 else {}
     return _expand(data, table, 0)[0]
 
 
-def _reflector(gtype: GroupType, mu_t):
-    """x -> _rho_reflection of mu_t + x, memoised for one call."""
-    rho_t = rho(gtype)
-    return lru_cache(maxsize=None)(
-        lambda x: _rho_reflection(gtype, rho_t, tuple(map(add, mu_t, x)))
-    )
-
-
 def _lhs_table(data: OspRootData, mu, qmax: int):
     """Geometric side as a label table: each alpha of the support table
-    adds sign(w) * p_d(alpha) to the row of its reflected label.  The
-    halves of alpha repeat heavily, so each is reflected once."""
-    r = data.eps_rank
-    reflect0, reflect1 = _reflector(data.type0, mu[0]), _reflector(data.type1, mu[1])
+    adds sign(w) * p_d(alpha) to the row of the label that mu + alpha
+    reflects to, factor by factor, through the reflection memo."""
+    r, (mu0, mu1) = data.eps_rank, mu
     table = {}
     for flat, counts in partition_support_table(data, qmax).items():
-        rep0, rep1 = reflect0(flat[:r]), reflect1(flat[r:])
-        if rep0 and rep1:
+        rep0 = _rho_reflection(data.type0, tuple(map(add, mu0, flat[:r])))
+        rep1 = rep0 and _rho_reflection(data.type1, tuple(map(add, mu1, flat[r:])))
+        if rep1:
             s = rep0[0] * rep1[0]
             row = table.setdefault((rep0[1], rep1[1]), [0] * (qmax + 1))
             for d, c in enumerate(counts):

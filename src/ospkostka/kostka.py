@@ -53,7 +53,7 @@ from .oddroots import (
     simple_odd_roots,
     simple_root_coordinates,
 )
-from .roots import EnumerationTooLargeError, GroupType, act, sign, weyl_elements
+from .roots import EnumerationTooLargeError, GroupType, act, signed_weyl
 
 KOSTKA_RANK_GUARD = 4
 
@@ -253,11 +253,6 @@ def _counter(data: OspRootData) -> PartitionCounter:
     return PartitionCounter(odd_positive_roots(data), simple_odd_roots(data))
 
 
-@lru_cache(maxsize=None)
-def _signed_weyl(gtype: GroupType):
-    return tuple((w, sign(w)) for w in weyl_elements(gtype))
-
-
 def l_poly(data: OspRootData, alpha: BiWeight) -> QPoly:
     """Generating polynomial of multiset partitions of alpha into positive
     odd roots, graded by the number of parts.  Zero when alpha is not in
@@ -346,7 +341,7 @@ def _weyl_arguments(gtype, rho_t, lam, mu):
     base = tuple(a + b for a, b in zip(rho_t, mu))
     return [
         (tuple(a - b for a, b in zip(act(w, shift), base)), s)
-        for w, s in _signed_weyl(gtype)
+        for w, s in signed_weyl(gtype)
     ]
 
 

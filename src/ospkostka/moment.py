@@ -22,7 +22,6 @@ integer draw tests it exactly as a rational one would.
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -135,6 +134,7 @@ def row_reduce(a):
 
 
 def mat_inverse(a):
+    from fractions import Fraction  # kept off the package's import path
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
     scale, ints = clear_denominators(a)
@@ -241,7 +241,10 @@ def pfaffian(M):
             for f, g, row in zip(top, second, a[2:])
         ]
         prev = p
-    return sign * prev if d == 1 else Fraction(sign * prev, d ** (k // 2))
+    if d == 1:
+        return sign * prev
+    from fractions import Fraction
+    return Fraction(sign * prev, d ** (k // 2))
 
 
 def determinant(M):

@@ -289,7 +289,8 @@ def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
     """
     lam0, lam1 = _check_dominant_pair(data, lam_pair, "lambda")
     mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
-    return _dominates(data, lam0 + lam1, mu0 + mu1)
+    share0 = _dominance_share(data, 0, tuple(map(sub, lam0, mu0)))
+    return _shares_dominate(share0, _dominance_share(data, 1, tuple(map(sub, lam1, mu1))))
 
 
 def _dominance_share(data: OspRootData, t: int, x) -> tuple:
@@ -316,16 +317,6 @@ def _shares_dominate(share0, share1) -> bool:
         total % 2 == 0
         and total >= max(0, 2 * (last0 + last1))
         and min(map(add, prefix0, prefix1)) >= 0
-    )
-
-
-def _dominates(data: OspRootData, lam_flat, mu_flat) -> bool:
-    """dominance_ge on flat eps||delta vectors already known to be
-    dominant pairs."""
-    r = data.eps_rank
-    diff = tuple(map(sub, lam_flat, mu_flat))
-    return _shares_dominate(
-        _dominance_share(data, 0, diff[:r]), _dominance_share(data, 1, diff[r:])
     )
 
 

@@ -13,12 +13,13 @@ no roots, trivial Weyl group, every weight dominant.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import permutations, product
 
 Weight = tuple
 
-# Enumerating past this rank is never needed here and gets expensive fast.
-WEYL_RANK_GUARD = 8
+# A cold C_7 character costs seconds and 100s of MB; |W(C_8)| = 16 |W(C_7)|.
+WEYL_RANK_GUARD = 7
 
 
 class EnumerationTooLargeError(ValueError):
@@ -109,11 +110,16 @@ def weyl_elements(gtype: GroupType):
             f"enumeration too large: rank {n} exceeds guard {WEYL_RANK_GUARD}"
         )
     even_only = gtype.family == "D"
+    vectors = [s for s in product((1, -1), repeat=n) if not even_only or s.count(-1) % 2 == 0]
     for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            if even_only and signs.count(-1) % 2 != 0:
-                continue
+        for signs in vectors:
             yield SignedPermutation(perm, signs)
+
+
+@lru_cache(maxsize=None)
+def signed_weyl(gtype: GroupType) -> tuple:
+    """(w, sign w) for every Weyl element, in weyl_elements order, once per type."""
+    return tuple((w, sign(w)) for w in weyl_elements(gtype))
 
 
 def act(w: SignedPermutation, weight: Weight) -> Weight:

@@ -6,7 +6,8 @@ pair, the odd root system and the orbit labels
 written out family by family, the moment-map battery in Fraction
 arithmetic with the explicit symplectic Gram, the Pfaffian as its
 full expansion, character
-decomposition by multiplying with A_rho, the Weyl dimension formula
+decomposition by multiplying with A_rho (alternant and convolution summed
+literally here, not by the library's kernels), the Weyl dimension formula
 as a product of Fractions, and both Euler series summed as whole
 characters (one Euler line per alpha, one dual character per Kostka
 label).  Also an autouse fixture that hides the caller's
@@ -20,19 +21,11 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from ospkostka import moment
-from ospkostka.characters import (
-    _add_into,
-    _alternant,
-    _convolve,
-    irreducible_character,
-    is_weyl_invariant,
-    outer,
-    zero_char,
-)
+from ospkostka.characters import irreducible_character, is_weyl_invariant, outer, zero_char
 from ospkostka.euler import euler_line
 from ospkostka.kostka import QPoly, _weyl_arguments, kostka, partition_support_table
 from ospkostka.oddroots import BiWeight, dominance_ge_cone, odd_positive_roots
-from ospkostka.roots import dominant_weights, positive_roots, rho
+from ospkostka.roots import act, dominant_weights, positive_roots, rho, sign, weyl_elements
 
 
 @pytest.fixture(autouse=True)
@@ -436,6 +429,27 @@ def moment_report_oracle(N, trials, seed, start=0):
     return report
 
 
+def _nonzero(terms):
+    return {w: m for w, m in terms.items() if m}
+
+
+def _alternant(gtype, x):
+    """A_x = sum of sign(w) e^{w x} over the Weyl group, summed literally."""
+    terms = Counter()
+    for w in weyl_elements(gtype):
+        terms[act(w, x)] += sign(w)
+    return _nonzero(terms)
+
+
+def _convolve(a, b):
+    """Group-ring product by the double loop over both supports."""
+    terms = Counter()
+    for w1, m1 in a.items():
+        for w2, m2 in b.items():
+            terms[tuple(x + y for x, y in zip(w1, w2))] += m1 * m2
+    return _nonzero(terms)
+
+
 def _product_alternant(context, parts):
     """The alternant of each part on its factor's lattice; for two factors,
     their outer product on the concatenated lattice."""
@@ -468,7 +482,7 @@ def alternant_decompose(ch):
     prod = _convolve(ch.terms, _product_alternant(context, rhos))
     rho_cat = sum(rhos, ())
     result = {}
-    reconstruction = {}
+    reconstruction = Counter()
     for w, c in prod.items():
         parts = []
         start = 0
@@ -484,8 +498,9 @@ def alternant_decompose(ch):
             r0 = context[0].rank
             label = (lam_cat[:r0], lam_cat[r0:])
         result[label] = c
-        _add_into(reconstruction, _product_alternant(context, parts).items(), c)
-    if reconstruction != prod:
+        for v, m in _product_alternant(context, parts).items():
+            reconstruction[v] += c * m
+    if _nonzero(reconstruction) != prod:
         raise ValueError("internal error: alternant reconstruction mismatch")
     return {label: c for label, c in sorted(result.items()) if c}
 

@@ -252,8 +252,8 @@ def test_decompose_reconstruction_mismatch_raises(monkeypatch):
     assert decompose(irreducible_character(C2, (1, 0))) == {(1, 0): 1}
     real = characters_module._rho_reflection
 
-    def wrong_sign(gtype, rho_t, x):
-        rep = real(gtype, rho_t, x)
+    def wrong_sign(gtype, x):
+        rep = real(gtype, x)
         return rep and (-rep[0], rep[1])
 
     with monkeypatch.context() as patch:
@@ -277,7 +277,7 @@ def test_decompose_checks_survive_optimize():
         "        return str(exc)\n"
         "C1 = c.GroupType('C', 1)\n"
         "print(message(c.CharElt((C1,), {(1,): 1})))\n"
-        "c._rho_reflection = lambda g, r, x: None\n"
+        "c._rho_reflection = lambda g, x: None\n"
         "print(message(c.irreducible_character(C1, (1,))))\n"
     )
     package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
@@ -359,7 +359,7 @@ def test_decompose_drops_a_singular_second_block_whole():
     so decompose drops the whole group of weights sharing it, whatever
     their first block; a non-invariant weight inside that group still
     breaks the exact rebuild and gets the invariance message."""
-    assert characters_module._rho_reflection(C1, rho(C1), (-1,)) is None
+    assert characters_module._rho_reflection(C1, (-1,)) is None
     ch = outer(irreducible_character(D2, (1, 0)), irreducible_character(C1, (1,))).scaled(2)
     ch.add_scaled(outer(irreducible_character(D2, (1, 1)), irreducible_character(C1, (3,))), -1)
     group = {w[:2] for w in ch.terms if w[2:] == (-1,)}

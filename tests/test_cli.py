@@ -405,13 +405,15 @@ def test_cache_output_identical_with_and_without(tmp_path):
          "orbit not in closure"),
         (["char", "--type", "C", "--rank", "2", "--lambda", "1,2"],
          "(1, 2) is not C_2-dominant"),
+        (["char", "--type", "C", "--rank", "8", "--lambda", "0,0,0,0,0,0,0,0"],
+         "enumeration too large: rank 8 exceeds guard 7"),
         (["verify-bryl", "-N", "3", "--mu=0;-1", "--qmax", "1"],
          "mu delta-part (-1,) is not C_1-dominant"),
         (["dim", "-N", "3", "--orbit=0;-1"],
          "lam_b (-1,) is not a dominant C_1 coweight"),
     ],
     ids=["kostka", "kostka-guard", "kostka-custom", "kostka-custom-rank-zero",
-         "kostka-custom-dependent", "dominance", "stalk", "char",
+         "kostka-custom-dependent", "dominance", "stalk", "char", "char-guard",
          "verify-bryl", "orbit-label"],
 )
 def test_library_errors_exit_two(argv, message, capsys):
@@ -490,7 +492,8 @@ def test_kostka_custom_checks_ranks(rank0, extra, message, capsys):
 
 def test_cli_import_skips_dataclasses_and_inspect():
     """Importing the CLI pulls in neither module: together they were about
-    two thirds of its import cost."""
+    two thirds of its import cost.  Nor does it load fractions or decimal,
+    which only mat_inverse and pfaffian's rational branch import."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -507,6 +510,8 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert "ospkostka.cli" in new
     assert "dataclasses" not in new
     assert "inspect" not in new
+    assert "fractions" not in new
+    assert "decimal" not in new
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -14,7 +14,7 @@ from ospkostka.euler import (
     verify_bryl,
 )
 from ospkostka.kostka import QPoly, kostka
-from ospkostka.oddroots import _dominates, biweight, dominance_ge_cone, osp_root_data
+from ospkostka.oddroots import biweight, dominance_ge, dominance_ge_cone, osp_root_data
 from ospkostka.roots import EnumerationTooLargeError, dominant_weights
 
 
@@ -136,16 +136,16 @@ def test_lhs_degrees_decompose_nonnegatively():
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_cone_label_candidates_dominance_matches_cone(N):
-    """The unchecked dominance core that dominant_cone_labels uses agrees
-    with cone membership on every label of the sup-norm box, and the
-    labels are the box's cone labels within the l1 bound."""
+    """The partial-sum order agrees with cone membership on every label of
+    the sup-norm box, and the labels are the box's cone labels within the
+    l1 bound."""
     data = osp_root_data(N)
     qmax = 2
     for mu in product(dominant_weights(data.type0, 1), dominant_weights(data.type1, 1)):
         expected = []
         for lam in sup_norm_box(data, mu, qmax):
             in_cone = dominance_ge_cone(data, lam, mu)
-            assert _dominates(data, lam[0] + lam[1], mu[0] + mu[1]) == in_cone
+            assert dominance_ge(data, lam, mu) == in_cone
             in_ball = all(
                 sum(map(abs, lam_t)) <= sum(map(abs, mu_t)) + qmax for lam_t, mu_t in zip(lam, mu)
             )
@@ -155,11 +155,11 @@ def test_cone_label_candidates_dominance_matches_cone(N):
 
 
 @pytest.mark.parametrize("N", range(3, 10))
-def test_cone_labels_match_dominates_product(N):
+def test_cone_labels_match_dominance_product(N):
     """For mu with entries at most 1 and qmax 0..3, the labels, order
     included, are the product of the per-factor weights in the sup-norm
-    and l1 bounds filtered pair by pair with _dominates on the flat
-    vectors, and _dominates agrees with cone membership on every pair."""
+    and l1 bounds filtered pair by pair with dominance_ge, and
+    dominance_ge agrees with dominance_ge_cone on every pair."""
     data = osp_root_data(N)
     for mu in product(dominant_weights(data.type0, 1), dominant_weights(data.type1, 1)):
         for qmax in range(4):
@@ -173,7 +173,7 @@ def test_cone_labels_match_dominates_product(N):
             ]
             expected = []
             for lam in product(*factors):
-                in_order = _dominates(data, lam[0] + lam[1], mu[0] + mu[1])
+                in_order = dominance_ge(data, lam, mu)
                 assert in_order == dominance_ge_cone(data, lam, mu)
                 if in_order:
                     expected.append(lam)

@@ -1,3 +1,4 @@
+import fractions
 import os
 import random
 import subprocess
@@ -538,5 +539,22 @@ def test_battery_builds_no_fraction(monkeypatch, N):
     def no_fraction(*args):
         raise AssertionError("the battery built a Fraction")
 
-    monkeypatch.setattr(moment_module, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     assert moment_check(N, 6, seed=N)["ok"]
+
+
+def test_battery_never_imports_fractions():
+    """moment_check at N = 3..6 runs in a process where fractions is never
+    loaded: moment imports it only inside mat_inverse and pfaffian's
+    rational branch."""
+    code = (
+        "import sys\n"
+        "from ospkostka.moment import moment_check\n"
+        "assert all(moment_check(N, 6, seed=N)['ok'] for N in (3, 4, 5, 6))\n"
+        "print('fractions' in sys.modules, 'decimal' in sys.modules)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"

@@ -1,7 +1,10 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ospkostka.roots import (
+    WEYL_RANK_GUARD,
     EnumerationTooLargeError,
     GroupType,
     SignedPermutation,
@@ -14,6 +17,7 @@ from ospkostka.roots import (
     positive_roots,
     rho,
     sign,
+    signed_weyl,
     weyl_elements,
     weyl_order,
 )
@@ -55,6 +59,32 @@ def test_weyl_counts(gtype, count):
 def test_weyl_rank_guard():
     with pytest.raises(EnumerationTooLargeError):
         list(weyl_elements(GroupType("C", 9)))
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_weyl_rank_guard_refuses_rank_8(family):
+    """Rank 8 raises before the first element: |W(C_8)| is 10,321,920."""
+    assert WEYL_RANK_GUARD == 7
+    message = "^enumeration too large: rank 8 exceeds guard 7$"
+    for enumerate_all in (lambda g: next(weyl_elements(g)), signed_weyl):
+        with pytest.raises(EnumerationTooLargeError, match=message):
+            enumerate_all(GroupType(family, 8))
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_signed_weyl_is_the_literal_enumeration_with_signs(family, rank):
+    """weyl_elements runs in (permutation lex, sign lex) order, and
+    signed_weyl pairs each element with its determinant, in that order."""
+    literal = [
+        SignedPermutation(perm, signs)
+        for perm in permutations(range(rank))
+        for signs in product((1, -1), repeat=rank)
+        if family == "C" or signs.count(-1) % 2 == 0
+    ]
+    gtype = GroupType(family, rank)
+    assert list(weyl_elements(gtype)) == literal
+    assert signed_weyl(gtype) == tuple((w, sign(w)) for w in literal)
 
 
 def test_act_identity():
