@@ -6,6 +6,11 @@ way as lam_s;lam_b).  Values with a leading minus need the
 --flag=value form, e.g. --lambda=-1;1.  Output is human-readable text by
 default or JSON with --format json.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error.
+
+A command is declared once, by one add_parser call in build_parser: its
+name, its cmd_* handler, its help line, and whether it takes -N, the
+polynomial cache (--cache) and the --lambda/--mu pair.  main reads and
+writes the cache only for commands declared with cache=True.
 """
 
 import argparse
@@ -26,8 +31,6 @@ from .kostka import (
 
 CACHE_VERSION = "ospkostka-cache-1"
 CACHE_ENV = "OSP_KOSTKA_CACHE"
-# The commands that compute Kostka polynomials, and so read and write the cache.
-CACHE_COMMANDS = ("kostka", "stalk", "verify-positivity", "verify-bryl")
 
 
 class UsageError(ValueError):
@@ -58,16 +61,11 @@ def parse_biweight(text, data=None, what="weight"):
     eps = parse_int_vector(eps_text, what=f"{what} eps part")
     delta = parse_int_vector(delta_text, what=f"{what} delta part")
     if data is not None:
-        if len(eps) != data.eps_rank:
-            raise UsageError(
-                f"{what} eps part {eps} has length {len(eps)}, "
-                f"N={data.N} needs {data.eps_rank}"
-            )
-        if len(delta) != data.delta_rank:
-            raise UsageError(
-                f"{what} delta part {delta} has length {len(delta)}, "
-                f"N={data.N} needs {data.delta_rank}"
-            )
+        for part, vec, rank in (("eps", eps, data.eps_rank), ("delta", delta, data.delta_rank)):
+            if len(vec) != rank:
+                raise UsageError(
+                    f"{what} {part} part {vec} has length {len(vec)}, N={data.N} needs {rank}"
+                )
     return eps, delta
 
 
@@ -103,7 +101,9 @@ def cache_load(path):
             raw = json.load(fh)
     except FileNotFoundError:
         return {}
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer
+        # longer than int() accepts.
         print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
         return {}
     if not isinstance(raw, dict) or raw.get("version") != CACHE_VERSION:
@@ -216,11 +216,9 @@ def cmd_dominance(args):
     lam = parse_biweight(args.lam, data, "lambda")
     mu = parse_biweight(args.mu, data, "mu")
     ge = oddroots.dominance_ge(data, lam, mu)
-    certificate = None
-    if ge:
-        diff = oddroots.BiWeight(*lam) - oddroots.BiWeight(*mu)
-        coords = oddroots.simple_root_coordinates(data, diff)
-        certificate = list(coords) if coords is not None else None
+    # lam >= mu exactly when lam - mu has simple-root coordinates.
+    certificate = list(oddroots.simple_root_coordinates(
+        data, oddroots.BiWeight(*lam) - oddroots.BiWeight(*mu))) if ge else None
     payload = {"ge": ge, "certificate": certificate}
     return payload, lambda p: f"ge = {p['ge']}  certificate = {p['certificate']}"
 
@@ -255,25 +253,12 @@ def cmd_stalk(args):
 def cmd_poset(args):
     data = oddroots.osp_root_data(args.N)
     labels = orbits.orbit_labels_in_box(data, args.box)
-    le = {}
-    for a in labels:
-        for b in labels:
-            if a != b and orbits.closure_le(data, a, b):
-                le.setdefault(str(a), set()).add(str(b))
-    # Hasse edges: covers only
-    edges = []
-    for a in labels:
-        ups = le.get(str(a), set())
-        for b in labels:
-            if str(b) not in ups:
-                continue
-            if any(str(b) in le.get(c, set()) for c in ups if c != str(b)):
-                continue
-            edges.append((str(a), str(b)))
-    edges.sort()
+    above = {a: {b for b in labels if b != a and orbits.closure_le(data, a, b)} for a in labels}
+    # Hasse edges: b covers a when no c strictly above a lies below b.
     payload = {
         "nodes": sorted(str(l) for l in labels),
-        "edges": [[a, b] for a, b in edges],
+        "edges": sorted([str(a), str(b)] for a in labels for b in above[a]
+                        if not any(b in above[c] for c in above[a])),
     }
 
     def render(p):
@@ -443,15 +428,9 @@ def _parallel_moment(N, trials, seed, jobs):
 
 
 def _merge_moment_reports(N, reports):
-    merged = {
-        "N": N,
-        "trials": sum(r["trials"] for r in reports),
-        "char_identity": sum(r["char_identity"] for r in reports),
-        "pfaffian_vanishing": sum(r["pfaffian_vanishing"] for r in reports),
-        "fft_generators": sum(r["fft_generators"] for r in reports),
-        "equivariance": int(all(r["equivariance"] for r in reports)),
-        "failures": sum(r["failures"] for r in reports),
-    }
+    counters = ("trials", "char_identity", "pfaffian_vanishing", "fft_generators", "failures")
+    merged = {key: sum(r[key] for r in reports) for key in counters}
+    merged.update(N=N, equivariance=int(all(r["equivariance"] for r in reports)))
     merged["ok"] = merged["failures"] == 0
     return merged
 
@@ -472,46 +451,40 @@ def int_at_least(minimum):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common, cached, ranked, weights = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--format", choices=("text", "json"), default="text")
-    cached = argparse.ArgumentParser(add_help=False)
-    cached.add_argument(
-        "--cache", default=None, help=f"polynomial cache file (default: ${CACHE_ENV})"
-    )
-    ranked = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--cache", help=f"polynomial cache file (default: ${CACHE_ENV})")
     ranked.add_argument("-N", type=int, required=True)
+    weights.add_argument("--lambda", dest="lam", required=True)
+    weights.add_argument("--mu", required=True)
     parser = argparse.ArgumentParser(
         prog="ospkostka",
         description="Exact orthosymplectic Kostka polynomials and orbit tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, needs_n=True, **kwargs):
-        parents = [common, cached] if name in CACHE_COMMANDS else [common]
-        # Parents' options print in order, so -N stays after --format/--cache.
-        if needs_n:
-            parents.append(ranked)
-        return sub.add_parser(name, parents=parents, **kwargs)
+    def add_parser(name, func, summary, needs_n=True, cache=False, pair=False):
+        # Parents' options print in order: --format, --cache, -N, --lambda/--mu.
+        parents = [common] + [cached] * cache + [ranked] * needs_n + [weights] * pair
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser(
-        "roots", needs_n=False, help="positive roots of D/C factors or the odd system"
-    )
+    # The cmd_* names are looked up when build_parser runs, so a handler
+    # rebound after import (benchmarks/tracer.py wraps them) is the one called.
+    p = add_parser("roots", cmd_roots, "positive roots of D/C factors or the odd system",
+                   needs_n=False)
     p.add_argument("-N", type=int, default=None)
     p.add_argument("--odd", action="store_true")
     p.add_argument("--family", choices=("D", "C"), default=None)
     p.add_argument("--rank", type=int, default=None)
-    p.set_defaults(func=cmd_roots)
 
-    p = add_parser("lpoly", help="partition polynomial of a lattice vector")
+    p = add_parser("lpoly", cmd_lpoly, "partition polynomial of a lattice vector")
     p.add_argument("--alpha", required=True)
-    p.set_defaults(func=cmd_lpoly)
+    add_parser("kostka", cmd_kostka, "orthosymplectic Kostka polynomial", cache=True, pair=True)
 
-    p = add_parser("kostka", help="orthosymplectic Kostka polynomial")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_kostka)
-
-    p = add_parser("kostka-custom", needs_n=False, help="Kostka sum for a custom root set")
+    p = add_parser("kostka-custom", cmd_kostka_custom, "Kostka sum for a custom root set",
+                   needs_n=False)
     p.add_argument("--roots", required=True, help="space-separated eps;delta vectors")
     p.add_argument("--simple", required=True, help="space-separated eps;delta vectors")
     p.add_argument("--family0", choices=("D", "C"), default="D")
@@ -522,74 +495,48 @@ def build_parser():
     p.add_argument("--rho1", default=None)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_kostka_custom)
 
-    p = add_parser("dominance", help="dominance order with cone certificate")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_dominance)
-
-    p = add_parser("closure", help="orbit closure order")
+    add_parser("dominance", cmd_dominance, "dominance order with cone certificate", pair=True)
+    p = add_parser("closure", cmd_closure, "orbit closure order")
     p.add_argument("--lower", required=True)
     p.add_argument("--upper", required=True)
-    p.set_defaults(func=cmd_closure)
-
-    p = add_parser("dim", help="orbit dimension")
+    p = add_parser("dim", cmd_dim, "orbit dimension")
     p.add_argument("--orbit", required=True)
-    p.set_defaults(func=cmd_dim)
+    add_parser("stalk", cmd_stalk, "IC stalk Poincare table", cache=True, pair=True)
 
-    p = add_parser("stalk", help="IC stalk Poincare table")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_stalk)
-
-    p = add_parser("poset", help="closure order on a box of orbit labels")
+    p = add_parser("poset", cmd_poset, "closure order on a box of orbit labels")
     p.add_argument("--box", type=int_at_least(0), default=2)
     p.add_argument("--dot", action="store_true", help="emit DOT text")
-    p.set_defaults(func=cmd_poset)
 
-    p = add_parser("orbit-rep", help="lattice representative of an orbit")
+    p = add_parser("orbit-rep", cmd_orbit_rep, "lattice representative of an orbit")
     p.add_argument("--orbit", required=True)
-    p.set_defaults(func=cmd_orbit_rep)
-
-    p = add_parser("stabilizer", help="stabilizer data of an orbit")
+    p = add_parser("stabilizer", cmd_stabilizer, "stabilizer data of an orbit")
     p.add_argument("--orbit", required=True)
-    p.set_defaults(func=cmd_stabilizer)
 
-    p = add_parser("char", needs_n=False, help="irreducible character table")
+    p = add_parser("char", cmd_char, "irreducible character table", needs_n=False)
     p.add_argument("--type", choices=("D", "C"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=cmd_char)
 
-    p = add_parser("verify-bryl", help="compare the two Euler series")
+    p = add_parser("verify-bryl", cmd_verify_bryl, "compare the two Euler series", cache=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.set_defaults(func=cmd_verify_bryl)
-
-    p = add_parser("verify-positivity", help="Kostka positivity on a box")
+    p = add_parser("verify-positivity", cmd_verify_positivity, "Kostka positivity on a box",
+                   cache=True)
     p.add_argument("--box", type=int_at_least(0), default=3)
-    p.set_defaults(func=cmd_verify_positivity)
 
-    p = add_parser("moment-check", help="moment map identity trials")
+    p = add_parser("moment-check", cmd_moment_check, "moment map identity trials")
     p.add_argument("--trials", type=int_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--jobs",
-        type=int_at_least(1),
-        default=1,
-        help="worker processes for trial batches",
-    )
-    p.set_defaults(func=cmd_moment_check)
-
+    p.add_argument("--jobs", type=int_at_least(1), default=1,
+                   help="worker processes for trial batches")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cache_path = None
-    if args.command in CACHE_COMMANDS:
-        cache_path = args.cache or os.environ.get(CACHE_ENV)
+    # Only commands declared with cache=True have args.cache.
+    cache_path = (args.cache or os.environ.get(CACHE_ENV)) if hasattr(args, "cache") else None
     if cache_path:
         kostka_memo_import(cache_load(cache_path))
     try:

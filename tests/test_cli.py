@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -7,8 +8,10 @@ import sys
 import pytest
 
 import ospkostka
+from ospkostka import oddroots, orbits, roots
 from ospkostka.cli import (
     CACHE_ENV,
+    build_parser,
     cache_load,
     cache_store,
     main,
@@ -360,13 +363,18 @@ def test_cache_ignores_unknown_version(tmp_path):
 
 
 def test_cache_corrupt_file_cold_run(tmp_path):
+    """Bad JSON, bytes that are not UTF-8 and an integer past int()'s digit
+    limit all degrade to a cold run that leaves a valid cache behind."""
     path = tmp_path / "cache.json"
-    path.write_text("not json")
-    code, out, err = run_cli("kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0",
-                             "--cache", str(path), "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {"poly": {"coeffs": [0, 1]}}
-    assert "ignoring unreadable cache" in err
+    too_long = b'{"version": "ospkostka-cache-1", "entries": {"x": [' + b"1" * 5000 + b"]}}"
+    for content in (b"not json", b"\xff\xfe\x00{not utf-8", too_long):
+        path.write_bytes(content)
+        code, out, err = run_cli("kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0",
+                                 "--cache", str(path), "--format", "json")
+        assert code == 0, err
+        assert json.loads(out) == {"poly": {"coeffs": [0, 1]}}
+        assert "ignoring unreadable cache" in err
+        assert cache_load(path) == {"3|K|1|1|0|0": [0, 1]}
 
 
 def test_cache_output_identical_with_and_without(tmp_path):
@@ -637,3 +645,86 @@ def test_impossible_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == {"poly": {"coeffs": [0, 1]}}
     data = ospkostka.osp_root_data(3)
     assert ospkostka.kostka(data, ((1,), (1,)), ((0,), (0,))).coeffs == (0, 1)
+
+
+# Every subcommand's options in --help order (help aside), and the required ones.
+OPTION_TABLE = {
+    "roots": ("--format -N --odd --family --rank", ""),
+    "lpoly": ("--format -N --alpha", "-N --alpha"),
+    "kostka": ("--format --cache -N --lambda --mu", "-N --lambda --mu"),
+    "kostka-custom": (
+        "--format --roots --simple --family0 --rank0 --family1 --rank1 --rho0 --rho1"
+        " --lambda --mu",
+        "--roots --simple --rank0 --rank1 --lambda --mu",
+    ),
+    "dominance": ("--format -N --lambda --mu", "-N --lambda --mu"),
+    "closure": ("--format -N --lower --upper", "-N --lower --upper"),
+    "dim": ("--format -N --orbit", "-N --orbit"),
+    "stalk": ("--format --cache -N --lambda --mu", "-N --lambda --mu"),
+    "poset": ("--format -N --box --dot", "-N"),
+    "orbit-rep": ("--format -N --orbit", "-N --orbit"),
+    "stabilizer": ("--format -N --orbit", "-N --orbit"),
+    "char": ("--format --type --rank --lambda", "--type --rank --lambda"),
+    "verify-bryl": ("--format --cache -N --mu --qmax", "-N --mu --qmax"),
+    "verify-positivity": ("--format --cache -N --box", "-N"),
+    "moment-check": ("--format -N --trials --seed --jobs", "-N"),
+}
+
+
+def test_option_table():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTION_TABLE)
+    for name, sp in sub.choices.items():
+        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        options = [s for a in actions for s in a.option_strings]
+        required = [s for a in actions if a.required for s in a.option_strings]
+        assert (" ".join(options), " ".join(required)) == OPTION_TABLE[name], name
+
+
+def naive_covers(data, labels):
+    """Transitive reduction of closure_le: a < b with no c strictly between."""
+    below = {(a, b) for a in labels for b in labels
+             if a != b and orbits.closure_le(data, a, b)}
+    return sorted(
+        [str(a), str(b)] for a, b in below
+        if not any((a, c) in below and (c, b) in below for c in labels)
+    )
+
+
+@pytest.mark.parametrize(
+    "N, box", [(N, 1) for N in range(3, 8)] + [(N, 2) for N in range(3, 7)]
+)
+def test_poset_covers_match_naive_reduction(N, box, capsys):
+    assert main(["poset", "-N", str(N), "--box", str(box), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    data = ospkostka.osp_root_data(N)
+    labels = orbits.orbit_labels_in_box(data, box)
+    assert payload["nodes"] == sorted(str(l) for l in labels)
+    assert payload["edges"] == naive_covers(data, labels)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_dominance_certificate_exactly_when_ge(N, capsys):
+    data = ospkostka.osp_root_data(N)
+    box = [(lam0, lam1)
+           for lam0 in roots.dominant_weights(data.type0, 1)
+           for lam1 in roots.dominant_weights(data.type1, 1)]
+
+    def arg(pair):
+        return ";".join(",".join(map(str, part)) for part in pair)
+
+    comparable = 0
+    for lam in box:
+        for mu in box:
+            assert main(["dominance", "-N", str(N), f"--lambda={arg(lam)}",
+                         f"--mu={arg(mu)}", "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["ge"] == oddroots.dominance_ge(data, lam, mu)
+            assert (payload["certificate"] is not None) == payload["ge"]
+            if payload["ge"]:
+                comparable += 1
+                coords = oddroots.simple_root_coordinates(
+                    data, oddroots.BiWeight(*lam) - oddroots.BiWeight(*mu))
+                assert payload["certificate"] == list(coords)
+    assert comparable > len(box)  # some pair off the diagonal is comparable
