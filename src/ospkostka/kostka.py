@@ -22,6 +22,12 @@ residuals never go negative because every root expands nonnegatively
 roots with a positive first coordinate are peeled, any residual still
 positive there is dead.  L_alpha(q) does not depend on the root order.
 
+The residual is packed into one int, one field per coordinate with a
+guard bit above it (PartitionCounter gives the layout): subtracting a
+root is one integer subtraction, a negative coordinate shows as a
+cleared guard bit, the dead test is one mask per k, and fields too
+narrow for a goal are widened, never narrower than any root's.
+
 The Weyl sum is separable.  The cone solve is linear, so the raw row sums
 of arg0 + arg1 (the coordinates times the solver's scale, before any
 division) are those of arg0 placed at offset 0 plus those of arg1 placed
@@ -41,7 +47,7 @@ membership.
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from operator import add, itemgetter
+from operator import add, itemgetter, lshift
 
 from .oddroots import (
     BiWeight,
@@ -144,6 +150,19 @@ class PartitionCounter:
     of the memoized recursion is (number of usable roots, residual
     coordinate vector); the module docstring gives the root order and the
     dead-state cut.
+
+    A residual is packed into one int: coordinate i sits in a field of
+    `bits` value bits at shift i * (bits + 1), with a guard bit set just
+    above it, and the guard bits together make the mask G, so the zero
+    residual is G.  Subtracting a root's packed code borrows only inside
+    a field whose value is too small, and such a borrow clears that
+    field's guard bit, so r - code is a residual iff its guard bits are
+    still all set.  That holds while every coordinate of every root and
+    of every goal fits in `bits` bits; a goal that does not fit widens
+    the fields (at least doubling `bits`) and drops the memo.  The
+    dead-state cut is r & dead[k], the value bits of the coordinates
+    that none of the first k roots touches.  The memo is one dict per k,
+    keyed by the packed residual.
     """
 
     def __init__(self, roots, simples):
@@ -160,14 +179,26 @@ class PartitionCounter:
                 )
             coords.append(c)
         self.root_coords = sorted(coords)
-        # _untouched[k]: coordinates that none of the first k roots touches
-        dim = len(coords[0])
-        self._untouched = [
-            tuple(i for i in range(dim) if not any(r[i] for r in self.root_coords[:k]))
-            for k in range(len(coords) + 1)
-        ]
-        self._memo = {}
+        # at least 4 value bits, so that the small goals of the Weyl sum
+        # fit from the start
+        self._widen(max(4, max(map(max, coords)).bit_length()))
         self._weyl_terms = {}
+
+    def _widen(self, bits):
+        """Lay out fields of `bits` value bits and start an empty memo."""
+        self._bits = bits
+        roots = self.root_coords
+        self._shifts = shifts = [i * (bits + 1) for i in range(len(roots[0]))]
+        ones = (1 << bits) - 1
+        self._guard = sum(1 << (s + bits) for s in shifts)
+        self._codes = [sum(map(lshift, r, shifts)) for r in roots]
+        # dead[k]: value bits of the coordinates that none of the first k
+        # roots touches
+        self._dead = [
+            sum(ones << s for i, s in enumerate(shifts) if not any(r[i] for r in roots[:k]))
+            for k in range(len(roots) + 1)
+        ]
+        self._memos = [{} for _ in self._dead]
 
     def weyl_terms(self, factor, gtype, rho_t, lam, mu):
         """One factor's Weyl terms (arg, sign, check sums, row sums) of the
@@ -181,10 +212,9 @@ class PartitionCounter:
             return terms
         solver = self._solver
         offset = solver.dim - len(lam) if factor else 0
-        terms = [
-            (arg, s, *solver.part_sums(arg, offset))
-            for arg, s in _weyl_arguments(gtype, rho_t, lam, mu)
-        ]
+        args = _weyl_arguments(gtype, rho_t, lam, mu)
+        sums = solver.part_sums([arg for arg, _ in args], offset)
+        terms = [(arg, s, checks, rows) for (arg, s), (checks, rows) in zip(args, sums)]
         if factor:
             by_row = []
             for i in range(len(terms[0][3])):
@@ -204,48 +234,49 @@ class PartitionCounter:
         """Counts by multiset size for partitions of `coords` using the
         first k roots, computed with an explicit stack (inputs from the
         Weyl sum can be deep)."""
-        untouched = self._untouched
-        if any(coords[i] for i in untouched[k]):
+        need = max(coords).bit_length()
+        if need > self._bits:
+            self._widen(max(2 * self._bits, need))
+        G = self._guard
+        goal = G + sum(map(lshift, coords, self._shifts))
+        dead = self._dead
+        if goal & dead[k]:
             return ()
-        memo = self._memo
-        root_coords = self.root_coords
-        goal = (k, coords)
-        stack = [goal]
+        memos = self._memos
+        hit = memos[k].get(goal)
+        if hit is not None:
+            return hit
+        codes = self._codes
+        stack = [(k, goal)]
         while stack:
-            key = stack[-1]
-            if key in memo:
+            kk, r = stack[-1]
+            memo = memos[kk]
+            if r == G:
+                memo[r] = (1,)
                 stack.pop()
                 continue
-            kk, cc = key
-            if not any(cc):
-                memo[key] = (1,)
-                stack.pop()
+            # Every stacked state is live (r is zero on dead[kk]), so a
+            # nonzero r has kk >= 1 and its residual is live too: only the
+            # skip can die.  A state stacked twice is recomputed from its
+            # stored children.
+            skip = () if r & dead[kk - 1] else memos[kk - 1].get(r)
+            u = r - codes[kk - 1]
+            use = memo.get(u) if u & G == G else ()
+            if skip is None or use is None:
+                if skip is None:
+                    stack.append((kk - 1, r))
+                if use is None:
+                    stack.append((kk, u))
                 continue
-            # Every stacked state is live (cc is zero on _untouched[kk]), so
-            # a nonzero cc has kk >= 1 and its residual is live too: only
-            # the skip can die.
-            skip_key = None
-            if not any(cc[i] for i in untouched[kk - 1]):
-                skip_key = (kk - 1, cc)
-            use_key = None
-            residual = tuple(a - b for a, b in zip(cc, root_coords[kk - 1]))
-            if all(x >= 0 for x in residual):
-                use_key = (kk, residual)
-            missing = [K for K in (skip_key, use_key) if K is not None and K not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            skip = memo[skip_key] if skip_key is not None else ()
-            use = memo[use_key] if use_key is not None else ()
-            n = max(len(skip), len(use) + 1 if use else 0)
-            out = [0] * n
-            for d, c in enumerate(skip):
-                out[d] += c
-            for d, c in enumerate(use):
-                out[d + 1] += c
-            memo[key] = tuple(out)
             stack.pop()
-        return memo[goal]
+            if not use:
+                memo[r] = skip
+                continue
+            use = (0, *use)
+            if len(skip) < len(use):
+                skip, use = use, skip
+            memo[r] = (*map(add, skip, use), *skip[len(use) :])
+        return memos[k][goal]
 
 
 @lru_cache(maxsize=None)

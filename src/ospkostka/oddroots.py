@@ -20,7 +20,7 @@ of lam - mu (_dominance_share, checked by _shares_dominate).
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, itemgetter, mul, sub
 
 from .moment import row_reduce
@@ -212,20 +212,22 @@ class ConeSolver:
             out.append(c)
         return tuple(out)
 
-    def part_sums(self, part, offset):
-        """(check-row sums, row sums) of the vector that equals `part` from
-        position `offset` on and is zero elsewhere, with no divmod.  Both
-        are linear, so the sums of two parts placed side by side add up to
-        those of the whole vector: it has coordinates exactly when its
-        check sums vanish and its row sums are nonnegative multiples of
-        `scale`, the coordinates times `scale`."""
-        end = offset + len(part)
+    def part_sums(self, parts, offset):
+        """[(check-row sums, row sums)], one pair per part: the sums of the
+        vector that equals the part from position `offset` on and is zero
+        elsewhere, with no divmod.  Both are linear, so the sums of two
+        parts placed side by side add up to those of the whole vector: it
+        has coordinates exactly when its check sums vanish and its row sums
+        are nonnegative multiples of `scale`, the coordinates times
+        `scale`.  Each row is sliced once for all the parts."""
+        end = offset + max(map(len, parts), default=0)
         if offset < 0 or end > self.dim:
             raise ValueError("part does not fit the lattice rank at this offset")
-        return (
-            tuple(sum(map(mul, row[offset:end], part)) for row in self._checks),
-            tuple(sum(map(mul, row[offset:end], part)) for row in self._rows),
+        checks, rows = (
+            [[sum(map(mul, cut, p)) for p in parts] for cut in [r[offset:end] for r in matrix]]
+            for matrix in (self._checks, self._rows)
         )
+        return list(zip(zip(*checks) if checks else repeat(()), zip(*rows)))
 
 
 @lru_cache(maxsize=None)

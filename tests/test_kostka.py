@@ -114,9 +114,10 @@ def _split(flat, rank0):
 @given(st.data())
 def test_custom_counter_against_unpruned_recursion(data):
     """Random simple sets (square or not, so some carry consistency rows)
-    and random roots over them, many zero in some simple coordinate; goals
-    are sums of roots, simple-root combinations (reachable or not) and
-    arbitrary vectors."""
+    and random roots over them, many zero in some simple coordinate, and
+    mostly one more root, 17 or 40 times simple root i; goals are sums of
+    roots, simple-root combinations (reachable or not, some with 8..15
+    times simple root i) and arbitrary vectors."""
     rank0 = data.draw(st.integers(min_value=1, max_value=2))
     dim = rank0 + data.draw(st.integers(min_value=1, max_value=2))
     k = data.draw(st.integers(min_value=1, max_value=dim), label="simples")
@@ -140,15 +141,52 @@ def test_custom_counter_against_unpruned_recursion(data):
         _split(combination(c), rank0)
         for c in data.draw(st.lists(nonzero, min_size=1, max_size=5))
     ]
+    # sometimes one root that is a wide multiple of simple root i, so the
+    # packed fields must cover it and root-sum goals widen them
+    i = data.draw(st.integers(min_value=0, max_value=k - 1))
+    wide = data.draw(st.sampled_from([0, 17, 40]), label="wide")
+    if wide:
+        roots.append(_split(combination([wide * (j == i) for j in range(k)]), rank0))
+    event(f"wide root: {bool(wide)}")
     counter = PartitionCounter(roots, simples)
     root_sums = st.lists(st.sampled_from(roots), min_size=1, max_size=4).map(
         lambda parts: tuple(sum(col) for col in zip(*(b.flat() for b in parts)))
     )
-    goal = st.one_of(root_sums, coeffs.map(combination), vector.map(tuple))
+    # coordinate i up to 15: under the initial field width and short of
+    # the wide root
+    tall = st.tuples(coeffs, st.integers(8, 15)).map(
+        lambda t: combination([c + t[1] * (j == i) for j, c in enumerate(t[0])])
+    )
+    goal = st.one_of(root_sums, coeffs.map(combination), tall, vector.map(tuple))
     goals = data.draw(st.lists(goal, min_size=1, max_size=4))
     for flat in goals:
         expected = unpruned_l_coeffs(roots, simples, flat)
         event("reached" if expected else "not reached")
+        assert counter.l_poly_flat(flat).coeffs == expected
+
+
+WIDE_ROOTS = (biweight((20,), (0,)), biweight((1,), (0,)), biweight((0,), (1,)))
+UNIT_SIMPLES = (biweight((1,), (0,)), biweight((0,), (1,)))
+
+
+@pytest.mark.parametrize("flat", [(0, 5), (1, 3), (2, 2), (3, 9), (21, 1), (40, 2)])
+def test_counter_fields_cover_the_roots(flat):
+    """A root coordinate (20) wider than any small goal's: the packed
+    fields must hold it, or subtracting that root borrows across fields
+    ((0;5) then reads q^5 + q^17 in place of q^5)."""
+    expected = unpruned_l_coeffs(WIDE_ROOTS, UNIT_SIMPLES, flat)
+    assert PartitionCounter(WIDE_ROOTS, UNIT_SIMPLES).l_poly_flat(flat).coeffs == expected
+
+
+def test_counter_widens_across_goals():
+    """One counter, goals small, then past the field width twice (the
+    fields widen and the memo is dropped), then small again: every answer
+    matches a fresh counter and the unpruned recursion."""
+    counter = PartitionCounter(WIDE_ROOTS, UNIT_SIMPLES)
+    goals = [(2, 2), (0, 5), (21, 40), (3, 9), (300, 3), (1, 3), (40, 2), (2, 2)]
+    for flat in goals:
+        expected = unpruned_l_coeffs(WIDE_ROOTS, UNIT_SIMPLES, flat)
+        assert PartitionCounter(WIDE_ROOTS, UNIT_SIMPLES).l_poly_flat(flat).coeffs == expected
         assert counter.l_poly_flat(flat).coeffs == expected
 
 
@@ -489,14 +527,15 @@ def test_first_fundamental_label_closed_form(N):
 
 
 def test_kostka_n9_partition_memo_stays_small(monkeypatch):
-    """Cold, the N=9 example stores fewer than 5,000 partition states; it
-    stored 41,325 when the roots were unsorted and dead states were kept."""
+    """Cold, the N=9 example stores fewer than 5,000 partition states (the
+    sum over the per-level memos); it stored 41,325 when the roots were
+    unsorted and dead states were kept."""
     monkeypatch.setattr(kostka_module, "_kostka_memo", {})
     kostka_module._counter.cache_clear()
     data = osp_root_data(9)
     kostka(data, ((1, 0, 0, 0), (1, 0, 0, 0)), ((0,) * 4, (0,) * 4))
-    states = len(kostka_module._counter(data)._memo)
-    assert states < 5000
+    states = sum(map(len, kostka_module._counter(data)._memos))
+    assert 0 < states < 5000
 
 
 def test_kostka_custom_rejects_bad_root_set():

@@ -191,35 +191,39 @@ def test_cone_solver_matches_oracle_on_random_columns(data):
 
 @given(st.data())
 def test_part_sums_add_up_to_scaled_coordinates(data):
-    """Split a vector at any position: the part sums of the two pieces add
-    up to check sums that vanish and row sums that are scale times the
+    """Split vectors at any one position: the part sums of the two pieces
+    add up to check sums that vanish and row sums that are scale times the
     coordinates when the vector has coordinates; otherwise a check sum is
-    nonzero or a row sum is negative or not a multiple of scale."""
+    nonzero or a row sum is negative or not a multiple of scale.  All the
+    heads go in one call, and all the tails in another."""
     columns = data.draw(full_rank_columns())
     dim = len(columns[0])
-    vector = data.draw(query_vectors(columns, dim))
+    vectors = data.draw(st.lists(query_vectors(columns, dim), min_size=1, max_size=4))
     cut = data.draw(st.integers(0, dim))
     solver = ConeSolver(columns)
-    (checks0, rows0), (checks1, rows1) = (
-        solver.part_sums(vector[:cut], 0),
-        solver.part_sums(vector[cut:], cut),
-    )
-    checks = tuple(map(add, checks0, checks1))
-    rows = tuple(map(add, rows0, rows1))
-    coords = solver.coordinates(vector)
-    event(f"hit: {coords is not None}; square: {len(columns) == dim}")
-    if coords is not None:
-        assert not any(checks) and rows == tuple(solver.scale * c for c in coords)
-    else:
-        assert any(checks) or any(r < 0 or r % solver.scale for r in rows)
+    heads = solver.part_sums([v[:cut] for v in vectors], 0)
+    tails = solver.part_sums([v[cut:] for v in vectors], cut)
+    assert len(heads) == len(tails) == len(vectors)
+    for vector, (checks0, rows0), (checks1, rows1) in zip(vectors, heads, tails):
+        checks = tuple(map(add, checks0, checks1))
+        rows = tuple(map(add, rows0, rows1))
+        coords = solver.coordinates(vector)
+        event(f"hit: {coords is not None}; square: {len(columns) == dim}")
+        if coords is not None:
+            assert not any(checks) and rows == tuple(solver.scale * c for c in coords)
+        else:
+            assert any(checks) or any(r < 0 or r % solver.scale for r in rows)
 
 
 def test_part_sums_rejects_a_part_past_the_lattice():
     solver = ConeSolver([(1, 0, 0), (0, 1, 0)])
-    assert solver.part_sums((5,), 2) == ((5,), (0, 0))
+    assert solver.part_sums([(5,)], 2) == [((5,), (0, 0))]
+    assert solver.part_sums([], 0) == solver.part_sums([], 3) == []
     for part, offset in (((1, 1), 2), ((1,), -1)):
         with pytest.raises(ValueError, match="does not fit"):
-            solver.part_sums(part, offset)
+            solver.part_sums([part], offset)
+        with pytest.raises(ValueError, match="does not fit"):
+            solver.part_sums([(0,), part], offset)
 
 
 @pytest.mark.parametrize(
