@@ -7,9 +7,11 @@ of both factors (context of length 2, weights concatenated eps||delta).
 Irreducible characters come from exact alternant division: the quotient
 A_{lam+rho} / A_rho is computed by highest-term peeling in the group ring
 of the lattice, and a nonzero remainder aborts (it would mean corrupted
-input, never rounding); the alternants read roots.signed_weyl, as the
-Weyl sum does.  Decomposition of a Weyl-invariant element goes the other
-way, by Racah-Speiser reflection: each weight x is moved by the Weyl
+input, never rounding); up to the Kostka rank guard the alternants read
+roots.signed_weyl, as the Weyl sum does, and above it they walk the Weyl
+elements, so no table is kept that the Weyl sum cannot use.
+Decomposition of a Weyl-invariant element goes the other way, by
+Racah-Speiser reflection: each weight x is moved by the Weyl
 element that carries x + rho to the dominant chamber, and its
 multiplicity, times the sign of that element, lands on the label
 lam = w(x + rho) - rho (weights with x + rho on a wall drop out).  This
@@ -31,6 +33,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
 
+from .kostka import KOSTKA_RANK_GUARD
 from .roots import (
     GroupType,
     SignedPermutation,
@@ -39,7 +42,9 @@ from .roots import (
     is_dominant,
     positive_roots,
     rho,
+    sign,
     signed_weyl,
+    weyl_elements,
 )
 
 
@@ -148,7 +153,14 @@ def outer(a: CharElt, b: CharElt) -> CharElt:
 
 
 def _alternant(gtype: GroupType, x) -> dict:
-    return _add_into({}, ((act(w, x), s) for w, s in signed_weyl(gtype)), 1)
+    """A_x = sum of sign(w) e^{w x}.  Above the Kostka rank guard the Weyl
+    elements are walked, so roots.signed_weyl stores only the tables that
+    the Weyl sum can read."""
+    if gtype.rank > KOSTKA_RANK_GUARD:
+        pairs = ((w, sign(w)) for w in weyl_elements(gtype))
+    else:
+        pairs = signed_weyl(gtype)
+    return _add_into({}, ((act(w, x), s) for w, s in pairs), 1)
 
 
 def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:
@@ -194,19 +206,31 @@ def _outer_sum(context, coeffs) -> dict:
     c * chi_lam0 are summed per lam1 first.  Then, for each distinct lam1
     and each weight w1 of chi_lam1, m1 times that sum is added into one
     eps-lattice dict per w1, so the inner loop keys on w0 alone; the
-    weights w0||w1 are concatenated once, at the end, dropping zeros."""
+    weights w0||w1 are concatenated once, at the end, dropping zeros.
+    The first write of each per-lam1 and per-w1 dict is a copy (scaled
+    unless the factor is 1), never a cached character's dict or a shared
+    per-lam1 sum; only later writes accumulate."""
     t0 = context[0]
     by_tail = {}
     for parts, c in coeffs.items():
         if c:
-            acc = by_tail.setdefault(parts[1:], {})
-            _add_into(acc, _irreducible_character(t0, parts[0]).terms.items(), c)
+            terms = _irreducible_character(t0, parts[0]).terms
+            acc = by_tail.get(parts[1:])
+            if acc is None:
+                by_tail[parts[1:]] = (
+                    dict(terms) if c == 1 else {w: c * m for w, m in terms.items()}
+                )
+            else:
+                _add_into(acc, terms.items(), c)
     if len(context) == 1:
         return by_tail.get((), {})
     by_w1 = {}
     for (lam1,), inner in by_tail.items():
         for w1, m1 in _irreducible_character(context[1], lam1).terms.items():
-            acc = by_w1.setdefault(w1, {})
+            acc = by_w1.get(w1)
+            if acc is None:
+                by_w1[w1] = dict(inner) if m1 == 1 else {w0: m0 * m1 for w0, m0 in inner.items()}
+                continue
             for w0, m0 in inner.items():
                 acc[w0] = acc.get(w0, 0) + m0 * m1
     return {w0 + w1: m for w1, acc in by_w1.items() for w0, m in acc.items() if m}

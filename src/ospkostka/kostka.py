@@ -33,10 +33,12 @@ of arg0 + arg1 (the coordinates times the solver's scale, before any
 division) are those of arg0 placed at offset 0 plus those of arg1 placed
 after it, and likewise for the consistency (check) rows.  Each counter
 keeps, per (factor, lam_t, mu_t), that factor's Weyl terms with their
-sums, built once; the side-1 terms are also sorted by each row's sum.
-For a side-0 term only the side-1 terms with raw0[i] + raw1[i] >= 0 can
-land in the cone, and a bisection at -raw0[i] finds them on every row i;
-the row that leaves the fewest survivors is walked.  The cut is exact:
+sums, built once; the side-1 entry is two parallel lists (row_sums,
+row_terms), row i holding the terms sorted by their row-i sum and those
+sums.  For a side-0 term only the side-1 terms with raw0[i] + raw1[i] >= 0
+can land in the cone, and a bisection at -raw0[i] finds them on every
+row i; the first row whose bisect_left start is the largest (max, then
+index) leaves the fewest survivors and is walked.  The cut is exact:
 a pair it drops has a negative coordinate or fails a check row, so L is
 zero there.  A survivor whose check sums add to zero and whose row sums
 are all nonnegative goes to l_poly_flat on the concatenated argument,
@@ -47,7 +49,7 @@ membership.
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from operator import add, itemgetter, lshift
+from operator import add, lshift, neg
 
 from .oddroots import (
     BiWeight,
@@ -205,7 +207,8 @@ class PartitionCounter:
         Lusztig-Kato sum, built once per (factor, lam, mu); gtype and rho_t
         are fixed for one counter.  arg is placed at offset 0 for factor 0
         and at the end of the lattice for factor 1.  For factor 1 the value
-        is one (sorted row-i sums, terms sorted by them) pair per row i."""
+        is (row_sums, row_terms): row_terms[i] is the terms sorted by their
+        row-i sum and row_sums[i] those sums, for bisection."""
         key = (factor, lam, mu)
         terms = self._weyl_terms.get(key)
         if terms is not None:
@@ -216,11 +219,12 @@ class PartitionCounter:
         sums = solver.part_sums([arg for arg, _ in args], offset)
         terms = [(arg, s, checks, rows) for (arg, s), (checks, rows) in zip(args, sums)]
         if factor:
-            by_row = []
+            row_sums, row_terms = [], []
             for i in range(len(terms[0][3])):
                 ordered = sorted(terms, key=lambda t: t[3][i])
-                by_row.append(([t[3][i] for t in ordered], ordered))
-            terms = by_row
+                row_sums.append([t[3][i] for t in ordered])
+                row_terms.append(ordered)
+            terms = row_sums, row_terms
         self._weyl_terms[key] = terms
         return terms
 
@@ -381,16 +385,14 @@ def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
     survive the sorted cut of the module docstring."""
     l_poly_flat = counter.l_poly_flat
     side0 = counter.weyl_terms(0, type0, rho0, lam0, mu0)
-    by_row = counter.weyl_terms(1, type1, rho1, lam1, mu1)
-    first = itemgetter(0)
+    row_sums, row_terms = counter.weyl_terms(1, type1, rho1, lam1, mu1)
     acc = []
     for arg0, s0, checks0, raw0 in side0:
-        # every row's survivors are a suffix of its sorted list: take the shortest
-        start, ordered = max(
-            ((bisect_left(sums, -r), ordered) for (sums, ordered), r in zip(by_row, raw0)),
-            key=first,
-        )
-        for arg1, s1, checks1, raw1 in ordered[start:]:
+        # every row's survivors are a suffix of its sorted list: take the
+        # first shortest
+        starts = list(map(bisect_left, row_sums, map(neg, raw0)))
+        start = max(starts)
+        for arg1, s1, checks1, raw1 in row_terms[starts.index(start)][start:]:
             if any(map(add, checks0, checks1)) or min(map(add, raw0, raw1)) < 0:
                 continue
             part = l_poly_flat(arg0 + arg1).coeffs

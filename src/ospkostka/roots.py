@@ -15,6 +15,7 @@ no roots, trivial Weyl group, every weight dominant.
 from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
+from operator import ge
 
 Weight = tuple
 
@@ -160,13 +161,12 @@ def is_dominant(gtype: GroupType, weight: Weight) -> bool:
     value (vacuous at rank 1).  Type C: weakly decreasing and nonnegative."""
     if len(weight) != gtype.rank:
         raise ValueError(f"rank mismatch: weight {weight} vs {gtype}")
-    n = gtype.rank
+    # on type D the last comparison is implied by the absolute-value one
+    if not all(map(ge, weight, weight[1:])):
+        return False
     if gtype.family == "C":
-        return all(weight[i] >= weight[i + 1] for i in range(n - 1)) and weight[-1] >= 0
-    if n == 1:
-        return True
-    head_sorted = all(weight[i] >= weight[i + 1] for i in range(n - 2))
-    return head_sorted and weight[n - 2] >= abs(weight[n - 1])
+        return weight[-1] >= 0
+    return gtype.rank == 1 or weight[-2] >= abs(weight[-1])
 
 
 def dominant_weights(gtype: GroupType, bound: int):

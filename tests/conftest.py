@@ -3,7 +3,8 @@ DP code paths: literal multiset enumeration, literal signed sums, a
 plain Fraction linear solve, the partition recursion with no root sort
 and no dead-state cut, the Lusztig-Kato sum with one cone solve per Weyl
 pair, the odd root system and the orbit labels
-written out family by family, the moment-map battery in Fraction
+written out family by family, the dominance test of one factor as index
+loops, the moment-map battery in Fraction
 arithmetic with the explicit symplectic Gram, the Pfaffian as its
 full expansion, character
 decomposition by multiplying with A_rho (alternant and convolution summed
@@ -245,6 +246,21 @@ def dominant_in_box_oracle(family, rank, bound):
 
     box = product(range(-bound, bound + 1), repeat=rank)
     return sorted(filter(dominant, box), reverse=True)
+
+
+def is_dominant_index_loops(gtype, weight):
+    """The dominance test as index loops over adjacent entries.  Type D:
+    weakly decreasing with the last entry dominated in absolute value
+    (vacuous at rank 1).  Type C: weakly decreasing and nonnegative."""
+    if len(weight) != gtype.rank:
+        raise ValueError(f"rank mismatch: weight {weight} vs {gtype}")
+    n = gtype.rank
+    if gtype.family == "C":
+        return all(weight[i] >= weight[i + 1] for i in range(n - 1)) and weight[-1] >= 0
+    if n == 1:
+        return True
+    head_sorted = all(weight[i] >= weight[i + 1] for i in range(n - 2))
+    return head_sorted and weight[n - 2] >= abs(weight[n - 1])
 
 
 def orbit_side_types(N):

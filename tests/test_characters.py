@@ -2,6 +2,7 @@ import importlib
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product as cartesian
 from operator import add
 
@@ -27,7 +28,7 @@ from ospkostka.characters import (
     zero_char,
 )
 from ospkostka.oddroots import osp_root_data
-from ospkostka.roots import GroupType, act, dominant_weights, rho, weyl_elements
+from ospkostka.roots import GroupType, act, dominant_weights, rho, signed_weyl, weyl_elements
 
 characters_module = importlib.import_module("ospkostka.characters")
 
@@ -333,6 +334,71 @@ def test_outer_sum_cancellations():
     # chi_(2) - chi_(0) on C_1: the weight (0, 0, 0) cancels across lam1 groups
     across = {((0, 0), (2,)): 1, ((0, 0), (0,)): -1}
     assert _outer_sum(context, across) == {(0, 0, 2): 1, (0, 0, -2): 1}
+
+
+def test_outer_sum_first_writes_are_copies():
+    """Each first write in _outer_sum is a copy: neither a later write nor
+    a change to the returned dict reaches a cached irreducible character.
+    One factor and two, coefficient 1, m1 = 1, a single lam1 and two lam1
+    sharing a weight; a weight whose first and later writes cancel is
+    absent from the result."""
+    data = osp_root_data(4)
+    context = (data.type0, data.type1)
+    cases = [
+        (context[:1], {((1, 1),): 1}),
+        (context[:1], {((1, 1),): 1, ((0, 0),): -1}),
+        (context[1:], {((2,),): 1, ((0,),): -1}),
+        (context, {((1, 1), (0,)): 1}),
+        (context, {((1, 0), (1,)): 1}),
+        (context, {((1, 1), (2,)): 1, ((1, -1), (2,)): 1, ((1, 1), (0,)): -1}),
+    ]
+    for ctx, coeffs in cases:
+        used = {(t, lam) for parts in coeffs for t, lam in zip(ctx, parts)}
+        before = {key: irreducible_character(*key).terms for key in used}
+        expected = zero_char(ctx)
+        for parts, c in coeffs.items():
+            chars = [irreducible_character(t, lam) for t, lam in zip(ctx, parts)]
+            expected.add_scaled(chars[0] if len(chars) == 1 else outer(*chars), c)
+        result = _outer_sum(ctx, coeffs)
+        assert result == expected.terms
+        for w in result:
+            result[w] += 7
+        result[(9,) * sum(t.rank for t in ctx)] = 1
+        for key, terms in before.items():
+            assert characters_module._irreducible_character(*key).terms == terms
+            assert irreducible_character(*key).terms == terms
+    # the first write of (0,) on C_1 (from chi_(2)) and a later one (from
+    # chi_(0)) cancel, and chi_(2) keeps its own (0,)
+    assert (0,) not in _outer_sum(context[1:], {((2,),): 1, ((0,),): -1})
+    assert irreducible_character(context[1], (2,)).terms[(0,)] == 1
+    # across lam1 groups: (0, 0) || (0,) is written from lam1 = (2,) first
+    # and from lam1 = (0,) later, and cancels
+    across = _outer_sum(context, {((0, 0), (2,)): 1, ((0, 0), (0,)): -1})
+    assert (0, 0, 0) not in across and across == {(0, 0, 2): 1, (0, 0, -2): 1}
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_rank5_character_stores_no_signed_weyl_table(family, monkeypatch):
+    """Above the Kostka rank guard the alternants walk the Weyl elements:
+    a cold rank-5 character neither asks roots.signed_weyl for a table nor
+    adds an entry to its cache, and its terms are the known ones."""
+    gtype = GroupType(family, 5)
+    cold = lru_cache(maxsize=None)(characters_module._irreducible_character.__wrapped__)
+    monkeypatch.setattr(characters_module, "_irreducible_character", cold)
+    asked = []
+
+    def spy(g):
+        asked.append(g)
+        return signed_weyl(g)
+
+    monkeypatch.setattr(characters_module, "signed_weyl", spy)
+    stored = signed_weyl.cache_info().currsize
+    assert irreducible_character(gtype, (0,) * 5).terms == {(0,) * 5: 1}
+    units = [tuple(s * (i == j) for j in range(5)) for i in range(5) for s in (1, -1)]
+    assert irreducible_character(gtype, (1, 0, 0, 0, 0)).terms == dict.fromkeys(units, 1)
+    assert signed_weyl.cache_info().currsize == stored
+    assert asked == []
+    assert cold.cache_info().currsize == 2
 
 
 def test_decompose_ignores_zero_multiplicity_weights():

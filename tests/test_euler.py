@@ -1,3 +1,4 @@
+import importlib
 from itertools import product
 
 import pytest
@@ -16,6 +17,8 @@ from ospkostka.euler import (
 from ospkostka.kostka import QPoly, kostka
 from ospkostka.oddroots import biweight, dominance_ge, dominance_ge_cone, osp_root_data
 from ospkostka.roots import EnumerationTooLargeError, dominant_weights
+
+kostka_module = importlib.import_module("ospkostka.kostka")
 
 
 def test_euler_line_trivial():
@@ -74,6 +77,20 @@ def test_verify_bryl_rank4_at_the_guard(N, mu0):
     data = osp_root_data(N)
     report = verify_bryl(data, (mu0, (0,) * data.delta_rank), 2)
     assert report.ok and report.failing_degrees() == []
+
+
+@pytest.mark.parametrize("N", [10, 11])
+@pytest.mark.parametrize("side", [verify_bryl, bryl_rhs])
+def test_rank5_euler_stops_at_the_kostka_guard(N, side):
+    """At rank 5 the qmax guard lets qmax 1 through, and the first Kostka
+    call of the combinatorial side refuses, before anything is memoised."""
+    data = osp_root_data(N)
+    mu = ((0,) * data.eps_rank, (0,) * data.delta_rank)
+    before = dict(kostka_module._kostka_memo)
+    message = "^enumeration too large: n=5 exceeds guard 4$"
+    with pytest.raises(EnumerationTooLargeError, match=message):
+        side(data, mu, 1)
+    assert kostka_module._kostka_memo == before
 
 
 def test_rhs_contributors_n3_qmax2():

@@ -1,7 +1,10 @@
+import re
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import is_dominant_index_loops
 
 from ospkostka.roots import (
     WEYL_RANK_GUARD,
@@ -121,6 +124,24 @@ def test_is_dominant_examples():
     assert is_dominant(D1, (-5,))
     assert not is_dominant(D2, (1, 2))
     assert not is_dominant(C2, (1, -1))
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_is_dominant_matches_index_loops(family, rank):
+    """The map-based test agrees with the index-loop definition on every
+    vector in [-3, 3]^rank (D_1 and negative last entries included), and
+    a rank mismatch raises the same message."""
+    gtype = GroupType(family, rank)
+    for x in product(range(-3, 4), repeat=rank):
+        assert is_dominant(gtype, x) == is_dominant_index_loops(gtype, x), x
+    # a negative last entry (all of the weight at rank 1) is D-dominant only
+    assert is_dominant(gtype, (3,) * (rank - 1) + (-2,)) == (family == "D")
+    for wrong in ((0,) * (rank + 1), (1,) * (rank - 1)):
+        message = "^" + re.escape(f"rank mismatch: weight {wrong} vs {gtype}") + "$"
+        for check in (is_dominant, is_dominant_index_loops):
+            with pytest.raises(ValueError, match=message):
+                check(gtype, wrong)
 
 
 @pytest.mark.parametrize("gtype", [C1, C2, GroupType("C", 3), GroupType("C", 4),
