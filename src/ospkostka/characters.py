@@ -7,16 +7,15 @@ of both factors (context of length 2, weights concatenated eps||delta).
 Irreducible characters come from exact alternant division: the quotient
 A_{lam+rho} / A_rho is computed by highest-term peeling in the group ring
 of the lattice, and a nonzero remainder aborts (it would mean corrupted
-input, never rounding); up to the Kostka rank guard the alternants read
-roots.signed_weyl, as the Weyl sum does, and above it they walk the Weyl
-elements, so no table is kept that the Weyl sum cannot use.
-Decomposition of a Weyl-invariant element goes the other way, by
-Racah-Speiser reflection: each weight x is moved by the Weyl
-element that carries x + rho to the dominant chamber, and its
-multiplicity, times the sign of that element, lands on the label
-lam = w(x + rho) - rho (weights with x + rho on a wall drop out).  This
-goes per block: each distinct second-factor block is reflected once (on a
-wall it drops its whole group of weights), then each first one, all
+input, never rounding); the alternants walk the Weyl elements, so no
+signed Weyl table is kept for them.  Decomposition of a Weyl-invariant
+element goes the other way, by Racah-Speiser reflection: each weight x
+is moved by the Weyl element that carries x + rho to the dominant
+chamber, and its multiplicity, times the sign of that element, lands on
+the label lam = w(x + rho) - rho (weights with x + rho on a wall drop
+out).  This goes per block: each distinct second-factor block is
+reflected once (on a wall it drops its whole group of weights), then
+each first one, all
 through _rho_reflection, the one reflection memo, which the Euler side
 shares.  The labels are then checked exactly: sum c_lam * chi_lam must
 rebuild the input term for term.
@@ -33,7 +32,6 @@ from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
 
-from .kostka import KOSTKA_RANK_GUARD
 from .roots import (
     GroupType,
     SignedPermutation,
@@ -43,7 +41,6 @@ from .roots import (
     positive_roots,
     rho,
     sign,
-    signed_weyl,
     weyl_elements,
 )
 
@@ -153,14 +150,8 @@ def outer(a: CharElt, b: CharElt) -> CharElt:
 
 
 def _alternant(gtype: GroupType, x) -> dict:
-    """A_x = sum of sign(w) e^{w x}.  Above the Kostka rank guard the Weyl
-    elements are walked, so roots.signed_weyl stores only the tables that
-    the Weyl sum can read."""
-    if gtype.rank > KOSTKA_RANK_GUARD:
-        pairs = ((w, sign(w)) for w in weyl_elements(gtype))
-    else:
-        pairs = signed_weyl(gtype)
-    return _add_into({}, ((act(w, x), s) for w, s in pairs), 1)
+    """A_x = sum of sign(w) e^{w x}."""
+    return _add_into({}, ((act(w, x), sign(w)) for w in weyl_elements(gtype)), 1)
 
 
 def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:

@@ -19,10 +19,7 @@ norms at most those of mu plus qmax.  dominant_cone_labels enumerates the
 cone labels inside both bounds, so the enumeration is provably complete,
 and every label it lists goes through the Weyl sum.  The dominance test
 is split by factor (oddroots._dominance_share), so a label pair costs one
-elementwise comparison and two integer checks; the second-factor
-shares are bucketed by the parity of their total first, so a pair whose
-total is odd is never formed, and every pair that is formed still goes
-through oddroots._shares_dominate.  Reindexed by alpha
+elementwise comparison and two integer checks.  Reindexed by alpha
 instead of by w, the Weyl sum is the geometric table term for term, so
 this side keeps the Weyl sum: the comparison would otherwise be a
 tautology.
@@ -124,10 +121,8 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
     rho_t cancels.  On a dominant weight the first entry of lam_t+rho_t is
     the largest in absolute value, and every entry is nonnegative but D's
     last, where rho is 0, so |lam_t+rho_t|_1 = |lam_t|_1 + |rho_t|_1.
-    Each lam_t gets its share of the dominance test once.  The lam1 shares
-    are bucketed by the parity of their total, and each lam0 meets only
-    the bucket whose parity makes the pair's total even; every such pair,
-    in product order, adds the two shares and checks them."""
+    Each lam_t gets its share of the dominance test once; each pair, in
+    product order, adds the two shares and checks them."""
     mu = _check_dominant_pair(data, mu_pair, "mu")
     shares0, shares1 = (
         [
@@ -137,14 +132,8 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
         ]
         for t, gtype, mu_t in zip((0, 1), (data.type0, data.type1), mu)
     )
-    by_parity = ([], [])
-    for lam1, s1 in shares1:
-        by_parity[s1[1] % 2].append((lam1, s1))
     return [
-        (lam0, lam1)
-        for lam0, s0 in shares0
-        for lam1, s1 in by_parity[s0[1] % 2]
-        if _shares_dominate(s0, s1)
+        (lam0, lam1) for lam0, s0 in shares0 for lam1, s1 in shares1 if _shares_dominate(s0, s1)
     ]
 
 

@@ -33,12 +33,10 @@ of arg0 + arg1 (the coordinates times the solver's scale, before any
 division) are those of arg0 placed at offset 0 plus those of arg1 placed
 after it, and likewise for the consistency (check) rows.  Each counter
 keeps, per (factor, lam_t, mu_t), that factor's Weyl terms with their
-sums, built once; the side-1 entry is two parallel lists (row_sums,
-row_terms), row i holding the terms sorted by their row-i sum and those
-sums.  For a side-0 term only the side-1 terms with raw0[i] + raw1[i] >= 0
-can land in the cone, and a bisection at -raw0[i] finds them on every
-row i; the first row whose bisect_left start is the largest (max, then
-index) leaves the fewest survivors and is walked.  The cut is exact:
+sums, built once; the side-1 terms are also sorted by each row's sum.
+For a side-0 term only the side-1 terms with raw0[i] + raw1[i] >= 0 can
+land in the cone, and a bisection at -raw0[i] finds them on every row i;
+the first row that leaves the fewest survivors is walked.  The cut is exact:
 a pair it drops has a negative coordinate or fails a check row, so L is
 zero there.  A survivor whose check sums add to zero and whose row sums
 are all nonnegative goes to l_poly_flat on the concatenated argument,
