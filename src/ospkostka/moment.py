@@ -17,7 +17,14 @@ its divisions are exact too.
 
 The battery draws integer matrices, and each group element g as (d, G)
 with g = G / d.  Every identity is polynomial and homogeneous, so an
-integer draw tests it exactly as a rational one would.
+integer draw tests it exactly as a rational one would.  `random_hom` draws
+each entry as randrange(19) - 9, the same `_randbelow(19)` call that
+randint(-9, 9) makes, so a seed gives the same matrices as it always did.
+
+One trial computes M0 = q0(A) once and hands it, as the keyword M0, to the
+characteristic-polynomial check and to the Pfaffian (even N) or generator
+(odd N) check; called as (spec, A) alone, each `verify_*` computes q0
+itself.  `FormsSpec` stores parity, dim0 and dim1 when it is built.
 """
 
 import random
@@ -26,25 +33,26 @@ from math import lcm
 from operator import mul
 
 
-class FormsSpec(namedtuple("FormsSpec", "N")):
+class FormsSpec(namedtuple("FormsSpec", "N parity dim0 dim1")):
+    """The pair of forms at one N, built from N alone: dim0 = 2 floor(N/2),
+    and dim1 = dim0 at odd N, dim0 - 2 at even N.  The derived fields are
+    stored once here, so the battery reads them as tuple slots."""
+
     __slots__ = ()
 
     def __new__(cls, N):
         if N < 3:
             raise ValueError("N must be >= 3")
-        return tuple.__new__(cls, (N,))
+        dim0 = 2 * (N // 2)
+        if N % 2 == 1:
+            return tuple.__new__(cls, (N, "odd", dim0, dim0))
+        return tuple.__new__(cls, (N, "even", dim0, dim0 - 2))
 
-    @property
-    def parity(self):
-        return "odd" if self.N % 2 == 1 else "even"
+    def __getnewargs__(self):
+        return (self.N,)
 
-    @property
-    def dim0(self):
-        return 2 * (self.N // 2)
-
-    @property
-    def dim1(self):
-        return self.dim0 if self.parity == "odd" else self.dim0 - 2
+    def __repr__(self):
+        return f"FormsSpec(N={self.N})"
 
     def gram0(self):
         return identity(self.dim0)
@@ -71,7 +79,7 @@ def identity(n):
 
 def mat_mul(a, b):
     rows, inner = len(a), len(b)
-    if not a or not b or any(len(row) != inner for row in a):
+    if not a or not b or any(map(inner.__ne__, map(len, a))):
         raise ValueError(
             f"cannot multiply a {rows}x{len(a[0]) if a else 0} matrix"
             f" by a {inner}x{len(b[0]) if b else 0} matrix"
@@ -185,19 +193,22 @@ def char_poly(M):
     corner a: p_{k+1}(z) = (z - a) p_k(z) - R adj(zI - A) C, and the
     adjugate expands in powers of A with the coefficients of p_k."""
     k = len(M)
-    if any(len(row) != k for row in M):
+    if any(map(k.__ne__, map(len, M))):
         raise ValueError("matrix is not square")
     coeffs = [1]
     for n in range(k):
         A = [row[:n] for row in M[:n]]
         R, v, a = M[n][:n], [row[n] for row in M[:n]], M[n][n]
-        s = []  # s[l] = R A^l C
-        for _ in range(n):
-            s.append(sum(map(mul, R, v)))
+        s_rev = [sum(map(mul, R, v))] if n else []  # R A^l C for l < n
+        for _ in range(n - 1):
             v = [sum(map(mul, row, v)) for row in A]
+            s_rev.append(sum(map(mul, R, v)))
+        s_rev.reverse()
         c = coeffs + [0]
+        # the t-th sum runs c[i] s[t - 2 - i] over i < t - 1, and
+        # s[t - 2 - i] = s_rev[n + 1 - t + i]
         coeffs = [1] + [
-            c[t] - a * c[t - 1] - sum(c[i] * s[t - 2 - i] for i in range(t - 1))
+            c[t] - a * c[t - 1] - sum(map(mul, c, s_rev[n + 1 - t:]))
             for t in range(1, n + 2)
         ]
     return tuple(coeffs)
@@ -212,16 +223,16 @@ def pfaffian(M):
     submatrix: the division is exact, as in `row_reduce`, and the last pivot
     times the sign is Pf.  Non-int input is cleared of its denominators once."""
     k = len(M)
-    if any(len(row) != k for row in M):
+    if any(map(k.__ne__, map(len, M))):
         raise ValueError("matrix is not square")
     if k % 2 != 0:
         raise ValueError("Pfaffian needs even dimension")
-    for i in range(k):
-        for j in range(k):
-            if M[i][j] != -M[j][i]:
-                raise ValueError("matrix is not antisymmetric")
-    if all(type(x) is int for row in M for x in row):
-        d, a = 1, [list(row) for row in M]
+    a = [list(row) for row in M]
+    # row i against column i negated: a_ij = -a_ji for every i, j
+    if a != [[-x for x in col] for col in zip(*a)]:
+        raise ValueError("matrix is not antisymmetric")
+    if all(type(x) is int for row in a for x in row):
+        d = 1
     else:
         d, a = clear_denominators(M)
     sign = prev = 1
@@ -253,22 +264,22 @@ def determinant(M):
     return poly[-1] * (1 if k % 2 == 0 else -1)
 
 
-def verify_char_identity(spec: FormsSpec, A) -> bool:
+def verify_char_identity(spec: FormsSpec, A, *, M0=None) -> bool:
     """Char_{A^t A} = Char_{A A^t} for odd N, and equals z^2 Char_{A A^t}
-    for even N."""
-    p0 = char_poly(q0(spec, A))
+    for even N.  M0, when given, is q0(spec, A) already computed."""
+    p0 = char_poly(q0(spec, A) if M0 is None else M0)
     p1 = char_poly(q1(spec, A))
     if spec.parity == "odd":
         return p0 == p1
     return p0 == p1 + (0, 0)
 
 
-def verify_pfaffian_vanishing(spec: FormsSpec, A) -> bool:
+def verify_pfaffian_vanishing(spec: FormsSpec, A, *, M0=None) -> bool:
     """Even N only: A^t A factors through the smaller V_1, so its Pfaffian
-    vanishes identically."""
+    vanishes identically.  M0, when given, is q0(spec, A) already computed."""
     if spec.parity != "even":
         raise ValueError("Pfaffian vanishing is an even-N statement")
-    return pfaffian(q0(spec, A)) == 0
+    return pfaffian(q0(spec, A) if M0 is None else M0) == 0
 
 
 def fft_generator(spec: FormsSpec, A, i: int, j: int):
@@ -280,12 +291,13 @@ def fft_generator(spec: FormsSpec, A, i: int, j: int):
     )
 
 
-def verify_fft_generators(spec: FormsSpec, A) -> bool:
+def verify_fft_generators(spec: FormsSpec, A, *, M0=None) -> bool:
     """The (i,j) entry of q0(A) agrees with the invariant-theory generator
-    Q_{ij} for all i < j (odd N, orthonormal realization)."""
+    Q_{ij} for all i < j (odd N, orthonormal realization).  M0, when given,
+    is q0(spec, A) already computed."""
     if spec.parity != "odd":
         raise ValueError("generator check is stated in the odd case")
-    M = q0(spec, A)
+    M = q0(spec, A) if M0 is None else M0
     for i in range(spec.dim0):
         for j in range(i + 1, spec.dim0):
             if M[i][j] != fft_generator(spec, A, i, j):
@@ -294,8 +306,10 @@ def verify_fft_generators(spec: FormsSpec, A) -> bool:
 
 
 def random_hom(spec: FormsSpec, rng: random.Random):
-    """Random integer A in Hom(V_0, V_1)."""
-    return [[rng.randint(-9, 9) for _ in range(spec.dim0)] for _ in range(spec.dim1)]
+    """Random integer A in Hom(V_0, V_1), entries in -9..9.  randrange(19)
+    makes the same draw as randint(-9, 9), without its argument checks."""
+    randrange = rng.randrange
+    return [[randrange(19) - 9 for _ in range(spec.dim0)] for _ in range(spec.dim1)]
 
 
 def _cayley(S):
@@ -357,14 +371,15 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
     }
     for i in range(start, start + trials):
         A = random_hom(spec, random.Random(f"{seed}:{i}"))
-        ok = verify_char_identity(spec, A)
+        M0 = q0(spec, A)
+        ok = verify_char_identity(spec, A, M0=M0)
         report["char_identity"] += ok
         if spec.parity == "even":
-            okp = verify_pfaffian_vanishing(spec, A)
+            okp = verify_pfaffian_vanishing(spec, A, M0=M0)
             report["pfaffian_vanishing"] += okp
             ok = ok and okp
         else:
-            okf = verify_fft_generators(spec, A)
+            okf = verify_fft_generators(spec, A, M0=M0)
             report["fft_generators"] += okf
             ok = ok and okf
         if not ok:

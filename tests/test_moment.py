@@ -1,5 +1,7 @@
+import copy
 import fractions
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -558,3 +560,154 @@ def test_battery_never_imports_fractions():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False\n"
+
+
+def literal_draws(spec, rng):
+    """The three draws of the spot check, spelled out with rng.randint: A,
+    then the skew S for SO(V_0), then symmetric P (resampled while I + S1
+    is singular) with S1 = J^{-1} P = -J P for Sp(V_1)."""
+    A = []
+    for _ in range(spec.dim1):
+        A.append([rng.randint(-9, 9) for _ in range(spec.dim0)])
+    n = spec.dim0
+    S = zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.randint(-3, 3)
+            S[i][j], S[j][i] = x, -x
+    minus_j = mat_scale(spec.gram1(), -1)
+    n = spec.dim1
+    while True:
+        P = zeros(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                x = rng.randint(-3, 3)
+                P[i][j] = P[j][i] = x
+        g1 = moment_module._cayley(mat_mul(minus_j, P))
+        if g1 is not None:
+            return A, moment_module._cayley(S), g1
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_draws_match_literal_randint_enumeration(N):
+    spec = FormsSpec(N)
+    for seed in range(20):
+        rng = random.Random(f"{seed}:equivariance")
+        drawn = (
+            random_hom(spec, rng),
+            random_special_orthogonal(spec, rng),
+            random_symplectic(spec, rng),
+        )
+        assert drawn == literal_draws(spec, random.Random(f"{seed}:equivariance"))
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_moment_check_computes_q0_once_per_trial(monkeypatch, N):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return q0(*args)
+
+    monkeypatch.setattr(moment_module, "q0", counted)
+    for trials in (1, 3, 6):
+        calls.clear()
+        assert moment_check(N, trials, seed=trials)["ok"]
+        assert len(calls) == trials + 2  # the spot check adds two
+        calls.clear()
+        assert moment_check(N, trials, seed=trials, start=1)["ok"]
+        assert len(calls) == trials
+
+
+def verifiers(spec):
+    if spec.parity == "even":
+        return verify_char_identity, verify_pfaffian_vanishing
+    return verify_char_identity, verify_fft_generators
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+def test_verify_keyword_path_matches_spec_a_path(monkeypatch, N):
+    """Passing q0(spec, A) as M0 gives what (spec, A) gives; passing another
+    matrix gives what (spec, A) gives when q0 returns that matrix."""
+    spec = FormsSpec(N)
+    rng = random.Random(N)
+    # K, block diagonal in [[0, 1], [-1, 0]], moves q0 off both identities
+    K = zeros(spec.dim0, spec.dim0)
+    for i in range(0, spec.dim0, 2):
+        K[i][i + 1], K[i + 1][i] = 1, -1
+    for _ in range(50):
+        A = random_hom(spec, rng)
+        M0 = q0(spec, A)
+        for verify in verifiers(spec):
+            assert verify(spec, A, M0=M0) == verify(spec, A) is True
+        for other in (mat_sub(M0, K), mat_scale(M0, 2)):
+            with monkeypatch.context() as patch:
+                patch.setattr(moment_module, "q0", lambda *args: other)
+                expected = [verify(spec, A) for verify in verifiers(spec)]
+            assert [verify(spec, A, M0=other) for verify in verifiers(spec)] == expected
+
+
+@pytest.mark.parametrize("N", range(3, 17))
+def test_forms_spec_stores_the_old_formulas(N):
+    spec = FormsSpec(N)
+    parity = "odd" if N % 2 == 1 else "even"
+    dim0 = 2 * (N // 2)
+    dim1 = dim0 if parity == "odd" else dim0 - 2
+    assert (spec.N, spec.parity, spec.dim0, spec.dim1) == (N, parity, dim0, dim1)
+    assert tuple(spec) == (N, parity, dim0, dim1)
+
+
+def test_forms_spec_pickle_and_copy_round_trips():
+    for N in (3, 4, 15, 16):
+        spec = FormsSpec(N)
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+            assert type(twin) is FormsSpec and twin == spec and repr(twin) == f"FormsSpec(N={N})"
+    with pytest.raises(ValueError, match="^N must be >= 3$"):
+        FormsSpec(2)
+
+
+# (function, matrix, message) for each guard that must raise, not assert
+GUARD_CASES = {
+    "pfaffian_pair_off": (
+        "pfaffian",
+        [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -7, 0]],
+        "not antisymmetric",
+    ),
+    "pfaffian_diagonal": (
+        "pfaffian",
+        [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 1, 6], [-3, -5, -6, 0]],
+        "not antisymmetric",
+    ),
+    "char_poly_ragged": ("char_poly", [[1, 2, 3], [4, 5], [6, 7, 8]], "not square"),
+    "char_poly_wide": ("char_poly", [[1, 2, 3], [4, 5, 6]], "not square"),
+}
+
+
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_matrix_guard_raises(case):
+    name, M, message = GUARD_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        getattr(moment_module, name)(M)
+
+
+def test_matrix_guards_survive_optimize():
+    code = (
+        "import sys\n"
+        "from ospkostka import moment\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        f"for name, M, message in {list(GUARD_CASES.values())!r}:\n"
+        "    try:\n"
+        "        getattr(moment, name)(M)\n"
+        "    except ValueError as err:\n"
+        "        if message not in str(err):\n"
+        "            sys.exit(f'{name}: {err}')\n"
+        "    else:\n"
+        "        sys.exit(f'{name} accepted {M}')\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
