@@ -11,7 +11,7 @@ seeded random integer matrices; nothing is approximate.
 import random
 
 from ospkostka import FormsSpec, adjoint, char_poly, moment_check, pfaffian, q0, q1
-from ospkostka.moment import mat_eq, mat_scale, random_hom
+from ospkostka.moment import mat_scale, random_hom
 
 spec = FormsSpec(4)
 rng = random.Random(0)
@@ -24,7 +24,7 @@ print("Pfaffian of A^t A:", pfaffian(q0(spec, A)))
 
 # the double adjoint picks up a sign from the symplectic form
 back = adjoint(spec, adjoint(spec, A), source=1)
-print("adjoint(adjoint(A)) == -A:", mat_eq(back, mat_scale(A, -1)))
+print("adjoint(adjoint(A)) == -A:", back == mat_scale(A, -1))
 
 print()
 for N in (3, 4, 5, 6):

@@ -28,7 +28,6 @@ from .oddroots import (
 )
 from .kostka import (
     QPoly,
-    RootSet,
     kostka,
     kostka_custom,
     kostka_degree,

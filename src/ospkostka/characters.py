@@ -68,26 +68,11 @@ class CharElt:
         """Sum of the weight multiplicities (graded dimension at q=1)."""
         return sum(self.terms.values())
 
-    def mult(self, weight):
-        return self.terms.get(tuple(weight), 0)
-
     def add_scaled(self, other, c: int):
         if self.context != other.context:
             raise ValueError("lattice context mismatch")
         _add_into(self.terms, other.terms.items(), c)
         return self
-
-    def scaled(self, c: int):
-        if c == 0:
-            return CharElt(self.context, {})
-        return CharElt(self.context, {w: c * m for w, m in self.terms.items()})
-
-    def negated_weights(self):
-        """The dual virtual character (every weight negated)."""
-        return CharElt(
-            self.context,
-            {tuple(-x for x in w): m for w, m in self.terms.items()},
-        )
 
     def __add__(self, other):
         return self.copy().add_scaled(other, 1)
@@ -121,16 +106,6 @@ def _convolve(a: dict, b: dict) -> dict:
     for w1, m1 in a.items():
         _add_into(acc, ((tuple(map(add, w1, w2)), m2) for w2, m2 in b.items()), m1)
     return acc
-
-
-def zero_char(context) -> CharElt:
-    return CharElt(tuple(context), {})
-
-
-def trivial_char(context) -> CharElt:
-    context = tuple(context)
-    width = sum(t.rank for t in context)
-    return CharElt(context, {(0,) * width: 1})
 
 
 def product(a: CharElt, b: CharElt) -> CharElt:

@@ -20,7 +20,6 @@ import sys
 
 from . import characters, euler, moment, oddroots, orbits, roots
 from .kostka import (
-    RootSet,
     kostka as kostka_poly,
     kostka_custom,
     kostka_defect,
@@ -138,6 +137,8 @@ def cmd_roots(args):
     if args.odd:
         if args.N is None:
             raise UsageError("roots --odd requires -N")
+        if args.family is not None or args.rank is not None:
+            raise UsageError("roots --odd takes -N, not --family or --rank")
         data = oddroots.osp_root_data(args.N)
         payload = {
             "N": args.N,
@@ -157,6 +158,8 @@ def cmd_roots(args):
         return payload, render
     if args.family is None or args.rank is None:
         raise UsageError("roots requires either --odd with -N, or --family and --rank")
+    if args.N is not None:
+        raise UsageError("roots --family/--rank takes no -N")
     gtype = roots.GroupType(args.family, args.rank)
     payload = {
         "type": str(gtype),
@@ -205,9 +208,7 @@ def cmd_kostka_custom(args):
     )
     lam = parse_biweight(args.lam, what="lambda")
     mu = parse_biweight(args.mu, what="mu")
-    poly = kostka_custom(
-        RootSet(tuple(root_list)), simple_list, type0, type1, rho_pair, lam, mu
-    )
+    poly = kostka_custom(root_list, simple_list, type0, type1, rho_pair, lam, mu)
     return {"poly": poly_json(poly)}, lambda p: str(poly)
 
 

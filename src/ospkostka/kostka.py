@@ -76,14 +76,6 @@ class QPoly(namedtuple("QPoly", "coeffs")):
             end -= 1
         return tuple.__new__(cls, (coeffs[:end],))
 
-    @staticmethod
-    def zero():
-        return QPoly(())
-
-    @staticmethod
-    def one():
-        return QPoly((1,))
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -103,18 +95,6 @@ class QPoly(namedtuple("QPoly", "coeffs")):
         n = max(len(self.coeffs), len(other.coeffs))
         return QPoly(tuple(self[d] - other[d] for d in range(n)))
 
-    def scaled(self, c: int):
-        return QPoly(tuple(c * a for a in self.coeffs))
-
-    def shifted(self, k: int):
-        """Multiply by q^k."""
-        if not self.coeffs:
-            return self
-        return QPoly((0,) * k + self.coeffs)
-
-    def truncated(self, dmax: int):
-        return QPoly(self.coeffs[: dmax + 1])
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -133,13 +113,6 @@ class QPoly(namedtuple("QPoly", "coeffs")):
 
 # Shared result for an l_poly argument outside the cone.
 _ZERO = QPoly(())
-
-
-class RootSet(namedtuple("RootSet", "roots")):
-    """A positive root set for the generic Kostka mode.  No positivity or
-    geometric meaning is guaranteed for sets other than the built-in one."""
-
-    __slots__ = ()
 
 
 class PartitionCounter:
@@ -325,7 +298,7 @@ def kostka(data: OspRootData, lam_pair, mu_pair) -> QPoly:
 
 
 def kostka_custom(
-    root_set: RootSet,
+    roots,
     simples,
     type0: GroupType,
     type1: GroupType,
@@ -333,7 +306,8 @@ def kostka_custom(
     lam_pair,
     mu_pair,
 ) -> QPoly:
-    """Kostka polynomial for a user-supplied odd root set.
+    """Kostka polynomial for a user-supplied odd root set, any iterable of
+    BiWeight.
 
     Experimental: the alternating sum is computed verbatim with the given
     roots, simple set, Weyl factors and rho shift; positivity of the
@@ -345,12 +319,12 @@ def kostka_custom(
         raise EnumerationTooLargeError(
             f"enumeration too large: rank {max(ranks)} exceeds guard {KOSTKA_RANK_GUARD}"
         )
+    roots, simples = tuple(roots), tuple(simples)
     named = [("lambda", lam_pair), ("mu", mu_pair), ("rho", rho_pair)]
-    for what, pair in named + [(f"root {beta}", beta) for beta in root_set.roots]:
+    for what, pair in named + [(f"root {beta}", beta) for beta in roots]:
         _check_ranks(what, pair, ranks)
-    simples = tuple(simples)
     # after the counter, which reports an empty or dependent simple set
-    counter = PartitionCounter(root_set.roots, simples)
+    counter = PartitionCounter(roots, simples)
     for s in simples:
         _check_ranks(f"simple root {s}", s, ranks)
     lam0, lam1 = tuple(lam_pair[0]), tuple(lam_pair[1])
@@ -432,7 +406,8 @@ def kostka_degree(data: OspRootData, lam_pair, mu_pair):
 def kostka_defect(data: OspRootData, lam_pair, mu_pair, poly: QPoly):
     """Why poly cannot be K_{lam,mu}, or None if it can.  K vanishes off
     the dominance cone; on it, K is monic of degree ht(lam - mu)
-    (kostka_degree) with only powers of that parity."""
+    (kostka_degree) with only powers of that parity.  On the cone
+    ht = 0 exactly when lam = mu, whatever sequence types the pairs use."""
     ht = kostka_degree(data, lam_pair, mu_pair)
     if ht is None:
         return "nonzero off the dominance cone" if poly else None
@@ -440,9 +415,9 @@ def kostka_defect(data: OspRootData, lam_pair, mu_pair, poly: QPoly):
         return "negative coefficient"
     if not poly:
         return "vanishes on the dominance cone"
-    if lam_pair != mu_pair and poly[0] != 0:
+    if ht and poly[0] != 0:
         return "nonzero constant term off the diagonal"
-    if lam_pair == mu_pair and poly.coeffs != (1,):
+    if not ht and poly.coeffs != (1,):
         return "diagonal value is not 1"
     if poly.degree != ht or poly[ht] != 1:
         return "not monic of degree ht(lambda - mu)"

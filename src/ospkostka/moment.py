@@ -54,9 +54,6 @@ class FormsSpec(namedtuple("FormsSpec", "N parity dim0 dim1")):
     def __repr__(self):
         return f"FormsSpec(N={self.N})"
 
-    def gram0(self):
-        return identity(self.dim0)
-
     def gram1(self):
         m = self.dim1 // 2
         J = zeros(self.dim1, self.dim1)
@@ -101,10 +98,6 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def clear_denominators(a):
@@ -407,12 +400,10 @@ def _equivariance_holds(spec: FormsSpec, seed: int) -> bool:
     d0, G0 = random_special_orthogonal(spec, rng)
     d1, G1 = random_symplectic(spec, rng)
     moved, pulled = mat_mul(G1, C), mat_mul(C, G0)
-    eq0 = mat_eq(
-        mat_scale(mat_mul(q0(spec, moved), G0), d0 * d0),
-        mat_scale(mat_mul(G0, q0(spec, pulled)), d1 * d1),
+    eq0 = mat_scale(mat_mul(q0(spec, moved), G0), d0 * d0) == mat_scale(
+        mat_mul(G0, q0(spec, pulled)), d1 * d1
     )
-    eq1 = mat_eq(
-        mat_scale(mat_mul(q1(spec, moved), G1), d0 * d0),
-        mat_scale(mat_mul(G1, q1(spec, pulled)), d1 * d1),
+    eq1 = mat_scale(mat_mul(q1(spec, moved), G1), d0 * d0) == mat_scale(
+        mat_mul(G1, q1(spec, pulled)), d1 * d1
     )
     return eq0 and eq1

@@ -50,10 +50,6 @@ class BiWeight(namedtuple("BiWeight", "eps delta")):
     def flat(self):
         return self.eps + self.delta
 
-    @property
-    def is_zero(self):
-        return not any(self.eps) and not any(self.delta)
-
     def __str__(self):
         return ",".join(map(str, self.eps)) + ";" + ",".join(map(str, self.delta))
 

@@ -52,10 +52,6 @@ class SignedPermutation(namedtuple("SignedPermutation", "perm signs")):
         return len(self.perm)
 
 
-def identity_element(rank: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(rank)), (1,) * rank)
-
-
 def positive_roots(gtype: GroupType) -> tuple:
     """Positive roots in a fixed order: e_i-e_j then e_i+e_j over pairs i<j
     (lexicographic), followed by 2e_i for type C."""

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from ospkostka import moment
-from ospkostka.characters import irreducible_character, is_weyl_invariant, outer, zero_char
+from ospkostka.characters import CharElt, irreducible_character, is_weyl_invariant, outer
 from ospkostka.euler import euler_line
 from ospkostka.kostka import QPoly, _weyl_arguments, kostka, partition_support_table
 from ospkostka.oddroots import BiWeight, dominance_ge_cone, odd_positive_roots
@@ -533,18 +533,20 @@ def fraction_weyl_dimension(gtype, lam):
 
 
 def dual_pair_char(data, lam0, lam1):
-    """Dual of the outer product of the two irreducible characters."""
-    return outer(
+    """Dual of the outer product of the two irreducible characters: every
+    weight negated."""
+    ch = outer(
         irreducible_character(data.type0, lam0),
         irreducible_character(data.type1, lam1),
-    ).negated_weights()
+    )
+    return CharElt(ch.context, {tuple(-x for x in w): m for w, m in ch.terms.items()})
 
 
 def euler_line_sum_lhs(data, mu, qmax):
     """What euler.bryl_lhs must return: for each alpha of the support
     table, the whole Euler-line character of -(mu + alpha), added once per
     degree with its partition count."""
-    out = [zero_char((data.type0, data.type1)) for _ in range(qmax + 1)]
+    out = [CharElt((data.type0, data.type1), {}) for _ in range(qmax + 1)]
     mu = BiWeight(*mu)
     for flat, counts in partition_support_table(data, qmax).items():
         alpha = BiWeight(flat[: data.eps_rank], flat[data.eps_rank :])
@@ -571,7 +573,7 @@ def kostka_label_sum_rhs(data, mu, qmax):
     """What euler.bryl_rhs must return: for each label of the sup-norm box
     in the dominance cone above mu, its dual character added once per
     degree with the Kostka coefficient."""
-    out = [zero_char((data.type0, data.type1)) for _ in range(qmax + 1)]
+    out = [CharElt((data.type0, data.type1), {}) for _ in range(qmax + 1)]
     for lam0, lam1 in sup_norm_box(data, mu, qmax):
         if not dominance_ge_cone(data, (lam0, lam1), mu):
             continue

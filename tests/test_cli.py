@@ -154,6 +154,26 @@ def test_lpoly_and_roots_commands():
     assert len(payload["odd_positive_roots"]) == 8
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-N", "5", "--family", "C", "--rank", "2"], "roots --family/--rank takes no -N"),
+        (["--odd", "-N", "3", "--family", "C", "--rank", "9"],
+         "roots --odd takes -N, not --family or --rank"),
+        (["--odd", "-N", "3", "--family", "D"], "roots --odd takes -N, not --family or --rank"),
+        (["--odd", "-N", "3", "--rank", "2"], "roots --odd takes -N, not --family or --rank"),
+    ],
+    ids=["n-with-family", "odd-with-family-rank", "odd-with-family", "odd-with-rank"],
+)
+def test_roots_rejects_ignored_options(argv, message, capsys):
+    """Each form of roots reads only its own options; an option the form
+    would ignore is a usage error, not silently dropped."""
+    assert main(["roots", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_closure_command():
     code, out, _ = run_cli("closure", "-N", "3", "--lower", "0;0", "--upper", "1;1",
                            "--format", "json")

@@ -6,7 +6,7 @@ import pytest
 import conftest
 from conftest import dual_pair_char, euler_line_sum_lhs, kostka_label_sum_rhs, sup_norm_box
 from ospkostka import euler
-from ospkostka.characters import decompose, trivial_char, weyl_dimension
+from ospkostka.characters import CharElt, decompose, weyl_dimension
 from ospkostka.euler import (
     bryl_lhs,
     bryl_rhs,
@@ -23,7 +23,7 @@ kostka_module = importlib.import_module("ospkostka.kostka")
 
 def test_euler_line_trivial():
     d3 = osp_root_data(3)
-    assert euler_line(d3, d3.zero()) == trivial_char((d3.type0, d3.type1))
+    assert euler_line(d3, d3.zero()) == CharElt((d3.type0, d3.type1), {(0, 0): 1})
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -97,7 +97,7 @@ def test_rhs_contributors_n3_qmax2():
     d3 = osp_root_data(3)
     labels = dominant_cone_labels(d3, ((0,), (0,)), 2)
     contributing = [
-        lam for lam in labels if kostka(d3, lam, ((0,), (0,))).truncated(2)
+        lam for lam in labels if any(kostka(d3, lam, ((0,), (0,))).coeffs[:3])
     ]
     assert sorted(contributing) == sorted(
         [
@@ -275,4 +275,6 @@ def test_planted_partition_count_fails_at_its_degree(monkeypatch):
     monkeypatch.setattr(conftest, "partition_support_table", planted)
     report = _planted_report(data, mu, qmax, degree)
     line = euler_line(data, -(biweight(*mu) + biweight(alpha[:2], alpha[2:])))
-    assert report.degree_diffs[degree] == line.scaled(-1)
+    assert report.degree_diffs[degree] == CharElt(
+        line.context, {w: -m for w, m in line.terms.items()}
+    )

@@ -15,7 +15,6 @@ from ospkostka.roots import (
     compose,
     dominant_representative,
     dominant_weights,
-    identity_element,
     is_dominant,
     positive_roots,
     rho,
@@ -29,6 +28,10 @@ C1 = GroupType("C", 1)
 C2 = GroupType("C", 2)
 D1 = GroupType("D", 1)
 D2 = GroupType("D", 2)
+
+
+def _identity(rank):
+    return SignedPermutation(tuple(range(rank)), (1,) * rank)
 
 
 def test_positive_roots_c2():
@@ -91,7 +94,7 @@ def test_signed_weyl_is_the_literal_enumeration_with_signs(family, rank):
 
 
 def test_act_identity():
-    w = identity_element(3)
+    w = _identity(3)
     assert act(w, (5, -2, 7)) == (5, -2, 7)
 
 
@@ -107,11 +110,11 @@ def test_act_d2_swap_with_double_flip():
 
 def test_act_rank_mismatch():
     with pytest.raises(ValueError):
-        act(identity_element(2), (1, 2, 3))
+        act(_identity(2), (1, 2, 3))
 
 
 def test_sign_examples():
-    assert sign(identity_element(3)) == 1
+    assert sign(_identity(3)) == 1
     transposition = SignedPermutation((1, 0, 2), (1, 1, 1))
     assert sign(transposition) == -1
     flip = SignedPermutation((0,), (-1,))
@@ -178,7 +181,7 @@ def test_action_composition_on_arbitrary_weights(coords):
 def test_faithful_on_regular_weights(gtype):
     regular = tuple(range(5 * gtype.rank, 0, -5))[: gtype.rank]
     assert is_dominant(gtype, regular)
-    ident = identity_element(gtype.rank)
+    ident = _identity(gtype.rank)
     for w in weyl_elements(gtype):
         if w != ident:
             assert act(w, regular) != regular
@@ -210,7 +213,7 @@ def test_dominant_representative_matches_enumeration(gtype):
             if rep is None:
                 # singular: some nontrivial element fixes the weight
                 assert any(
-                    act(v, moved) == moved and v != identity_element(gtype.rank)
+                    act(v, moved) == moved and v != _identity(gtype.rank)
                     for v in weyl_elements(gtype)
                 )
                 continue

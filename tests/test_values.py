@@ -8,7 +8,7 @@ import pytest
 
 from ospkostka.characters import CharElt
 from ospkostka.euler import BrylReport, verify_bryl
-from ospkostka.kostka import QPoly, RootSet
+from ospkostka.kostka import QPoly
 from ospkostka.moment import FormsSpec
 from ospkostka.oddroots import BiWeight, osp_root_data
 from ospkostka.orbits import (
@@ -43,12 +43,6 @@ CASES = [
     ),
     (BiWeight, lambda: BiWeight((1, 0), (-1,)), "BiWeight(eps=(1, 0), delta=(-1,))", "1,0;-1"),
     (QPoly, lambda: QPoly((0, 1, 2, 0, 0)), "QPoly(coeffs=(0, 1, 2))", "q + 2*q^2"),
-    (
-        RootSet,
-        lambda: RootSet((BiWeight((1,), (-1,)), BiWeight((1,), (1,)))),
-        "RootSet(roots=(BiWeight(eps=(1,), delta=(-1,)), BiWeight(eps=(1,), delta=(1,))))",
-        None,
-    ),
     (FormsSpec, lambda: FormsSpec(5), "FormsSpec(N=5)", None),
     (
         OrbitLabel,
