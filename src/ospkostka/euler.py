@@ -17,9 +17,11 @@ norm one on each factor, and signed permutations preserve both norms, so
 a lambda that contributes at degree <= qmax has, on each factor, both
 norms at most those of mu plus qmax.  dominant_cone_labels enumerates the
 cone labels inside both bounds, so the enumeration is provably complete,
-and every label it lists goes through the Weyl sum.  The dominance test
-is split by factor (oddroots._dominance_share), so a label pair costs one
-elementwise comparison and two integer checks.  Reindexed by alpha
+and every label it lists is read from one Kostka column
+(kostka._kostka_column): the memo's hits as they are, the rest from one
+Weyl-sum join over the column.  The dominance test is split by factor
+(oddroots._dominance_share), so a label pair costs one elementwise
+comparison and two integer checks.  Reindexed by alpha
 instead of by w, the Weyl sum is the geometric table term for term, so
 this side keeps the Weyl sum: the comparison would otherwise be a
 tautology.
@@ -40,7 +42,9 @@ from collections import namedtuple
 from operator import add, sub
 
 from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
-from .kostka import kostka, partition_support_table
+# kostka is no longer called here; it stays bound as euler.kostka, which
+# the benchmark's tracer self-test (benchmarks/test_bench.py) reads
+from .kostka import _kostka_column, kostka, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair
 from .oddroots import _dominance_share, _shares_dominate
 from .roots import EnumerationTooLargeError, dominant_weights
@@ -139,10 +143,11 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
 
 def _rhs_table(data: OspRootData, mu, qmax: int):
     """Combinatorial side as a label table: the Weyl-sum K_{lam,mu}
-    truncated at qmax, for each cone label where that is nonzero."""
+    truncated at qmax, for each cone label where that is nonzero, read
+    from one Kostka column."""
     table = {}
-    for lam in dominant_cone_labels(data, mu, qmax):
-        coeffs = kostka(data, lam, mu).coeffs[: qmax + 1]
+    for lam, poly in _kostka_column(data, dominant_cone_labels(data, mu, qmax), mu).items():
+        coeffs = poly.coeffs[: qmax + 1]
         if any(coeffs):
             table[lam] = list(coeffs) + [0] * (qmax + 1 - len(coeffs))
     return table

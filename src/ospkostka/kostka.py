@@ -28,26 +28,28 @@ root is one integer subtraction, a negative coordinate shows as a
 cleared guard bit, the dead test is one mask per k, and fields too
 narrow for a goal are widened, never narrower than any root's.
 
-The Weyl sum is separable.  The cone solve is linear, so the raw row sums
-of arg0 + arg1 (the coordinates times the solver's scale, before any
-division) are those of arg0 placed at offset 0 plus those of arg1 placed
-after it, and likewise for the consistency (check) rows.  Each counter
+The Weyl sum is joined over a Kostka column: all labels lam of one mu.
+The cone solve is linear, so the raw row sums of arg0 + arg1 (the
+coordinates times the solver's scale) are those of arg0 at offset 0 plus
+those of arg1 after it, and likewise for the check rows.  Each counter
 keeps, per (factor, lam_t, mu_t), that factor's Weyl terms with their
 sums, built once; the side-1 terms are also sorted by each row's sum.
-For a side-0 term only the side-1 terms with raw0[i] + raw1[i] >= 0 can
-land in the cone, and a bisection at -raw0[i] finds them on every row i;
-the first row that leaves the fewest survivors is walked.  The cut is exact:
-a pair it drops has a negative coordinate or fails a check row, so L is
-zero there.  A survivor whose check sums add to zero and whose row sums
-are all nonnegative goes to l_poly_flat on the concatenated argument,
-whose exact solve stays the only test of divisibility and of cone
-membership.
+A column merges those lists over its lam1 into one row index and visits
+each (lam0, w0) once: a bisection at -raw0[i] finds, on every row i, the
+side-1 terms with raw0[i] + raw1[i] >= 0; the first row that keeps the
+fewest is walked, skipping each lam1 that makes no label with lam0.  The
+cut is exact: a pair it drops has a negative coordinate or fails a check
+row, so L is zero there.  A walked pair is in the cone iff its check sums
+cancel and divmod(raw0 + raw1, scale) leaves no remainder and no negative
+quotient; the quotients are its coordinates, by linearity the same exact
+integer solve as ConeSolver.coordinates.
 """
 
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from operator import add, lshift, neg
+from itertools import chain, repeat
+from operator import add, lshift, neg, sub
 
 from .oddroots import (
     BiWeight,
@@ -174,12 +176,11 @@ class PartitionCounter:
         self._memos = [{} for _ in self._dead]
 
     def weyl_terms(self, factor, gtype, rho_t, lam, mu):
-        """One factor's Weyl terms (arg, sign, check sums, row sums) of the
+        """One factor's Weyl terms (sign, check sums, row sums, lam) of the
         Lusztig-Kato sum, built once per (factor, lam, mu); gtype and rho_t
-        are fixed for one counter.  arg is placed at offset 0 for factor 0
-        and at the end of the lattice for factor 1.  For factor 1 the value
-        is (row_sums, row_terms): row_terms[i] is the terms sorted by their
-        row-i sum and row_sums[i] those sums, for bisection."""
+        are fixed for one counter.  The argument is placed at offset 0 for
+        factor 0 and at the end of the lattice for factor 1, whose terms
+        come as their _row_index."""
         key = (factor, lam, mu)
         terms = self._weyl_terms.get(key)
         if terms is not None:
@@ -188,14 +189,9 @@ class PartitionCounter:
         offset = solver.dim - len(lam) if factor else 0
         args = _weyl_arguments(gtype, rho_t, lam, mu)
         sums = solver.part_sums([arg for arg, _ in args], offset)
-        terms = [(arg, s, checks, rows) for (arg, s), (checks, rows) in zip(args, sums)]
+        terms = [(s, checks, rows, lam) for (_, s), (checks, rows) in zip(args, sums)]
         if factor:
-            row_sums, row_terms = [], []
-            for i in range(len(terms[0][3])):
-                ordered = sorted(terms, key=lambda t: t[3][i])
-                row_sums.append([t[3][i] for t in ordered])
-                row_terms.append(ordered)
-            terms = row_sums, row_terms
+            terms = _row_index([terms] * len(terms[0][2]))
         self._weyl_terms[key] = terms
         return terms
 
@@ -273,8 +269,9 @@ def kostka(data: OspRootData, lam_pair, mu_pair) -> QPoly:
     """Orthosymplectic Kostka polynomial: the alternating Weyl-group sum
     of L at the arguments (w0(lam0+rho0)-rho0-mu0, w1(lam1+rho1)-rho1-mu1).
 
-    The memo is read first: both of its writers store only checked
-    dominant pairs within the rank guard, so a hit needs no check.
+    The memo is read first: its writers (kostka, _kostka_column and
+    kostka_memo_import) store only checked dominant pairs within the rank
+    guard, so a hit needs no check.  A miss is a one-label Weyl-sum join.
     """
     try:
         (lam0, lam1), (mu0, mu1) = lam_pair, mu_pair
@@ -283,18 +280,40 @@ def kostka(data: OspRootData, lam_pair, mu_pair) -> QPoly:
         hit = None
     if hit is not None:
         return hit
-    lam0, lam1 = _check_dominant_pair(data, lam_pair, "lambda")
+    lam = _check_dominant_pair(data, lam_pair, "lambda")
     mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
+    _rank_guard(data)
+    poly = _lusztig_kato_sum(
+        _counter(data), data.type0, data.rho0, data.type1, data.rho1, [lam], mu0, mu1
+    )[lam]
+    _kostka_memo[(data.N, *lam, mu0, mu1)] = poly
+    return poly
+
+
+def _kostka_column(data: OspRootData, labels, mu):
+    """{lam: K_{lam,mu}} in the order of labels, for checked dominant
+    pairs: memo hits as they are, and the misses, past the rank guard,
+    from one Weyl-sum join, stored under the keys kostka uses."""
+    N, (mu0, mu1) = data.N, mu
+    column = {lam: _kostka_memo.get((N, *lam, mu0, mu1)) for lam in labels}
+    missing = [lam for lam, poly in column.items() if poly is None]
+    if not missing:
+        return column
+    _rank_guard(data)
+    polys = _lusztig_kato_sum(
+        _counter(data), data.type0, data.rho0, data.type1, data.rho1, missing, mu0, mu1
+    )
+    for lam in missing:
+        column[lam] = _kostka_memo[(N, *lam, mu0, mu1)] = polys[lam]
+    return column
+
+
+def _rank_guard(data: OspRootData):
+    """Refuse a Weyl sum past KOSTKA_RANK_GUARD, before any work."""
     if data.n > KOSTKA_RANK_GUARD:
         raise EnumerationTooLargeError(
             f"enumeration too large: n={data.n} exceeds guard {KOSTKA_RANK_GUARD}"
         )
-    counter = _counter(data)
-    poly = _lusztig_kato_sum(
-        counter, data.type0, data.rho0, data.type1, data.rho1, lam0, lam1, mu0, mu1
-    )
-    _kostka_memo[(data.N, lam0, lam1, mu0, mu1)] = poly
-    return poly
 
 
 def kostka_custom(
@@ -327,10 +346,10 @@ def kostka_custom(
     counter = PartitionCounter(roots, simples)
     for s in simples:
         _check_ranks(f"simple root {s}", s, ranks)
-    lam0, lam1 = tuple(lam_pair[0]), tuple(lam_pair[1])
+    lam = tuple(lam_pair[0]), tuple(lam_pair[1])
     mu0, mu1 = tuple(mu_pair[0]), tuple(mu_pair[1])
     rho0, rho1 = tuple(rho_pair[0]), tuple(rho_pair[1])
-    return _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1)
+    return _lusztig_kato_sum(counter, type0, rho0, type1, rho1, [lam], mu0, mu1)[lam]
 
 
 def _check_ranks(what, pair, ranks):
@@ -344,36 +363,55 @@ def _check_ranks(what, pair, ranks):
 
 def _weyl_arguments(gtype, rho_t, lam, mu):
     """(w(lam+rho)-rho-mu, sign w) for every w in W(gtype)."""
-    shift = tuple(a + b for a, b in zip(lam, rho_t))
-    base = tuple(a + b for a, b in zip(rho_t, mu))
-    return [
-        (tuple(a - b for a, b in zip(act(w, shift), base)), s)
-        for w, s in signed_weyl(gtype)
-    ]
+    shift = tuple(map(add, lam, rho_t))
+    base = tuple(map(add, rho_t, mu))
+    return [(tuple(map(sub, act(w, shift), base)), s) for w, s in signed_weyl(gtype)]
 
 
-def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
-    """The signed sum of L(arg0 + arg1) over W0 x W1, over the pairs that
-    survive the sorted cut of the module docstring."""
-    l_poly_flat = counter.l_poly_flat
-    side0 = counter.weyl_terms(0, type0, rho0, lam0, mu0)
-    row_sums, row_terms = counter.weyl_terms(1, type1, rho1, lam1, mu1)
-    acc = []
-    for arg0, s0, checks0, raw0 in side0:
-        # every row's survivors are a suffix of its sorted list: take the
-        # first shortest
-        starts = list(map(bisect_left, row_sums, map(neg, raw0)))
-        start = max(starts)
-        for arg1, s1, checks1, raw1 in row_terms[starts.index(start)][start:]:
-            if any(map(add, checks0, checks1)) or min(map(add, raw0, raw1)) < 0:
-                continue
-            part = l_poly_flat(arg0 + arg1).coeffs
-            if len(part) > len(acc):
-                acc.extend([0] * (len(part) - len(acc)))
-            s = s0 * s1
-            for d, c in enumerate(part):
-                acc[d] += s * c
-    return QPoly(tuple(acc))
+def _row_index(row_lists):
+    """(row_sums, row_terms) for bisection: row_terms[i] is the terms of
+    row_lists[i] sorted by their row-i sum, row_sums[i] those sums."""
+    row_terms = [sorted(terms, key=lambda t: t[2][i]) for i, terms in enumerate(row_lists)]
+    return [[t[2][i] for t in terms] for i, terms in enumerate(row_terms)], row_terms
+
+
+def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, labels, mu0, mu1):
+    """{(lam0, lam1): K} for the labels against one mu: the signed sums
+    of L(arg0 + arg1) over W0 x W1, in the one join of the module
+    docstring."""
+    accs, index = {}, {}  # lam0 -> {lam1: coefficients}; lam1 -> side-1 terms
+    for lam0, lam1 in labels:
+        accs.setdefault(lam0, {})[lam1] = []
+        if lam1 not in index:
+            index[lam1] = counter.weyl_terms(1, type1, rho1, lam1, mu1)
+    if len(index) == 1:
+        [(row_sums, row_terms)] = index.values()
+    else:
+        # each lam1's rows are sorted runs, which the sort merges
+        row_sums, row_terms = _row_index(
+            [list(chain.from_iterable(rows)) for rows in zip(*(t for _, t in index.values()))]
+        )
+    scale, k, counts = counter._solver.scale, len(counter.root_coords), counter._counts
+    for lam0, by1 in accs.items():
+        for s0, checks0, raw0, _ in counter.weyl_terms(0, type0, rho0, lam0, mu0):
+            # every row's survivors are a suffix of its sorted list: take the
+            # first shortest
+            starts = list(map(bisect_left, row_sums, map(neg, raw0)))
+            start = max(starts)
+            for s1, checks1, raw1, lam1 in row_terms[starts.index(start)][start:]:
+                acc = by1.get(lam1)
+                if acc is None or any(map(add, checks0, checks1)):
+                    continue
+                coords, rems = zip(*map(divmod, map(add, raw0, raw1), repeat(scale)))
+                if any(rems) or min(coords) < 0:
+                    continue
+                part = counts(k, coords)
+                if len(part) > len(acc):
+                    acc.extend([0] * (len(part) - len(acc)))
+                s = s0 * s1
+                for d, c in enumerate(part):
+                    acc[d] += s * c
+    return {(lam0, lam1): QPoly(acc) for lam0, by1 in accs.items() for lam1, acc in by1.items()}
 
 
 @lru_cache(maxsize=None)

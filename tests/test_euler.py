@@ -14,7 +14,7 @@ from ospkostka.euler import (
     euler_line,
     verify_bryl,
 )
-from ospkostka.kostka import QPoly, kostka
+from ospkostka.kostka import QPoly, kostka, kostka_memo_export, kostka_memo_import
 from ospkostka.oddroots import biweight, dominance_ge, dominance_ge_cone, osp_root_data
 from ospkostka.roots import EnumerationTooLargeError, dominant_weights
 
@@ -82,8 +82,8 @@ def test_verify_bryl_rank4_at_the_guard(N, mu0):
 @pytest.mark.parametrize("N", [10, 11])
 @pytest.mark.parametrize("side", [verify_bryl, bryl_rhs])
 def test_rank5_euler_stops_at_the_kostka_guard(N, side):
-    """At rank 5 the qmax guard lets qmax 1 through, and the first Kostka
-    call of the combinatorial side refuses, before anything is memoised."""
+    """At rank 5 the qmax guard lets qmax 1 through, and the Kostka column
+    of the combinatorial side refuses, before anything is memoised."""
     data = osp_root_data(N)
     mu = ((0,) * data.eps_rank, (0,) * data.delta_rank)
     before = dict(kostka_module._kostka_memo)
@@ -91,6 +91,48 @@ def test_rank5_euler_stops_at_the_kostka_guard(N, side):
     with pytest.raises(EnumerationTooLargeError, match=message):
         side(data, mu, 1)
     assert kostka_module._kostka_memo == before
+
+
+@pytest.mark.parametrize(
+    "N, mu, qmax",
+    [(3, ((1,), (0,)), 8), (4, ((1, 0), (1,)), 4), (5, ((0, 0), (0, 0)), 3), (7, ((1, 0, 0), (0, 0, 0)), 2)],
+)
+def test_verify_bryl_leaves_the_per_label_memo(monkeypatch, N, mu, qmax):
+    """From an empty memo, verify_bryl stores the same entries, in the
+    same order, as one kostka call per cone label."""
+    data = osp_root_data(N)
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    assert verify_bryl(data, mu, qmax).ok
+    column = kostka_module._kostka_memo
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    for lam in dominant_cone_labels(data, mu, qmax):
+        kostka(data, lam, mu)
+    assert list(column.items()) == list(kostka_module._kostka_memo.items())
+
+
+@pytest.mark.parametrize("warmed_by", ["run", "cache import"])
+def test_warm_verify_bryl_runs_no_weyl_sum(monkeypatch, warmed_by):
+    """After one verify_bryl, or after loading the export of its memo, a
+    second verify_bryl reads every label from the memo: with the Weyl sum
+    patched to raise it still passes.  At rank 5 the rank guard still
+    refuses first, with its own message."""
+    data, mu, qmax = osp_root_data(5), ((1, 0), (0, 0)), 4
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    first = verify_bryl(data, mu, qmax)
+    assert first.ok
+    if warmed_by == "cache import":
+        exported = kostka_memo_export()
+        monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+        kostka_memo_import(exported)
+
+    def refuse(*args):
+        raise AssertionError("the Weyl sum ran on a warm memo")
+
+    monkeypatch.setattr(kostka_module, "_lusztig_kato_sum", refuse)
+    assert verify_bryl(data, mu, qmax) == first
+    rank5 = osp_root_data(10)
+    with pytest.raises(EnumerationTooLargeError, match="^enumeration too large: n=5 exceeds guard 4$"):
+        verify_bryl(rank5, ((0,) * 5, (0,) * 4), 1)
 
 
 def test_rhs_contributors_n3_qmax2():
@@ -234,22 +276,33 @@ def _planted_report(data, mu, qmax, degree):
 
 
 def test_planted_kostka_coefficient_fails_at_its_degree(monkeypatch):
+    """One coefficient planted in the Kostka column that verify_bryl reads
+    (and in the per-label kostka that the oracle reads) fails at its
+    degree, with the dual character of its label as the difference."""
     data = osp_root_data(4)
     mu, qmax, degree = ((1, 0), (1,)), 4, 3
     label = ((3, 0), (3,))
-    real = euler.kostka
-    assert real(data, label, mu) == QPoly((0, 0, 1, 0, 1, 0, 1))
+    assert kostka(data, label, mu) == QPoly((0, 0, 1, 0, 1, 0, 1))
 
-    def planted(data_, lam, mu_):
-        poly = real(data_, lam, mu_)
-        if lam != label:
-            return poly
+    def plant(poly):
         coeffs = list(poly.coeffs)
         coeffs[degree] += 1
         return QPoly(coeffs)
 
-    monkeypatch.setattr(euler, "kostka", planted)
-    monkeypatch.setattr(conftest, "kostka", planted)
+    real_column, real_kostka = euler._kostka_column, conftest.kostka
+
+    def planted_column(data_, labels, mu_):
+        column = real_column(data_, labels, mu_)
+        if label in column:
+            column[label] = plant(column[label])
+        return column
+
+    def planted_kostka(data_, lam, mu_):
+        poly = real_kostka(data_, lam, mu_)
+        return plant(poly) if lam == label else poly
+
+    monkeypatch.setattr(euler, "_kostka_column", planted_column)
+    monkeypatch.setattr(conftest, "kostka", planted_kostka)
     report = _planted_report(data, mu, qmax, degree)
     assert report.degree_diffs[degree] == dual_pair_char(data, *label)
 

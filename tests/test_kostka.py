@@ -12,7 +12,7 @@ from conftest import (
     per_pair_lusztig_kato_sum,
     unpruned_l_coeffs,
 )
-from ospkostka.euler import dominant_cone_labels
+from ospkostka.euler import _qmax_guard, dominant_cone_labels
 from ospkostka.kostka import (
     KOSTKA_RANK_GUARD,
     PartitionCounter,
@@ -427,6 +427,49 @@ def test_kostka_matches_per_pair_sum(data):
     assert kostka(rd, lam, mu) == expected
 
 
+def _qmax_limit(data):
+    """The largest qmax that the Euler guard lets through at data."""
+    for qmax in range(8, -1, -1):
+        try:
+            _qmax_guard(data, qmax)
+        except EnumerationTooLargeError:
+            continue
+        return qmax
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kostka_column_matches_per_pair_sum(data):
+    """The column entry over every cone label of a drawn mu and qmax, at
+    N=3..8, against one cone solve per Weyl pair and label.  A drawn
+    subset of the labels is warmed in the memo by per-label kostka calls
+    first, so the column mixes hits with the misses it joins and stores."""
+    N = data.draw(st.integers(min_value=3, max_value=8), label="N")
+    rd = osp_root_data(N)
+    mu = data.draw(
+        st.sampled_from(list(iproduct(dominant_weights(rd.type0, 1), dominant_weights(rd.type1, 1)))),
+        label="mu",
+    )
+    qmax = data.draw(st.integers(min_value=0, max_value=_qmax_limit(rd)), label="qmax")
+    labels = dominant_cone_labels(rd, mu, qmax)
+    expected = {
+        lam: per_pair_lusztig_kato_sum(
+            kostka_module._counter(rd), rd.type0, rd.rho0, rd.type1, rd.rho1, *lam, *mu
+        )
+        for lam in labels
+    }
+    for lam in labels:
+        kostka_module._kostka_memo.pop((N, *lam, *mu), None)
+    warm = data.draw(st.sets(st.sampled_from(labels)), label="warm")
+    for lam in warm:
+        kostka(rd, lam, mu)
+    event(f"N={N}, " + ("all cold" if not warm else "mixed" if len(warm) < len(labels) else "all warm"))
+    column = kostka_module._kostka_column(rd, labels, mu)
+    assert list(column) == labels
+    assert column == expected
+    assert all(kostka_module._kostka_memo[(N, *lam, *mu)] == expected[lam] for lam in labels)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_kostka_custom_matches_per_pair_sum(data):
@@ -502,7 +545,7 @@ def test_kostka_custom_calls_do_not_share_weyl_terms():
 
 def test_kostka_n9_cold_example():
     """At N=9 the Weyl sum has |W(D_4)| * |W(C_4)| = 73,728 pairs; the
-    sorted cut leaves only the 33 in the cone for l_poly_flat."""
+    sorted cut leaves only the 33 in the cone for the partition count."""
     data = osp_root_data(9)
     poly = kostka(data, ((1, 0, 0, 0), (1, 0, 0, 0)), ((0,) * 4, (0,) * 4))
     assert str(poly) == "q + q^3 + q^5 + 2*q^7 + q^9 + q^11 + q^13"
