@@ -42,8 +42,8 @@ from collections import namedtuple
 from operator import add, sub
 
 from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
-# kostka is no longer called here; it stays bound as euler.kostka, which
-# the benchmark's tracer self-test (benchmarks/test_bench.py) reads
+# kostka is not called here; it stays bound as euler.kostka, which the
+# benchmark's tracer self-test (benchmarks/test_bench.py) reads
 from .kostka import _kostka_column, kostka, partition_support_table
 from .oddroots import BiWeight, OspRootData, _check_dominant_pair
 from .oddroots import _dominance_share, _shares_dominate

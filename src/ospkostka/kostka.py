@@ -39,16 +39,18 @@ each (lam0, w0) once: a bisection at -raw0[i] finds, on every row i, the
 side-1 terms with raw0[i] + raw1[i] >= 0; the first row that keeps the
 fewest is walked, skipping each lam1 that makes no label with lam0.  The
 cut is exact: a pair it drops has a negative coordinate or fails a check
-row, so L is zero there.  A walked pair is in the cone iff its check sums
-cancel and divmod(raw0 + raw1, scale) leaves no remainder and no negative
-quotient; the quotients are its coordinates, by linearity the same exact
-integer solve as ConeSolver.coordinates.
+row, so L is zero there.  A walked pair whose check sums cancel and
+whose row sums are all nonnegative goes to l_poly_flat on the
+concatenated argument, whose exact solve stays the only test of
+divisibility and of cone membership.  The labels of a column share most
+of their arguments, so the counter keeps L per argument and solves each
+distinct one once.
 """
 
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import add, lshift, neg, sub
 
 from .oddroots import (
@@ -124,7 +126,7 @@ class PartitionCounter:
     set; all roots must expand nonnegatively and integrally there.  State
     of the memoized recursion is (number of usable roots, residual
     coordinate vector); the module docstring gives the root order and the
-    dead-state cut.
+    dead-state cut.  l_poly_flat keeps its answer per lattice vector.
 
     A residual is packed into one int: coordinate i sits in a field of
     `bits` value bits at shift i * (bits + 1), with a guard bit set just
@@ -158,6 +160,7 @@ class PartitionCounter:
         # fit from the start
         self._widen(max(4, max(map(max, coords)).bit_length()))
         self._weyl_terms = {}
+        self._l_polys = {}
 
     def _widen(self, bits):
         """Lay out fields of `bits` value bits and start an empty memo."""
@@ -176,7 +179,7 @@ class PartitionCounter:
         self._memos = [{} for _ in self._dead]
 
     def weyl_terms(self, factor, gtype, rho_t, lam, mu):
-        """One factor's Weyl terms (sign, check sums, row sums, lam) of the
+        """One factor's Weyl terms (arg, sign, check sums, row sums, lam) of the
         Lusztig-Kato sum, built once per (factor, lam, mu); gtype and rho_t
         are fixed for one counter.  The argument is placed at offset 0 for
         factor 0 and at the end of the lattice for factor 1, whose terms
@@ -189,17 +192,19 @@ class PartitionCounter:
         offset = solver.dim - len(lam) if factor else 0
         args = _weyl_arguments(gtype, rho_t, lam, mu)
         sums = solver.part_sums([arg for arg, _ in args], offset)
-        terms = [(s, checks, rows, lam) for (_, s), (checks, rows) in zip(args, sums)]
+        terms = [(arg, s, checks, rows, lam) for (arg, s), (checks, rows) in zip(args, sums)]
         if factor:
-            terms = _row_index([terms] * len(terms[0][2]))
+            terms = _row_index([terms] * len(terms[0][3]))
         self._weyl_terms[key] = terms
         return terms
 
     def l_poly_flat(self, flat) -> QPoly:
-        coords = self._solver.coordinates(flat)
-        if coords is None:
-            return _ZERO
-        return QPoly(self._counts(len(self.root_coords), coords))
+        poly = self._l_polys.get(flat)
+        if poly is None:
+            coords = self._solver.coordinates(flat)
+            poly = _ZERO if coords is None else QPoly(self._counts(len(self.root_coords), coords))
+            self._l_polys[flat] = poly
+        return poly
 
     def _counts(self, k, coords):
         """Counts by multiset size for partitions of `coords` using the
@@ -269,9 +274,9 @@ def kostka(data: OspRootData, lam_pair, mu_pair) -> QPoly:
     """Orthosymplectic Kostka polynomial: the alternating Weyl-group sum
     of L at the arguments (w0(lam0+rho0)-rho0-mu0, w1(lam1+rho1)-rho1-mu1).
 
-    The memo is read first: its writers (kostka, _kostka_column and
+    The memo is read first: its writers (_kostka_column and
     kostka_memo_import) store only checked dominant pairs within the rank
-    guard, so a hit needs no check.  A miss is a one-label Weyl-sum join.
+    guard, so a hit needs no check.  A miss is a one-label column.
     """
     try:
         (lam0, lam1), (mu0, mu1) = lam_pair, mu_pair
@@ -281,13 +286,8 @@ def kostka(data: OspRootData, lam_pair, mu_pair) -> QPoly:
     if hit is not None:
         return hit
     lam = _check_dominant_pair(data, lam_pair, "lambda")
-    mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
-    _rank_guard(data)
-    poly = _lusztig_kato_sum(
-        _counter(data), data.type0, data.rho0, data.type1, data.rho1, [lam], mu0, mu1
-    )[lam]
-    _kostka_memo[(data.N, *lam, mu0, mu1)] = poly
-    return poly
+    mu = _check_dominant_pair(data, mu_pair, "mu")
+    return _kostka_column(data, [lam], mu)[lam]
 
 
 def _kostka_column(data: OspRootData, labels, mu):
@@ -299,21 +299,16 @@ def _kostka_column(data: OspRootData, labels, mu):
     missing = [lam for lam, poly in column.items() if poly is None]
     if not missing:
         return column
-    _rank_guard(data)
+    if data.n > KOSTKA_RANK_GUARD:
+        raise EnumerationTooLargeError(
+            f"enumeration too large: n={data.n} exceeds guard {KOSTKA_RANK_GUARD}"
+        )
     polys = _lusztig_kato_sum(
         _counter(data), data.type0, data.rho0, data.type1, data.rho1, missing, mu0, mu1
     )
     for lam in missing:
         column[lam] = _kostka_memo[(N, *lam, mu0, mu1)] = polys[lam]
     return column
-
-
-def _rank_guard(data: OspRootData):
-    """Refuse a Weyl sum past KOSTKA_RANK_GUARD, before any work."""
-    if data.n > KOSTKA_RANK_GUARD:
-        raise EnumerationTooLargeError(
-            f"enumeration too large: n={data.n} exceeds guard {KOSTKA_RANK_GUARD}"
-        )
 
 
 def kostka_custom(
@@ -371,8 +366,8 @@ def _weyl_arguments(gtype, rho_t, lam, mu):
 def _row_index(row_lists):
     """(row_sums, row_terms) for bisection: row_terms[i] is the terms of
     row_lists[i] sorted by their row-i sum, row_sums[i] those sums."""
-    row_terms = [sorted(terms, key=lambda t: t[2][i]) for i, terms in enumerate(row_lists)]
-    return [[t[2][i] for t in terms] for i, terms in enumerate(row_terms)], row_terms
+    row_terms = [sorted(terms, key=lambda t: t[3][i]) for i, terms in enumerate(row_lists)]
+    return [[t[3][i] for t in terms] for i, terms in enumerate(row_terms)], row_terms
 
 
 def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, labels, mu0, mu1):
@@ -391,21 +386,18 @@ def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, labels, mu0, mu1):
         row_sums, row_terms = _row_index(
             [list(chain.from_iterable(rows)) for rows in zip(*(t for _, t in index.values()))]
         )
-    scale, k, counts = counter._solver.scale, len(counter.root_coords), counter._counts
+    l_poly_flat = counter.l_poly_flat
     for lam0, by1 in accs.items():
-        for s0, checks0, raw0, _ in counter.weyl_terms(0, type0, rho0, lam0, mu0):
+        for arg0, s0, checks0, raw0, _ in counter.weyl_terms(0, type0, rho0, lam0, mu0):
             # every row's survivors are a suffix of its sorted list: take the
             # first shortest
             starts = list(map(bisect_left, row_sums, map(neg, raw0)))
             start = max(starts)
-            for s1, checks1, raw1, lam1 in row_terms[starts.index(start)][start:]:
+            for arg1, s1, checks1, raw1, lam1 in row_terms[starts.index(start)][start:]:
                 acc = by1.get(lam1)
-                if acc is None or any(map(add, checks0, checks1)):
+                if acc is None or any(map(add, checks0, checks1)) or min(map(add, raw0, raw1)) < 0:
                     continue
-                coords, rems = zip(*map(divmod, map(add, raw0, raw1), repeat(scale)))
-                if any(rems) or min(coords) < 0:
-                    continue
-                part = counts(k, coords)
+                part = l_poly_flat(arg0 + arg1).coeffs
                 if len(part) > len(acc):
                     acc.extend([0] * (len(part) - len(acc)))
                 s = s0 * s1

@@ -119,14 +119,15 @@ def unpruned_l_coeffs(roots, simples, flat):
 
 def per_pair_lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
     """What kostka._lusztig_kato_sum must return for the label (lam0,
-    lam1): the signed sum of counter.l_poly_flat over every pair of Weyl
-    arguments, so each of the |W0| * |W1| pairs gets its own cone solve
-    and nothing is cut."""
+    lam1): the signed sum of L over every pair of Weyl arguments, so each
+    of the |W0| * |W1| pairs gets its own cone solve, past the counter's
+    per-argument memo of l_poly_flat, and nothing is cut."""
     acc = []
     side1 = _weyl_arguments(type1, rho1, lam1, mu1)
     for arg0, s0 in _weyl_arguments(type0, rho0, lam0, mu0):
         for arg1, s1 in side1:
-            part = counter.l_poly_flat(arg0 + arg1).coeffs
+            coords = counter._solver.coordinates(arg0 + arg1)
+            part = () if coords is None else counter._counts(len(counter.root_coords), coords)
             acc.extend([0] * (len(part) - len(acc)))
             for d, c in enumerate(part):
                 acc[d] += s0 * s1 * c

@@ -188,6 +188,21 @@ def test_counter_widens_across_goals():
         assert counter.l_poly_flat(flat).coeffs == expected
 
 
+def test_l_poly_flat_solves_each_argument_once(monkeypatch):
+    """l_poly_flat keeps L per argument: a repeated argument, in the cone
+    or not, is answered from that memo without a second cone solve."""
+    counter = PartitionCounter(WIDE_ROOTS, UNIT_SIMPLES)
+    goals = [(2, 2), (-1, 3), (21, 40)]
+    first = [counter.l_poly_flat(flat) for flat in goals]
+    assert [p.coeffs for p in first] == [unpruned_l_coeffs(WIDE_ROOTS, UNIT_SIMPLES, f) for f in goals]
+
+    def refuse(flat):
+        raise AssertionError(f"second cone solve of {flat}")
+
+    monkeypatch.setattr(counter._solver, "coordinates", refuse)
+    assert [counter.l_poly_flat(flat) for flat in goals] == first
+
+
 def boxed_partition_counts(data, box, dmax):
     """The counts p_d(alpha) of partition_support_table for alpha inside
     the box, with zeros omitted: read with .get((alpha, d), 0)."""
