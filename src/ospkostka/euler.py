@@ -36,9 +36,17 @@ there is one external product per distinct lam1 and degree, not one per
 label, accumulated in one eps-lattice dict per delta weight.  Only
 labels with a nonzero row take part, so a passing comparison builds no
 character.
+
+_lhs_table and the cone labels behind dominant_cone_labels are pure
+functions of the checked (data, mu, qmax), memoised like the reflection
+memo and the support table, so checking the identity and then expanding
+a side or listing its labels builds each once; every call still returns
+fresh characters and a fresh label list.  _rhs_table has no memo: it is
+read from the Kostka memo, which a table memo would copy.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from operator import add, sub
 
 from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
@@ -90,10 +98,14 @@ def euler_line(data: OspRootData, nu: BiWeight) -> CharElt:
     return _expand(data, table, 0)[0]
 
 
+@lru_cache(maxsize=None)
 def _lhs_table(data: OspRootData, mu, qmax: int):
     """Geometric side as a label table: each alpha of the support table
     adds sign(w) * p_d(alpha) to the row of the label that mu + alpha
-    reflects to, factor by factor, through the reflection memo."""
+    reflects to, factor by factor, through the reflection memo.  Memoised
+    per checked (data, mu, qmax), with tuple rows; its callers only read
+    it (verify_bryl subtracts into a fresh diff, _expand builds fresh
+    characters)."""
     r, (mu0, mu1) = data.eps_rank, mu
     zero = (0,) * (qmax + 1)
     table = {}
@@ -104,7 +116,7 @@ def _lhs_table(data: OspRootData, mu, qmax: int):
             label = rep0[1], rep1[1]
             # the sign of w is +1 iff the factors' signs agree
             step = add if rep0[0] == rep1[0] else sub
-            table[label] = list(map(step, table.get(label, zero), counts))
+            table[label] = tuple(map(step, table.get(label, zero), counts))
     return table
 
 
@@ -126,8 +138,14 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
     the largest in absolute value, and every entry is nonnegative but D's
     last, where rho is 0, so |lam_t+rho_t|_1 = |lam_t|_1 + |rho_t|_1.
     Each lam_t gets its share of the dominance test once; each pair, in
-    product order, adds the two shares and checks them."""
-    mu = _check_dominant_pair(data, mu_pair, "mu")
+    product order, adds the two shares and checks them.  The labels are
+    memoised per checked (data, mu, qmax); each call returns a fresh list,
+    and malformed input raises before the memo is reached."""
+    return list(_cone_labels(data, _check_dominant_pair(data, mu_pair, "mu"), qmax))
+
+
+@lru_cache(maxsize=None)
+def _cone_labels(data: OspRootData, mu, qmax: int):
     shares0, shares1 = (
         [
             (lam_t, _dominance_share(data, t, tuple(map(sub, lam_t, mu_t))))
@@ -136,15 +154,16 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
         ]
         for t, gtype, mu_t in zip((0, 1), (data.type0, data.type1), mu)
     )
-    return [
+    return tuple(
         (lam0, lam1) for lam0, s0 in shares0 for lam1, s1 in shares1 if _shares_dominate(s0, s1)
-    ]
+    )
 
 
 def _rhs_table(data: OspRootData, mu, qmax: int):
     """Combinatorial side as a label table: the Weyl-sum K_{lam,mu}
     truncated at qmax, for each cone label where that is nonzero, read
-    from one Kostka column."""
+    from one Kostka column.  Not memoised: the column is already the
+    Kostka memo, so a table memo would store that data twice."""
     table = {}
     for lam, poly in _kostka_column(data, dominant_cone_labels(data, mu, qmax), mu).items():
         coeffs = poly.coeffs[: qmax + 1]

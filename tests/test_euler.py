@@ -1,7 +1,9 @@
 import importlib
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
 from conftest import dual_pair_char, euler_line_sum_lhs, kostka_label_sum_rhs, sup_norm_box
@@ -19,6 +21,21 @@ from ospkostka.oddroots import biweight, dominance_ge, dominance_ge_cone, osp_ro
 from ospkostka.roots import EnumerationTooLargeError, dominant_weights
 
 kostka_module = importlib.import_module("ospkostka.kostka")
+
+
+def _clear_euler_memos():
+    euler._lhs_table.cache_clear()
+    euler._cone_labels.cache_clear()
+
+
+@pytest.fixture
+def cold_euler_memos():
+    """Empty the memoised Euler tables before and after the test: a table
+    an earlier test built is not read, and one built from a layer this
+    test patches is not kept for later tests."""
+    _clear_euler_memos()
+    yield
+    _clear_euler_memos()
 
 
 def test_euler_line_trivial():
@@ -275,7 +292,7 @@ def _planted_report(data, mu, qmax, degree):
     return report
 
 
-def test_planted_kostka_coefficient_fails_at_its_degree(monkeypatch):
+def test_planted_kostka_coefficient_fails_at_its_degree(monkeypatch, cold_euler_memos):
     """One coefficient planted in the Kostka column that verify_bryl reads
     (and in the per-label kostka that the oracle reads) fails at its
     degree, with the dual character of its label as the difference."""
@@ -307,7 +324,7 @@ def test_planted_kostka_coefficient_fails_at_its_degree(monkeypatch):
     assert report.degree_diffs[degree] == dual_pair_char(data, *label)
 
 
-def test_planted_partition_count_fails_at_its_degree(monkeypatch):
+def test_planted_partition_count_fails_at_its_degree(monkeypatch, cold_euler_memos):
     data = osp_root_data(4)
     mu, qmax, degree = ((1, 0), (1,)), 4, 2
     real = euler.partition_support_table(data, qmax)
@@ -331,3 +348,64 @@ def test_planted_partition_count_fails_at_its_degree(monkeypatch):
     assert report.degree_diffs[degree] == CharElt(
         line.context, {w: -m for w, m in line.terms.items()}
     )
+
+
+def _euler_results(data, mu, qmax):
+    return (
+        verify_bryl(data, mu, qmax),
+        bryl_lhs(data, mu, qmax),
+        bryl_rhs(data, mu, qmax),
+        dominant_cone_labels(data, mu, qmax),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_euler_memos_cold_and_warm_agree(data):
+    """On N = 3..5, mu in the box of entries at most 1 and qmax up to the
+    guard (8 at rank <= 2), the four Euler entry points return the same
+    from cleared memos as from warm ones, and changing what they returned
+    (a label list, the terms of a character) leaves the next call's
+    result as a cold run gives it."""
+    N = data.draw(st.integers(3, 5), label="N")
+    rd = osp_root_data(N)
+    box = list(product(dominant_weights(rd.type0, 1), dominant_weights(rd.type1, 1)))
+    mu = data.draw(st.sampled_from(box), label="mu")
+    qmax = data.draw(st.integers(0, 8), label="qmax")
+    _clear_euler_memos()
+    cold = _euler_results(rd, mu, qmax)
+    warm = _euler_results(rd, mu, qmax)
+    assert warm == cold
+    report, lhs, rhs, labels = warm
+    labels.append(labels[0])
+    for ch in (*report.degree_diffs, *lhs, *rhs):
+        ch.terms.clear()
+        ch.terms[(0,) * (rd.eps_rank + rd.delta_rank)] = 1
+    after = _euler_results(rd, mu, qmax)
+    _clear_euler_memos()
+    assert after == _euler_results(rd, mu, qmax) == cold
+
+
+def test_one_key_builds_each_euler_table_once(monkeypatch, cold_euler_memos):
+    """From cleared memos, verify_bryl, bryl_lhs, bryl_rhs and
+    dominant_cone_labels on one (data, mu, qmax) read the support table
+    once and enumerate the dominant weights once per factor."""
+    data, mu, qmax = osp_root_data(4), ((1, 0), (1,)), 4
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(euler, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(euler, name, wrapper)
+
+    counted("partition_support_table")
+    counted("dominant_weights")
+    assert verify_bryl(data, mu, qmax).ok
+    bryl_lhs(data, mu, qmax)
+    bryl_rhs(data, mu, qmax)
+    dominant_cone_labels(data, mu, qmax)
+    assert calls == {"partition_support_table": 1, "dominant_weights": 2}
