@@ -53,12 +53,13 @@ from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
 # kostka is not called here; it stays bound as euler.kostka, which the
 # benchmark's tracer self-test (benchmarks/test_bench.py) reads
 from .kostka import _kostka_column, kostka, partition_support_table
-from .oddroots import BiWeight, OspRootData, _check_dominant_pair
+from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _check_integers
 from .oddroots import _dominance_share, _shares_dominate
 from .roots import EnumerationTooLargeError, dominant_weights
 
 
 def _qmax_guard(data: OspRootData, qmax: int):
+    _check_integers("qmax", (qmax,))
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
     rank = max(data.eps_rank, data.delta_rank)
@@ -140,8 +141,11 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
     Each lam_t gets its share of the dominance test once; each pair, in
     product order, adds the two shares and checks them.  The labels are
     memoised per checked (data, mu, qmax); each call returns a fresh list,
-    and malformed input raises before the memo is reached."""
-    return list(_cone_labels(data, _check_dominant_pair(data, mu_pair, "mu"), qmax))
+    and malformed input, a non-int qmax included, raises before the memo
+    is reached."""
+    mu = _check_dominant_pair(data, mu_pair, "mu")
+    _check_integers("qmax", (qmax,))
+    return list(_cone_labels(data, mu, qmax))
 
 
 @lru_cache(maxsize=None)

@@ -29,34 +29,41 @@ cleared guard bit, the dead test is one mask per k, and fields too
 narrow for a goal are widened, never narrower than any root's.
 
 The Weyl sum is joined over a Kostka column: all labels lam of one mu.
-The cone solve is linear, so the raw row sums of arg0 + arg1 (the
-coordinates times the solver's scale) are those of arg0 at offset 0 plus
-those of arg1 after it, and likewise for the check rows.  Each counter
-keeps, per (factor, lam_t, mu_t), that factor's Weyl terms with their
-sums, built once; the side-1 terms are also sorted by each row's sum.
-A column merges those lists over its lam1 into one row index and visits
-each (lam0, w0) once: a bisection at -raw0[i] finds, on every row i, the
-side-1 terms with raw0[i] + raw1[i] >= 0; the first row that keeps the
-fewest is walked, skipping each lam1 that makes no label with lam0.  The
-cut is exact: a pair it drops has a negative coordinate or fails a check
-row, so L is zero there.  A walked pair whose check sums cancel and
-whose row sums are all nonnegative goes to l_poly_flat on the
-concatenated argument, whose exact solve stays the only test of
-divisibility and of cone membership.  The labels of a column share most
-of their arguments, so the counter keeps L per argument and solves each
-distinct one once.
+The argument of a pair is x0 + x1 - base, where x_t = w_t(lam_t + rho_t)
+is an orbit point and base = (rho0 + mu0 || rho1 + mu1).  Each counter
+keeps, per (factor, lam_t), that factor's orbit points with their signs
+and their raw row and check sums (the coordinates times the solver's
+scale), sorted by each row's sum, built once and shared by every mu.
+mu enters only through base: the sums are linear, so those of an
+argument are the sums of x0 at offset 0, plus those of x1 after it,
+minus those of base, taken once per column.  A column merges the side-1
+lists over its lam1 into one row index.  A side-0 point whose row-i sum
+is below base_rows[i] minus the largest side-1 sum there pairs with
+nothing, so one bisection per row drops those, on the row that drops
+most (at N = 8 most points go).  Each remaining (lam0, w0) is visited
+once: a bisection at base_rows[i] - raw0[i] finds, on every row i, the
+side-1 points whose argument has a nonnegative row-i sum; the first row
+that keeps the fewest is walked, skipping each lam1 that makes no label
+with lam0.  The cut is exact: a pair it drops has a negative coordinate
+or fails a check row, so L is zero there.  A walked pair whose check
+sums equal base's minus side 0's and whose row sums all reach their
+thresholds goes to l_poly_flat on x0 + x1 - base, whose exact solve
+stays the only test of divisibility and of cone membership.  The labels
+of a column share most of their arguments, so the counter keeps L per
+argument and solves each distinct one once.
 """
 
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
-from operator import add, lshift, neg, sub
+from operator import add, lshift, sub
 
 from .oddroots import (
     BiWeight,
     ConeSolver,
     OspRootData,
+    _all_ints,
     _check_dominant_pair,
     odd_positive_roots,
     osp_root_data,
@@ -178,24 +185,24 @@ class PartitionCounter:
         ]
         self._memos = [{} for _ in self._dead]
 
-    def weyl_terms(self, factor, gtype, rho_t, lam, mu):
-        """One factor's Weyl terms (arg, sign, check sums, row sums, lam) of the
-        Lusztig-Kato sum, built once per (factor, lam, mu); gtype and rho_t
-        are fixed for one counter.  The argument is placed at offset 0 for
-        factor 0 and at the end of the lattice for factor 1, whose terms
-        come as their _row_index."""
-        key = (factor, lam, mu)
+    def weyl_terms(self, factor, gtype, rho_t, lam):
+        """One factor's Weyl orbit of lam + rho_t as the _row_index of
+        its terms (x, sign w, check sums, row sums, lam), x = w(lam +
+        rho_t), built once per (factor, lam) and read at every mu; gtype
+        and rho_t are fixed for one counter.  The sums place x at offset 0
+        for factor 0 and at the end of the lattice for factor 1; the join
+        shifts them by the sums of rho + mu."""
+        key = (factor, lam)
         terms = self._weyl_terms.get(key)
         if terms is not None:
             return terms
         solver = self._solver
         offset = solver.dim - len(lam) if factor else 0
-        args = _weyl_arguments(gtype, rho_t, lam, mu)
-        sums = solver.part_sums([arg for arg, _ in args], offset)
-        terms = [(arg, s, checks, rows, lam) for (arg, s), (checks, rows) in zip(args, sums)]
-        if factor:
-            terms = _row_index([terms] * len(terms[0][3]))
-        self._weyl_terms[key] = terms
+        shifted = tuple(map(add, lam, rho_t))
+        orbit = [(act(w, shifted), s) for w, s in signed_weyl(gtype)]
+        sums = solver.part_sums([x for x, _ in orbit], offset)
+        terms = [(x, s, checks, rows, lam) for (x, s), (checks, rows) in zip(orbit, sums)]
+        terms = self._weyl_terms[key] = _row_index([terms] * len(terms[0][3]))
         return terms
 
     def l_poly_flat(self, flat) -> QPoly:
@@ -276,14 +283,18 @@ def kostka(data: OspRootData, lam_pair, mu_pair) -> QPoly:
 
     The memo is read first: its writers (_kostka_column and
     kostka_memo_import) store only checked dominant pairs within the rank
-    guard, so a hit needs no check.  A miss is a one-label column.
+    guard, so a hit needs no other check than the int rule of
+    _check_dominant_pair (a key compares by value, so 3.0 would hit the
+    entry of 3); input that fails it goes on to the checks, which raise.
+    A miss is a one-label column.
     """
     try:
         (lam0, lam1), (mu0, mu1) = lam_pair, mu_pair
-        hit = _kostka_memo.get((data.N, tuple(lam0), tuple(lam1), tuple(mu0), tuple(mu1)))
+        key = (data.N, tuple(lam0), tuple(lam1), tuple(mu0), tuple(mu1))
+        hit = _kostka_memo.get(key)
     except (TypeError, ValueError):  # malformed input: the checks below report it
         hit = None
-    if hit is not None:
+    if hit is not None and _all_ints(key[1] + key[2] + key[3] + key[4]):
         return hit
     lam = _check_dominant_pair(data, lam_pair, "lambda")
     mu = _check_dominant_pair(data, mu_pair, "mu")
@@ -356,13 +367,6 @@ def _check_ranks(what, pair, ranks):
             )
 
 
-def _weyl_arguments(gtype, rho_t, lam, mu):
-    """(w(lam+rho)-rho-mu, sign w) for every w in W(gtype)."""
-    shift = tuple(map(add, lam, rho_t))
-    base = tuple(map(add, rho_t, mu))
-    return [(tuple(map(sub, act(w, shift), base)), s) for w, s in signed_weyl(gtype)]
-
-
 def _row_index(row_lists):
     """(row_sums, row_terms) for bisection: row_terms[i] is the terms of
     row_lists[i] sorted by their row-i sum, row_sums[i] those sums."""
@@ -370,34 +374,50 @@ def _row_index(row_lists):
     return [[t[3][i] for t in terms] for i, terms in enumerate(row_terms)], row_terms
 
 
+def _fewest_at_least(index, floors):
+    """The terms of index = _row_index(...) whose row-i sum is at least
+    floors[i], on the first row i that keeps the fewest: a suffix of that
+    row's sorted list, and a superset of the terms that reach every
+    floor."""
+    row_sums, row_terms = index
+    starts = list(map(bisect_left, row_sums, floors))
+    start = max(starts)
+    return row_terms[starts.index(start)][start:]
+
+
 def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, labels, mu0, mu1):
     """{(lam0, lam1): K} for the labels against one mu: the signed sums
-    of L(arg0 + arg1) over W0 x W1, in the one join of the module
+    of L(x0 + x1 - base) over W0 x W1, in the one join of the module
     docstring."""
     accs, index = {}, {}  # lam0 -> {lam1: coefficients}; lam1 -> side-1 terms
     for lam0, lam1 in labels:
         accs.setdefault(lam0, {})[lam1] = []
         if lam1 not in index:
-            index[lam1] = counter.weyl_terms(1, type1, rho1, lam1, mu1)
+            index[lam1] = counter.weyl_terms(1, type1, rho1, lam1)
     if len(index) == 1:
-        [(row_sums, row_terms)] = index.values()
+        [side1] = index.values()
     else:
         # each lam1's rows are sorted runs, which the sort merges
-        row_sums, row_terms = _row_index(
+        side1 = _row_index(
             [list(chain.from_iterable(rows)) for rows in zip(*(t for _, t in index.values()))]
         )
+    base = (*map(add, rho0, mu0), *map(add, rho1, mu1))
+    [(base_checks, base_rows)] = counter._solver.part_sums([base], 0)
+    # a side-0 term below floors[i] on row i needs more there than any
+    # side-1 term has
+    floors = [b - sums[-1] for b, sums in zip(base_rows, side1[0])]
     l_poly_flat = counter.l_poly_flat
     for lam0, by1 in accs.items():
-        for arg0, s0, checks0, raw0, _ in counter.weyl_terms(0, type0, rho0, lam0, mu0):
-            # every row's survivors are a suffix of its sorted list: take the
-            # first shortest
-            starts = list(map(bisect_left, row_sums, map(neg, raw0)))
-            start = max(starts)
-            for arg1, s1, checks1, raw1, lam1 in row_terms[starts.index(start)][start:]:
+        side0 = counter.weyl_terms(0, type0, rho0, lam0)
+        for x0, s0, checks0, raw0, _ in _fewest_at_least(side0, floors):
+            # side 1 must reach need on every row and match want on the checks
+            need = tuple(map(sub, base_rows, raw0))
+            want = tuple(map(sub, base_checks, checks0))
+            for x1, s1, checks1, raw1, lam1 in _fewest_at_least(side1, need):
                 acc = by1.get(lam1)
-                if acc is None or any(map(add, checks0, checks1)) or min(map(add, raw0, raw1)) < 0:
+                if acc is None or checks1 != want or min(map(sub, raw1, need)) < 0:
                     continue
-                part = l_poly_flat(arg0 + arg1).coeffs
+                part = l_poly_flat(tuple(map(sub, x0 + x1, base))).coeffs
                 if len(part) > len(acc):
                     acc.extend([0] * (len(part) - len(acc)))
                 s = s0 * s1

@@ -238,13 +238,30 @@ def simple_root_coordinates(data: OspRootData, alpha: BiWeight):
     return _simple_solver(data).coordinates(alpha.flat())
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _all_ints(values) -> bool:
+    """Whether every value is an int; bool is not.  The memos compare keys
+    by value, so a 3.0 let through would read or write the entry of 3."""
+    return _INT_ONLY.issuperset(map(type, values))
+
+
+def _check_integers(name: str, values: tuple):
+    """Raise TypeError unless _all_ints(values)."""
+    if not _all_ints(values):
+        bad = next(x for x in values if type(x) is not int)
+        raise TypeError(f"{name}: {bad!r} is not an int")
+
+
 def _check_dominant_pair(data: OspRootData, pair, name: str):
-    lam0, lam1 = pair
-    if not is_dominant(data.type0, tuple(lam0)):
-        raise ValueError(f"{name} eps-part {tuple(lam0)} is not {data.type0}-dominant")
-    if not is_dominant(data.type1, tuple(lam1)):
-        raise ValueError(f"{name} delta-part {tuple(lam1)} is not {data.type1}-dominant")
-    return tuple(lam0), tuple(lam1)
+    lam0, lam1 = map(tuple, pair)
+    _check_integers(name, lam0 + lam1)
+    if not is_dominant(data.type0, lam0):
+        raise ValueError(f"{name} eps-part {lam0} is not {data.type0}-dominant")
+    if not is_dominant(data.type1, lam1):
+        raise ValueError(f"{name} delta-part {lam1} is not {data.type1}-dominant")
+    return lam0, lam1
 
 
 def interleave(first, second):

@@ -2,8 +2,9 @@
 DP code paths: literal multiset enumeration, literal signed sums, a
 plain Fraction linear solve, the partition recursion with no root sort
 and no dead-state cut, the Lusztig-Kato sum with one cone solve per Weyl
-pair, the odd root system and the orbit labels
-written out family by family, the dominance test of one factor as index
+pair (on Weyl arguments built here, not by the library), the odd root
+system and the orbit labels written out family by family, the dominance
+test of one factor as index
 loops, the moment-map battery in Fraction
 arithmetic with the explicit symplectic Gram, the Pfaffian as its
 full expansion, character
@@ -24,7 +25,7 @@ import pytest
 from ospkostka import moment
 from ospkostka.characters import CharElt, irreducible_character, is_weyl_invariant, outer
 from ospkostka.euler import euler_line
-from ospkostka.kostka import QPoly, _weyl_arguments, kostka, partition_support_table
+from ospkostka.kostka import QPoly, kostka, partition_support_table
 from ospkostka.oddroots import BiWeight, dominance_ge_cone, odd_positive_roots
 from ospkostka.roots import act, dominant_weights, positive_roots, rho, sign, weyl_elements
 
@@ -117,14 +118,24 @@ def unpruned_l_coeffs(roots, simples, flat):
     return unpruned_partition_counts(root_coords, coords)
 
 
+def weyl_arguments(gtype, rho_t, lam, mu):
+    """(w(lam+rho)-rho-mu, sign w) for every w in W(gtype), entry by entry."""
+    shifted = [a + r for a, r in zip(lam, rho_t)]
+    return [
+        (tuple(x - r - m for x, r, m in zip(act(w, shifted), rho_t, mu)), sign(w))
+        for w in weyl_elements(gtype)
+    ]
+
+
 def per_pair_lusztig_kato_sum(counter, type0, rho0, type1, rho1, lam0, lam1, mu0, mu1):
     """What kostka._lusztig_kato_sum must return for the label (lam0,
     lam1): the signed sum of L over every pair of Weyl arguments, so each
     of the |W0| * |W1| pairs gets its own cone solve, past the counter's
-    per-argument memo of l_poly_flat, and nothing is cut."""
+    per-argument memo of l_poly_flat and its Weyl terms, and nothing is
+    cut."""
     acc = []
-    side1 = _weyl_arguments(type1, rho1, lam1, mu1)
-    for arg0, s0 in _weyl_arguments(type0, rho0, lam0, mu0):
+    side1 = weyl_arguments(type1, rho1, lam1, mu1)
+    for arg0, s0 in weyl_arguments(type0, rho0, lam0, mu0):
         for arg1, s1 in side1:
             coords = counter._solver.coordinates(arg0 + arg1)
             part = () if coords is None else counter._counts(len(counter.root_coords), coords)

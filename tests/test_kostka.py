@@ -485,6 +485,36 @@ def test_kostka_column_matches_per_pair_sum(data):
     assert all(kostka_module._kostka_memo[(N, *lam, *mu)] == expected[lam] for lam in labels)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_weyl_terms_shared_across_mu_match_per_pair_sum(data):
+    """One counter and a drawn sequence of distinct mu at N=3..8, with the
+    Weyl terms never cleared between columns: every cone-label column
+    equals one cone solve per Weyl pair and label, and the counter holds
+    one term list per distinct (factor, lam_t) of the labels so far,
+    whatever mu the columns were taken at."""
+    N = data.draw(st.integers(min_value=3, max_value=8), label="N")
+    rd = osp_root_data(N)
+    box1 = list(iproduct(dominant_weights(rd.type0, 1), dominant_weights(rd.type1, 1)))
+    mus = data.draw(st.lists(st.sampled_from(box1), min_size=2, max_size=3, unique=True), label="mus")
+    qmax = data.draw(st.integers(min_value=0, max_value=_qmax_limit(rd)), label="qmax")
+    kostka_module._counter.cache_clear()
+    counter = kostka_module._counter(rd)
+    seen = set()
+    for mu in mus:
+        labels = dominant_cone_labels(rd, mu, qmax)
+        for lam in labels:
+            kostka_module._kostka_memo.pop((N, *lam, *mu), None)
+        column = kostka_module._kostka_column(rd, labels, mu)
+        assert column == {
+            lam: per_pair_lusztig_kato_sum(counter, rd.type0, rd.rho0, rd.type1, rd.rho1, *lam, *mu)
+            for lam in labels
+        }
+        seen |= {(0, lam0) for lam0, _ in labels} | {(1, lam1) for _, lam1 in labels}
+        assert set(counter._weyl_terms) == seen
+    event(f"N={N}, {len(seen)} term lists over {len(mus)} mu")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_kostka_custom_matches_per_pair_sum(data):
