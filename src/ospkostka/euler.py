@@ -19,12 +19,12 @@ norms at most those of mu plus qmax.  dominant_cone_labels enumerates the
 cone labels inside both bounds, so the enumeration is provably complete,
 and every label it lists is read from one Kostka column
 (kostka._kostka_column): the memo's hits as they are, the rest from one
-Weyl-sum join over the column.  The dominance test is split by factor
-(oddroots._dominance_share), so a label pair costs one elementwise
-comparison and two integer checks.  Reindexed by alpha
-instead of by w, the Weyl sum is the geometric table term for term, so
-this side keeps the Weyl sum: the comparison would otherwise be a
-tautology.
+Weyl-sum join over the column.  The labels above mu are read by
+oddroots._labels_above, which splits the dominance test by factor, so a
+label pair costs one elementwise comparison and two integer checks.
+Reindexed by alpha instead of by w, the Weyl sum is the geometric table
+term for term, so this side keeps the Weyl sum: the comparison would
+otherwise be a tautology.
 
 verify_bryl compares the tables in exact integers, label by label and
 degree by degree.  Irreducible characters are linearly independent, so
@@ -53,8 +53,7 @@ from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
 # kostka is not called here; it stays bound as euler.kostka, which the
 # benchmark's tracer self-test (benchmarks/test_bench.py) reads
 from .kostka import _kostka_column, kostka, partition_support_table
-from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _check_integers
-from .oddroots import _dominance_share, _shares_dominate
+from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _check_integers, _labels_above
 from .roots import EnumerationTooLargeError, dominant_weights
 
 
@@ -138,11 +137,10 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
     rho_t cancels.  On a dominant weight the first entry of lam_t+rho_t is
     the largest in absolute value, and every entry is nonnegative but D's
     last, where rho is 0, so |lam_t+rho_t|_1 = |lam_t|_1 + |rho_t|_1.
-    Each lam_t gets its share of the dominance test once; each pair, in
-    product order, adds the two shares and checks them.  The labels are
-    memoised per checked (data, mu, qmax); each call returns a fresh list,
-    and malformed input, a non-int qmax included, raises before the memo
-    is reached."""
+    The pairs of the two balls above mu are read, in product order, by
+    oddroots._labels_above.  The labels are memoised per checked (data,
+    mu, qmax); each call returns a fresh list, and malformed input, a
+    non-int qmax included, raises before the memo is reached."""
     mu = _check_dominant_pair(data, mu_pair, "mu")
     _check_integers("qmax", (qmax,))
     return list(_cone_labels(data, mu, qmax))
@@ -150,17 +148,12 @@ def dominant_cone_labels(data: OspRootData, mu_pair, qmax: int):
 
 @lru_cache(maxsize=None)
 def _cone_labels(data: OspRootData, mu, qmax: int):
-    shares0, shares1 = (
-        [
-            (lam_t, _dominance_share(data, t, tuple(map(sub, lam_t, mu_t))))
-            for lam_t in dominant_weights(gtype, max(map(abs, mu_t)) + qmax)
-            if sum(map(abs, lam_t)) <= sum(map(abs, mu_t)) + qmax
-        ]
-        for t, gtype, mu_t in zip((0, 1), (data.type0, data.type1), mu)
+    lams0, lams1 = (
+        [lam_t for lam_t in dominant_weights(gtype, max(map(abs, mu_t)) + qmax)
+         if sum(map(abs, lam_t)) <= sum(map(abs, mu_t)) + qmax]
+        for gtype, mu_t in zip((data.type0, data.type1), mu)
     )
-    return tuple(
-        (lam0, lam1) for lam0, s0 in shares0 for lam1, s1 in shares1 if _shares_dominate(s0, s1)
-    )
+    return tuple(_labels_above(data, mu, lams0, lams1))
 
 
 def _rhs_table(data: OspRootData, mu, qmax: int):

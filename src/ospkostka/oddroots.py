@@ -14,7 +14,8 @@ read off from it.  The dominance order on dominant weight pairs comes in
 both of its equivalent forms: membership of the difference in the
 nonnegative span of the odd roots, and partial-sum inequalities along the
 shuffle with a parity constraint, stated once on the two factors' shares
-of lam - mu (_dominance_share, checked by _shares_dominate).
+of lam - mu (_dominance_share, checked by _shares_dominate, and read for
+many labels at once by _labels_above).
 """
 
 from collections import namedtuple
@@ -333,6 +334,17 @@ def _shares_dominate(share0, share1) -> bool:
         and total >= max(0, 2 * (last0 + last1))
         and min(map(add, prefix0, prefix1)) >= 0
     )
+
+
+def _labels_above(data: OspRootData, mu, lams0, lams1) -> list:
+    """The pairs of lams0 x lams1, dominant weights of the two factors, that
+    are >= the checked pair mu, in product order, from one share per lam_t."""
+    shares0, shares1 = (
+        [(lam_t, _dominance_share(data, t, tuple(map(sub, lam_t, mu_t)))) for lam_t in lams_t]
+        for t, lams_t, mu_t in zip((0, 1), (lams0, lams1), mu)
+    )
+    return [(lam0, lam1) for lam0, s0 in shares0 for lam1, s1 in shares1
+            if _shares_dominate(s0, s1)]
 
 
 def dominance_ge_cone(data: OspRootData, lam_pair, mu_pair) -> bool:

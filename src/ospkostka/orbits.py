@@ -21,7 +21,7 @@ and the theta signature are all read off from it.
 from collections import Counter, namedtuple
 
 from .kostka import kostka
-from .oddroots import OspRootData, dominance_ge, interleave, prefix_sums_ge
+from .oddroots import OspRootData, _check_integers, dominance_ge, interleave, prefix_sums_ge
 from .roots import dominant_weights, is_dominant
 
 
@@ -82,6 +82,7 @@ def _label_types(data: OspRootData):
 
 
 def validate_label(data: OspRootData, o: OrbitLabel):
+    _check_integers("orbit label", (*o.lam_s, *o.lam_b))
     type_s, type_b = _label_types(data)
     if len(o.lam_s) != type_s.rank or not is_dominant(type_s, o.lam_s):
         raise ValueError(f"lam_s {o.lam_s} is not a dominant {type_s} coweight")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -638,6 +639,75 @@ def test_verification_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli_module.moment, "moment_check", failing_check)
     assert main(["moment-check", "-N", "3", "--trials", "2", "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == 2
+
+
+def _cold_kostka(monkeypatch):
+    """A fresh Kostka memo and counters, so the next call computes."""
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    kostka_module._counter.cache_clear()
+
+
+def _positivity_reference(N, box, defect):
+    """verify-positivity's JSON payload built pair by pair, lam-major:
+    dominance_ge, then kostka and the defect check on each comparable
+    pair."""
+    data = oddroots.osp_root_data(N)
+    labels = list(product(roots.dominant_weights(data.type0, box),
+                          roots.dominant_weights(data.type1, box)))
+    comparable, failures = 0, []
+    for lam in labels:
+        for mu in labels:
+            if oddroots.dominance_ge(data, lam, mu):
+                comparable += 1
+                poly = kostka_module.kostka(data, lam, mu)
+                bad = defect(data, lam, mu, poly)
+                if bad:
+                    failures.append({"lambda": [list(lam[0]), list(lam[1])],
+                                     "mu": [list(mu[0]), list(mu[1])],
+                                     "reason": bad, "poly": {"coeffs": list(poly.coeffs)}})
+    return {"N": N, "box": box, "pairs": len(labels) ** 2, "comparable": comparable,
+            "ok": not failures, "failures": failures}
+
+
+def _planted_defect(data, lam, mu, poly):
+    """Fails the pairs whose polynomial has odd degree, a strict subset."""
+    if poly.degree % 2:
+        return f"planted at degree {poly.degree}"
+    return kostka_module.kostka_defect(data, lam, mu, poly)
+
+
+@pytest.mark.parametrize("N, box", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
+                                    (5, 1), (5, 2), (6, 1), (7, 1)])
+def test_verify_positivity_matches_pair_by_pair(N, box, monkeypatch, capsys):
+    """The per-mu columns give the payload of the pair-by-pair reference,
+    from cold memos on both sides; with a defect planted on some pairs the
+    failures come in the same lam-major order with the same content."""
+    argv = ["verify-positivity", "-N", str(N), "--box", str(box), "--format", "json"]
+    for defect in (kostka_module.kostka_defect, _planted_defect):
+        monkeypatch.setattr(cli_module, "kostka_defect", defect)
+        _cold_kostka(monkeypatch)
+        code = main(argv)
+        payload = json.loads(capsys.readouterr().out)
+        _cold_kostka(monkeypatch)
+        assert payload == _positivity_reference(N, box, defect)
+        assert code == (0 if payload["ok"] else 1)
+    if box:
+        assert 0 < len(payload["failures"]) < payload["comparable"]
+
+
+def test_verify_positivity_reads_columns_not_pairs(monkeypatch, capsys):
+    """verify-positivity reads the labels above each mu from the per-factor
+    shares and one Kostka column per mu: neither the pairwise dominance
+    test nor the one-pair kostka is called."""
+    def refuse(*args):
+        raise AssertionError("per-pair call")
+
+    monkeypatch.setattr(oddroots, "dominance_ge", refuse)
+    monkeypatch.setattr(cli_module, "kostka_poly", refuse)
+    assert main(["verify-positivity", "-N", "4", "--box", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "verify-positivity N=4 box=2: 147 comparable pairs, ok\n"
+    )
 
 
 def test_cache_file_bytes(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import conftest
 from conftest import dual_pair_char, euler_line_sum_lhs, kostka_label_sum_rhs, sup_norm_box
-from ospkostka import euler
+from ospkostka import euler, oddroots
 from ospkostka.characters import CharElt, decompose, weyl_dimension
 from ospkostka.euler import (
     bryl_lhs,
@@ -235,9 +235,13 @@ def test_cone_labels_match_dominance_product(N):
     """For mu with entries at most 1 and qmax 0..3, the labels, order
     included, are the product of the per-factor weights in the sup-norm
     and l1 bounds filtered pair by pair with dominance_ge, and
-    dominance_ge agrees with dominance_ge_cone on every pair."""
+    dominance_ge agrees with dominance_ge_cone on every pair.  The same
+    holds for oddroots._labels_above over the box of those mu, as
+    verify-positivity reads it."""
     data = osp_root_data(N)
-    for mu in product(dominant_weights(data.type0, 1), dominant_weights(data.type1, 1)):
+    box = [list(dominant_weights(gtype, 1)) for gtype in (data.type0, data.type1)]
+    for mu in product(*box):
+        cases = [(box, oddroots._labels_above(data, mu, *box))]
         for qmax in range(4):
             factors = [
                 [
@@ -247,13 +251,15 @@ def test_cone_labels_match_dominance_product(N):
                 ]
                 for gtype, mu_t in zip((data.type0, data.type1), mu)
             ]
+            cases.append((factors, dominant_cone_labels(data, mu, qmax)))
+        for factors, labels in cases:
             expected = []
             for lam in product(*factors):
                 in_order = dominance_ge(data, lam, mu)
                 assert in_order == dominance_ge_cone(data, lam, mu)
                 if in_order:
                     expected.append(lam)
-            assert dominant_cone_labels(data, mu, qmax) == expected
+            assert labels == expected
 
 
 def _small_box(N):

@@ -1,4 +1,5 @@
-"""Non-int entries are refused by every public entry that reads a memo.
+"""Non-int entries are refused by every public entry that reads a memo,
+and by the orbit entries, which check labels through validate_label.
 
 The Kostka memo, the counter's Weyl terms and the Euler tables compare
 their keys by value, so a 3.0 let through would read, or leave behind,
@@ -22,7 +23,7 @@ from ospkostka import euler
 from ospkostka.euler import bryl_lhs, bryl_rhs, dominant_cone_labels, verify_bryl
 from ospkostka.kostka import kostka
 from ospkostka.oddroots import osp_root_data
-from ospkostka.orbits import OrbitLabel, stalk_poincare
+from ospkostka.orbits import OrbitLabel, closure_le, embed_signatures, orbit_dim, stalk_poincare
 
 kostka_module = importlib.import_module("ospkostka.kostka")  # the package attribute is the function
 
@@ -55,6 +56,9 @@ INTEGER_CALLS = {
     "bryl_lhs": lambda mu: _characters(bryl_lhs(DATA, mu, QMAX)),
     "bryl_rhs": lambda mu: _characters(bryl_rhs(DATA, mu, QMAX)),
     "stalk_poincare": lambda mu: stalk_poincare(DATA, _orbit(LAM), _orbit(mu)),
+    "orbit_dim": lambda mu: orbit_dim(DATA, _orbit(mu)),
+    "embed_signatures": lambda mu: embed_signatures(DATA, _orbit(mu)),
+    "closure_le": lambda mu: closure_le(DATA, _orbit(mu), _orbit(LAM)),
 }
 
 LAM_FLOAT = ((3.0, 0), (3,))
@@ -66,6 +70,11 @@ FLOAT_CALLS = [
     ("kostka", "mu", lambda: kostka(DATA, LAM, MU_FLOAT)),
     ("stalk_poincare", "lambda", lambda: stalk_poincare(DATA, _orbit(LAM_FLOAT), _orbit(MUS[0]))),
     ("stalk_poincare", "mu", lambda: stalk_poincare(DATA, _orbit(LAM), _orbit(MU_FLOAT))),
+    ("orbit_dim", "mu", lambda: orbit_dim(DATA, _orbit(MU_FLOAT))),
+    ("orbit_dim", "bool", lambda: orbit_dim(DATA, OrbitLabel((True,), (1, 0)))),
+    ("embed_signatures", "mu", lambda: embed_signatures(DATA, _orbit(MU_FLOAT))),
+    ("closure_le", "lambda", lambda: closure_le(DATA, _orbit(MUS[0]), _orbit(LAM_FLOAT))),
+    ("closure_le", "mu", lambda: closure_le(DATA, _orbit(MU_FLOAT), _orbit(LAM))),
 ] + [
     (name, what, call)
     for name, entry in [
