@@ -77,6 +77,12 @@ def parse_orbit_label(text, data, what="orbit"):
         parse_int_vector(s_text, what=f"{what} lam_s"),
         parse_int_vector(b_text, what=f"{what} lam_b"),
     )
+    ranks = orbits._swap_sides(data, (data.eps_rank, data.delta_rank))
+    for half, vec, rank in zip(label._fields, label, ranks):
+        if len(vec) != rank:
+            raise UsageError(
+                f"{what} {half} {vec} has length {len(vec)}, N={data.N} needs {rank}"
+            )
     orbits.validate_label(data, label)
     return label
 
@@ -254,12 +260,15 @@ def cmd_stalk(args):
 
 def cmd_poset(args):
     data = oddroots.osp_root_data(args.N)
-    labels = orbits.orbit_labels_in_box(data, args.box)
-    above = {a: {b for b in labels if b != a and orbits.closure_le(data, a, b)} for a in labels}
+    boxes = [list(roots.dominant_weights(t, args.box)) for t in (data.type0, data.type1)]
+    pairs = [(lam0, lam1) for lam0 in boxes[0] for lam1 in boxes[1]]
+    # one walk per (eps, delta) pair over the pairs above it; names are the labels
+    above = {a: set(oddroots._labels_above(data, a, *boxes)) - {a} for a in pairs}
+    name = {a: str(orbits.OrbitLabel(*orbits._swap_sides(data, a))) for a in pairs}
     # Hasse edges: b covers a when no c strictly above a lies below b.
     payload = {
-        "nodes": sorted(str(l) for l in labels),
-        "edges": sorted([str(a), str(b)] for a in labels for b in above[a]
+        "nodes": sorted(name.values()),
+        "edges": sorted([name[a], name[b]] for a in pairs for b in above[a]
                         if not any(b in above[c] for c in above[a])),
     }
 

@@ -14,8 +14,8 @@ read off from it.  The dominance order on dominant weight pairs comes in
 both of its equivalent forms: membership of the difference in the
 nonnegative span of the odd roots, and partial-sum inequalities along the
 shuffle with a parity constraint, stated once on the two factors' shares
-of lam - mu (_dominance_share, checked by _shares_dominate, and read for
-many labels at once by _labels_above).
+of lam - mu (_dominance_share, checked by _shares_dominate for one checked
+pair by _pair_ge and for many labels at once by _labels_above).
 """
 
 from collections import namedtuple
@@ -303,8 +303,13 @@ def dominance_ge(data: OspRootData, lam_pair, mu_pair) -> bool:
     Equivalent to (lam - mu) lying in the nonnegative integer span of the
     positive odd roots.
     """
-    lam0, lam1 = _check_dominant_pair(data, lam_pair, "lambda")
-    mu0, mu1 = _check_dominant_pair(data, mu_pair, "mu")
+    lam = _check_dominant_pair(data, lam_pair, "lambda")
+    return _pair_ge(data, lam, _check_dominant_pair(data, mu_pair, "mu"))
+
+
+def _pair_ge(data: OspRootData, lam, mu) -> bool:
+    """lam >= mu for checked dominant pairs, from one share per factor."""
+    (lam0, lam1), (mu0, mu1) = lam, mu
     share0 = _dominance_share(data, 0, tuple(map(sub, lam0, mu0)))
     return _shares_dominate(share0, _dominance_share(data, 1, tuple(map(sub, lam1, mu1))))
 

@@ -16,12 +16,19 @@ The dominance order of the odd root system compares the pair written in
 between the two orders, and it is the only place that tells odd N from
 even N: the label types, the (eps, delta) pair, the signature embedding
 and the theta signature are all read off from it.
+
+Each public function that reads a label checks it once, on entry (`validate_label`,
+or `order_pair`, which also repackages the label), and works on the
+checked values from there: `closure_le` and `stalk_poincare` read the
+order through `oddroots._pair_ge`, the one two-share test that
+`dominance_ge` also runs after its own checks, so the order is stated
+once, in `oddroots`.
 """
 
 from collections import Counter, namedtuple
 
 from .kostka import kostka
-from .oddroots import OspRootData, _check_integers, dominance_ge, interleave, prefix_sums_ge
+from .oddroots import OspRootData, _check_integers, _pair_ge, interleave, prefix_sums_ge
 from .roots import dominant_weights, is_dominant
 
 
@@ -113,6 +120,11 @@ def orbit_dim(data: OspRootData, o: OrbitLabel) -> int:
     D-coordinate pairs with 0, making the sign of that entry irrelevant.
     """
     validate_label(data, o)
+    return _label_dim(data, o)
+
+
+def _label_dim(data: OspRootData, o: OrbitLabel) -> int:
+    """orbit_dim of a checked label."""
     rho_s = _two_rho_so(data.N - 1)
     rho_b = _two_rho_so(data.N)
     return sum(a * b for a, b in zip(o.lam_s, rho_s)) + sum(
@@ -122,16 +134,18 @@ def orbit_dim(data: OspRootData, o: OrbitLabel) -> int:
 
 def closure_le(data: OspRootData, o1: OrbitLabel, o2: OrbitLabel) -> bool:
     """Whether the orbit of o1 lies in the closure of the orbit of o2."""
-    return dominance_ge(data, order_pair(data, o2), order_pair(data, o1))
+    return _pair_ge(data, order_pair(data, o2), order_pair(data, o1))
 
 
 def stalk_poincare(data: OspRootData, lam: OrbitLabel, mu: OrbitLabel):
     """IC-stalk Poincare data of the lam-orbit sheaf at the mu-orbit:
     entries (-(dim O_mu + d), K[d]) for each nonzero Kostka coefficient."""
-    if not closure_le(data, mu, lam):
+    lam_pair = order_pair(data, lam)
+    mu_pair = order_pair(data, mu)
+    if not _pair_ge(data, lam_pair, mu_pair):
         raise ValueError("orbit not in closure")
-    poly = kostka(data, order_pair(data, lam), order_pair(data, mu))
-    base = orbit_dim(data, mu)
+    poly = kostka(data, lam_pair, mu_pair)
+    base = _label_dim(data, mu)
     return tuple(
         (-(base + d), c) for d, c in enumerate(poly.coeffs) if c
     )

@@ -440,10 +440,12 @@ def test_cache_output_identical_with_and_without(tmp_path):
          "mu delta-part (-1,) is not C_1-dominant"),
         (["dim", "-N", "3", "--orbit=0;-1"],
          "lam_b (-1,) is not a dominant C_1 coweight"),
+        (["stalk", "-N", "4", "--lambda=1;1", "--mu=0;0,0"],
+         "lambda orbit lam_b (1,) has length 1, N=4 needs 2"),
     ],
     ids=["kostka", "kostka-guard", "kostka-custom", "kostka-custom-rank-zero",
          "kostka-custom-dependent", "dominance", "stalk", "char", "char-guard",
-         "verify-bryl", "orbit-label"],
+         "verify-bryl", "orbit-label", "orbit-label-length"],
 )
 def test_library_errors_exit_two(argv, message, capsys):
     assert main(argv) == 2
@@ -782,16 +784,48 @@ def naive_covers(data, labels):
     )
 
 
+def assert_poset_renders(N, box, nodes, edges, capsys):
+    """The JSON payload, the text listing and the DOT graph of `poset`."""
+    argv = ["poset", "-N", str(N), "--box", str(box)]
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"nodes": nodes, "edges": edges}
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{len(nodes)} orbits, {len(edges)} cover relations",
+        *(f"  {a} < {b}" for a, b in edges),
+    ]
+    assert main([*argv, "--dot"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "digraph closure {",
+        *(f'  "{node}";' for node in nodes),
+        *(f'  "{a}" -> "{b}";' for a, b in edges),
+        "}",
+    ]
+
+
 @pytest.mark.parametrize(
-    "N, box", [(N, 1) for N in range(3, 8)] + [(N, 2) for N in range(3, 7)]
+    "N, box", [(N, 1) for N in range(3, 8)] + [(N, 2) for N in range(3, 8)]
 )
 def test_poset_covers_match_naive_reduction(N, box, capsys):
-    assert main(["poset", "-N", str(N), "--box", str(box), "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
     data = ospkostka.osp_root_data(N)
     labels = orbits.orbit_labels_in_box(data, box)
-    assert payload["nodes"] == sorted(str(l) for l in labels)
-    assert payload["edges"] == naive_covers(data, labels)
+    nodes = sorted(str(l) for l in labels)
+    assert_poset_renders(N, box, nodes, naive_covers(data, labels), capsys)
+
+
+def test_poset_reads_no_pair_check(monkeypatch, capsys):
+    """poset walks the labels above each label; it never asks closure_le or
+    dominance_ge about one pair."""
+    data = ospkostka.osp_root_data(5)
+    labels = orbits.orbit_labels_in_box(data, 2)
+    nodes, edges = sorted(str(l) for l in labels), naive_covers(data, labels)
+
+    def forbidden(*args):
+        raise AssertionError("pair check")
+
+    monkeypatch.setattr(orbits, "closure_le", forbidden)
+    monkeypatch.setattr(oddroots, "dominance_ge", forbidden)
+    assert_poset_renders(5, 2, nodes, edges, capsys)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])

@@ -1,9 +1,12 @@
+import importlib
 import re
 from itertools import product
 
 import pytest
 
 from conftest import dominant_in_box_oracle, orbit_oracle, orbit_side_types
+from ospkostka import oddroots, orbits
+from ospkostka.kostka import kostka
 from ospkostka.oddroots import biweight, osp_root_data, simple_root_coordinates
 from ospkostka.orbits import (
     OrbitLabel,
@@ -21,6 +24,9 @@ from ospkostka.orbits import (
     theta_signature,
     validate_label,
 )
+
+# The package attribute `kostka` is the function; the memo lives in the module.
+kostka_module = importlib.import_module("ospkostka.kostka")
 
 D3 = osp_root_data(3)
 D4 = osp_root_data(4)
@@ -303,3 +309,79 @@ def test_stalk_perversity_bounds(data, bound):
                     assert i > dim_mu
             if lam == mu:
                 assert table == ((-dim_lam, 1),)
+
+
+def reference_stalk(data, lam, mu):
+    """stalk_poincare from the public calls alone."""
+    if not closure_le(data, mu, lam):
+        raise ValueError("orbit not in closure")
+    poly = kostka(data, order_pair(data, lam), order_pair(data, mu))
+    base = orbit_dim(data, mu)
+    return tuple((-(base + d), c) for d, c in enumerate(poly.coeffs) if c)
+
+
+def as_lists(o):
+    return OrbitLabel(list(o.lam_s), list(o.lam_b))
+
+
+@pytest.mark.parametrize("N, box", [(N, 1) for N in range(3, 9)] + [(4, 2), (5, 2)])
+def test_stalk_matches_public_reference(N, box, monkeypatch):
+    """Every closure pair of the box, labels as tuples and as lists, each
+    side from a cold Kostka memo."""
+    data = osp_root_data(N)
+    labels = orbit_labels_in_box(data, box)
+    pairs = [(lam, mu) for lam in labels for mu in labels if closure_le(data, mu, lam)]
+    tables = []
+    for wrap in (OrbitLabel._make, as_lists):
+        monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+        tables.append([stalk_poincare(data, wrap(lam), wrap(mu)) for lam, mu in pairs])
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    expected = [reference_stalk(data, lam, mu) for lam, mu in pairs]
+    assert tables == [expected, expected]
+
+
+D10 = osp_root_data(10)
+STALK_ERROR_CASES = {
+    "bad-lambda": (D3, OrbitLabel((0,), (-1,)), OrbitLabel((0,), (0,))),
+    "bad-mu": (D3, OrbitLabel((0,), (0,)), OrbitLabel((0,), (-1,))),
+    "both-bad": (D3, OrbitLabel((0,), (-1,)), OrbitLabel((0,), (-2,))),
+    "lambda-length": (D3, OrbitLabel((1, 0), (1,)), OrbitLabel((0,), (0,))),
+    "float-lambda": (D3, OrbitLabel((1.0,), (1,)), OrbitLabel((0,), (0,))),
+    "float-mu": (D3, OrbitLabel((1,), (1,)), OrbitLabel((0,), (0.0,))),
+    "bool-lambda": (D3, OrbitLabel((1,), (True,)), OrbitLabel((0,), (0,))),
+    "list-bad-mu": (D4, as_lists(OrbitLabel((1,), (1, 0))), as_lists(OrbitLabel((-1,), (0, 0)))),
+    "not-in-closure": (D3, OrbitLabel((0,), (0,)), OrbitLabel((1,), (1,))),
+    "rank-guard": (D10, OrbitLabel((1, 0, 0, 0), (1, 0, 0, 0, 0)),
+                   OrbitLabel((0, 0, 0, 0), (0, 0, 0, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("case", STALK_ERROR_CASES)
+def test_stalk_errors_match_public_reference(case):
+    data, lam, mu = STALK_ERROR_CASES[case]
+    with pytest.raises(Exception) as expected:
+        reference_stalk(data, lam, mu)
+    with pytest.raises(Exception) as got:
+        stalk_poincare(data, lam, mu)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def test_stalk_checks_each_label_once(monkeypatch):
+    """One validate_label per label; the order is read without re-checking
+    the pairs through closure_le or dominance_ge."""
+    calls = []
+
+    def counting(data, o):
+        calls.append(o)
+        return validate_label(data, o)
+
+    def forbidden(*args):
+        raise AssertionError("pair re-checked")
+
+    lam, mu = OrbitLabel((1, 0), (1, 0)), OrbitLabel((0, 0), (0, 0))
+    expected = reference_stalk(D5, lam, mu)
+    monkeypatch.setattr(orbits, "validate_label", counting)
+    monkeypatch.setattr(orbits, "closure_le", forbidden)
+    monkeypatch.setattr(oddroots, "dominance_ge", forbidden)
+    assert stalk_poincare(D5, lam, mu) == expected
+    assert calls == [lam, mu]
