@@ -10,7 +10,8 @@ default or JSON with --format json.  Exit codes: 0 success,
 A command is declared once, by one add_parser call in build_parser: its
 name, its cmd_* handler, its help line, and whether it takes -N, the
 polynomial cache (--cache) and the --lambda/--mu pair.  main reads and
-writes the cache only for commands declared with cache=True.
+writes the cache only for commands declared with cache=True, and writes
+it only when the run's entries differ from those it read.
 """
 
 import argparse
@@ -544,7 +545,8 @@ def main(argv=None):
     # Only commands declared with cache=True have args.cache.
     cache_path = (args.cache or os.environ.get(CACHE_ENV)) if hasattr(args, "cache") else None
     if cache_path:
-        kostka_memo_import(cache_load(cache_path))
+        loaded = cache_load(cache_path)
+        kostka_memo_import(loaded)
     try:
         payload, render = args.func(args)
     except ValueError as exc:
@@ -558,10 +560,14 @@ def main(argv=None):
     else:
         print(render(payload))
     if cache_path:
-        try:
-            cache_store(cache_path, kostka_memo_export())
-        except OSError as exc:
-            print(f"warning: could not write cache {cache_path}: {exc}", file=sys.stderr)
+        # A run that only read entries from the file leaves it untouched;
+        # one that skipped a malformed or impossible entry rewrites it.
+        entries = kostka_memo_export()
+        if entries != loaded:
+            try:
+                cache_store(cache_path, entries)
+            except OSError as exc:
+                print(f"warning: could not write cache {cache_path}: {exc}", file=sys.stderr)
     return 1 if payload.get("ok") is False else 0
 
 

@@ -36,21 +36,23 @@ and their raw row and check sums (the coordinates times the solver's
 scale), sorted by each row's sum, built once and shared by every mu.
 mu enters only through base: the sums are linear, so those of an
 argument are the sums of x0 at offset 0, plus those of x1 after it,
-minus those of base, taken once per column.  A column merges the side-1
-lists over its lam1 into one row index.  A side-0 point whose row-i sum
-is below base_rows[i] minus the largest side-1 sum there pairs with
-nothing, so one bisection per row drops those, on the row that drops
-most (at N = 8 most points go).  Each remaining (lam0, w0) is visited
-once: a bisection at base_rows[i] - raw0[i] finds, on every row i, the
-side-1 points whose argument has a nonnegative row-i sum; the first row
-that keeps the fewest is walked, skipping each lam1 that makes no label
-with lam0.  The cut is exact: a pair it drops has a negative coordinate
-or fails a check row, so L is zero there.  A walked pair whose check
-sums equal base's minus side 0's and whose row sums all reach their
-thresholds goes to l_poly_flat on x0 + x1 - base, whose exact solve
-stays the only test of divisibility and of cone membership.  The labels
-of a column share most of their arguments, so the counter keeps L per
-argument and solves each distinct one once.
+minus those of base.  The counter keeps base's sums per rho + mu, next
+to the per-(factor, lam_t) orbit points, so a column at a mu seen
+before reads them.  A column merges the side-1 lists over its lam1 into
+one row index.  A side-0 point whose row-i sum is below base_rows[i]
+minus the largest side-1 sum there pairs with nothing, so one bisection
+per row drops those, on the row that drops most (at N = 8 most points
+go).  Each remaining (lam0, w0) is visited once: a bisection at
+base_rows[i] - raw0[i] finds, on every row i, the side-1 points whose
+argument has a nonnegative row-i sum; the first row that keeps the
+fewest is walked, skipping each lam1 that makes no label with lam0.
+The cut is exact: a pair it drops has a negative coordinate or fails a
+check row, so L is zero there.  A walked pair whose check sums equal
+base's minus side 0's and whose row sums all reach their thresholds
+goes to l_poly_flat on x0 + x1 - base, whose exact solve stays the only
+test of divisibility and of cone membership.  The labels of a column
+share most of their arguments, so the counter keeps L per argument and
+solves each distinct one once.
 """
 
 from bisect import bisect_left
@@ -133,7 +135,9 @@ class PartitionCounter:
     set; all roots must expand nonnegatively and integrally there.  State
     of the memoized recursion is (number of usable roots, residual
     coordinate vector); the module docstring gives the root order and the
-    dead-state cut.  l_poly_flat keeps its answer per lattice vector.
+    dead-state cut.  l_poly_flat keeps its answer per lattice vector,
+    weyl_terms its orbit points per (factor, lam), and the Weyl sum the
+    check and row sums of each base rho + mu in _base_sums.
 
     A residual is packed into one int: coordinate i sits in a field of
     `bits` value bits at shift i * (bits + 1), with a guard bit set just
@@ -167,6 +171,7 @@ class PartitionCounter:
         # fit from the start
         self._widen(max(4, max(map(max, coords)).bit_length()))
         self._weyl_terms = {}
+        self._base_sums = {}
         self._l_polys = {}
 
     def _widen(self, bits):
@@ -402,7 +407,11 @@ def _lusztig_kato_sum(counter, type0, rho0, type1, rho1, labels, mu0, mu1):
             [list(chain.from_iterable(rows)) for rows in zip(*(t for _, t in index.values()))]
         )
     base = (*map(add, rho0, mu0), *map(add, rho1, mu1))
-    [(base_checks, base_rows)] = counter._solver.part_sums([base], 0)
+    base_sums = counter._base_sums.get(base)
+    if base_sums is None:
+        [base_sums] = counter._solver.part_sums([base], 0)
+        counter._base_sums[base] = base_sums
+    base_checks, base_rows = base_sums
     # a side-0 term below floors[i] on row i needs more there than any
     # side-1 term has
     floors = [b - sums[-1] for b, sums in zip(base_rows, side1[0])]

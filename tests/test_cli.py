@@ -739,6 +739,37 @@ def test_impossible_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys):
     assert ospkostka.kostka(data, ((1,), (1,)), ((0,), (0,))).coeffs == (0, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["kostka", "-N", "4", "--lambda", "2,0;1", "--mu", "0,0;0"],
+    ["stalk", "-N", "4", "--lambda", "1;1,0", "--mu", "0;0,0"],
+    ["verify-positivity", "-N", "4", "--box", "1", "--format", "json"],
+    ["verify-bryl", "-N", "3", "--mu", "0;0", "--qmax", "2"],
+], ids=lambda argv: argv[0])
+def test_warm_run_leaves_the_cache_file_alone(argv, tmp_path, monkeypatch, capsys):
+    """A cold run stores the cache once; a warm repeat, every polynomial a
+    hit, prints the same and does not store it: the file keeps its bytes,
+    its inode and its modification time."""
+    path = tmp_path / "cache.json"
+    real_store, stores = cli_module.cache_store, []
+
+    def counting_store(*args):
+        stores[-1] += 1
+        return real_store(*args)
+
+    monkeypatch.setattr(cli_module, "cache_store", counting_store)
+    outputs, stats = [], []
+    for _ in range(2):
+        stores.append(0)
+        monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+        assert main([*argv, "--cache", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+        st = path.stat()
+        stats.append((path.read_bytes(), st.st_ino, st.st_mtime_ns))
+    assert stores == [1, 0]
+    assert outputs[0] == outputs[1]
+    assert stats[0] == stats[1]
+
+
 # Every subcommand's options in --help order (help aside), and the required ones.
 OPTION_TABLE = {
     "roots": ("--format -N --odd --family --rank", ""),

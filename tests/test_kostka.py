@@ -1,6 +1,7 @@
 import importlib
 from collections import Counter
 from itertools import combinations_with_replacement, product as iproduct
+from operator import add
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -13,6 +14,7 @@ from conftest import (
     unpruned_l_coeffs,
 )
 from ospkostka.euler import _qmax_guard, dominant_cone_labels
+from ospkostka.orbits import closure_le, orbit_labels_in_box, order_pair
 from ospkostka.kostka import (
     KOSTKA_RANK_GUARD,
     PartitionCounter,
@@ -513,6 +515,48 @@ def test_weyl_terms_shared_across_mu_match_per_pair_sum(data):
         seen |= {(0, lam0) for lam0, _ in labels} | {(1, lam1) for _, lam1 in labels}
         assert set(counter._weyl_terms) == seen
     event(f"N={N}, {len(seen)} term lists over {len(mus)} mu")
+
+
+def _closure_columns(rd, box):
+    """{mu: [lam, ...]} over the closure pairs of the orbit labels in the
+    box, as (eps, delta) pairs of tuples, mu in the order of the box."""
+    labels = orbit_labels_in_box(rd, box)
+    return {
+        order_pair(rd, mu): [order_pair(rd, lam) for lam in labels if closure_le(rd, mu, lam)]
+        for mu in labels
+    }
+
+
+@pytest.mark.parametrize("N, box", [(N, 1) for N in range(3, 8)] + [(4, 2), (5, 2)])
+def test_base_sums_memo_matches_fresh_counters(N, box):
+    """The Kostka columns of every closure pair of the box, from one
+    counter whose base-sum memo was filled by the earlier mu (and, on the
+    second pass, by every mu), equal the columns from a fresh counter per
+    mu, one cone solve per Weyl pair and label, and kostka_custom
+    on the same roots.  The memo keeps one entry per rho + mu, whatever
+    the labels and passes."""
+    rd = osp_root_data(N)
+    roots, simples = odd_positive_roots(rd), simple_odd_roots(rd)
+    weyl = (rd.type0, rd.rho0, rd.type1, rd.rho1)
+    columns = _closure_columns(rd, box)
+    shared = PartitionCounter(roots, simples)
+    expected = {}
+    for mu, labels in columns.items():
+        expected[mu] = kostka_module._lusztig_kato_sum(
+            PartitionCounter(roots, simples), *weyl, labels, *mu
+        )
+        assert expected[mu] == {
+            lam: per_pair_lusztig_kato_sum(shared, *weyl, *lam, *mu) for lam in labels
+        }
+    for mus in (list(columns), list(reversed(columns))):
+        for mu in mus:
+            assert kostka_module._lusztig_kato_sum(shared, *weyl, columns[mu], *mu) == expected[mu]
+    bases = {tuple(map(add, rd.rho0 + rd.rho1, mu0 + mu1)) for mu0, mu1 in columns}
+    assert set(shared._base_sums) == bases
+    for mu, labels in columns.items():
+        for lam in labels:
+            got = kostka_custom(roots, simples, rd.type0, rd.type1, (rd.rho0, rd.rho1), lam, mu)
+            assert got == expected[mu][lam]
 
 
 @settings(max_examples=100, deadline=None)

@@ -367,8 +367,10 @@ def test_stalk_errors_match_public_reference(case):
 
 
 def test_stalk_checks_each_label_once(monkeypatch):
-    """One validate_label per label; the order is read without re-checking
-    the pairs through closure_le or dominance_ge."""
+    """One validate_label per label, labels as tuples and as lists, each
+    from a cold Kostka memo; the order is read without re-checking the
+    pairs through closure_le or dominance_ge, and K from the Kostka
+    column, without kostka or a second _check_dominant_pair."""
     calls = []
 
     def counting(data, o):
@@ -383,5 +385,13 @@ def test_stalk_checks_each_label_once(monkeypatch):
     monkeypatch.setattr(orbits, "validate_label", counting)
     monkeypatch.setattr(orbits, "closure_le", forbidden)
     monkeypatch.setattr(oddroots, "dominance_ge", forbidden)
-    assert stalk_poincare(D5, lam, mu) == expected
-    assert calls == [lam, mu]
+    for module in (oddroots, kostka_module):
+        monkeypatch.setattr(module, "_check_dominant_pair", forbidden)
+    for module in (orbits, kostka_module):
+        monkeypatch.setattr(module, "kostka", forbidden)
+    for wrap in (OrbitLabel._make, as_lists):
+        calls.clear()
+        monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+        assert stalk_poincare(D5, wrap(lam), wrap(mu)) == expected
+        assert calls == [wrap(lam), wrap(mu)]
+        assert len(kostka_module._kostka_memo) == 1  # stored by the column
