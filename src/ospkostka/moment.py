@@ -9,17 +9,22 @@ adjoint of a map out of V_0 is -X because exactly one Gram is skew.
 
 The matrix kernels (`mat_mul`, `adjoint`, `q0`, `q1`, the Berkowitz
 `char_poly`) never divide: on int matrices they return ints, on Fraction
-matrices Fractions.  `row_reduce` is fraction-free Bareiss elimination on
-integers, shared with `oddroots.ConeSolver` and the Cayley transform that
-draws the group elements; `mat_inverse` clears denominators, calls it and
+matrices Fractions.  `q0` and `q1` read -J A straight off A's rows and
+take dot products of its columns or rows with A's, with no adjoint
+matrix and no `mat_mul`.  `row_reduce` is fraction-free Bareiss
+elimination on integers, shared with `oddroots.ConeSolver` and the Cayley
+transform that draws the group elements; its rows drop each column once
+the column is cleared.  `mat_inverse` clears denominators, calls it and
 divides once.  `pfaffian` is the same elimination on the skew form, so
 its divisions are exact too.
 
 The battery draws integer matrices, and each group element g as (d, G)
 with g = G / d.  Every identity is polynomial and homogeneous, so an
-integer draw tests it exactly as a rational one would.  `random_hom` draws
-each entry as randrange(19) - 9, the same `_randbelow(19)` call that
-randint(-9, 9) makes, so a seed gives the same matrices as it always did.
+integer draw tests it exactly as a rational one would.  `random_hom`
+reads 5-bit words from getrandbits and keeps those below 19, word for
+word the `_randbelow(19)` draw of randint(-9, 9); the Cayley draws use
+randrange(7) - 3, the `_randbelow(7)` draw of randint(-3, 3).  So a seed
+gives the same matrices as it always did.
 
 One trial computes M0 = q0(A) once and hands it, as the keyword M0, to the
 characteristic-polynomial check and to the Pfaffian (even N) or generator
@@ -114,24 +119,30 @@ def row_reduce(a):
     dependent.  The first k rows of E / d are a left inverse of a; the other
     r - k rows vanish exactly on the column space of a.  Each step divides
     by the previous pivot, and that division is exact because every entry
-    is a minor of [a | I] (Bareiss 1968)."""
+    is a minor of [a | I] (Bareiss 1968).
+
+    A step leaves its column as the pivot on the diagonal and 0 elsewhere,
+    and a later step only turns that diagonal entry into the later pivot,
+    so the rows drop each column once it is cleared: step col reads and
+    rewrites columns col + 1 onwards alone."""
     rows, cols = len(a), len(a[0]) if a else 0
     work = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
     prev = 1
     for col in range(cols):
-        piv = next((i for i in range(col, rows) if work[i][col]), None)
+        # work[i][0] is column col of row i
+        piv = next((i for i in range(col, rows) if work[i][0]), None)
         if piv is None:
             return None
         work[col], work[piv] = work[piv], work[col]
-        top = work[col]
-        p = top[col]
-        for i in range(rows):
+        p, *top = work[col]
+        work[col] = top
+        for i, row in enumerate(work):
             if i != col:
-                f = work[i][col]
-                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], top)]
+                f = row[0]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], top)]
         prev = p
     sign = 1 if prev > 0 else -1
-    return sign * prev, [[sign * x for x in row[cols:]] for row in work]
+    return sign * prev, [[sign * x for x in row] for row in work]
 
 
 def mat_inverse(a):
@@ -167,14 +178,31 @@ def adjoint(spec: FormsSpec, A, source: int = 0):
     return _minus_j(mat_transpose(A))
 
 
+def _ragged(spec: FormsSpec, A) -> bool:
+    """Check that A is dim1 x dim0 as `adjoint` does, then report whether
+    its rows still differ in length."""
+    if len(A) != spec.dim1 or len(A[0]) != spec.dim0:
+        raise ValueError("expected a dim1 x dim0 matrix")
+    return any(map(spec.dim0.__ne__, map(len, A)))
+
+
 def q0(spec: FormsSpec, A):
-    """Moment map to so(V_0): A -> A^t A (skew-symmetric)."""
-    return mat_mul(adjoint(spec, A), A)
+    """Moment map to so(V_0): A -> A^t A (skew-symmetric).  A^t = (-J A)^T,
+    so entry (i, j) is column i of -J A against column j of A; every entry
+    is computed, the skew half too."""
+    if _ragged(spec, A):
+        mat_mul(adjoint(spec, A), A)  # raises the product's own shape error
+    cols = list(zip(*A))
+    return [[sum(map(mul, u, c)) for c in cols] for u in zip(*_minus_j(A))]
 
 
 def q1(spec: FormsSpec, A):
-    """Moment map to sp(V_1): A -> A A^t."""
-    return mat_mul(A, adjoint(spec, A))
+    """Moment map to sp(V_1): A -> A A^t, entry (i, j) row i of A against
+    row j of -J A."""
+    if _ragged(spec, A):
+        mat_mul(A, adjoint(spec, A))  # raises the product's own shape error
+    minus_ja = _minus_j(A)
+    return [[sum(map(mul, row, r)) for r in minus_ja] for row in A]
 
 
 def char_poly(M):
@@ -182,27 +210,27 @@ def char_poly(M):
     (Berkowitz 1984).  Returns coefficients (c_0=1, c_1, ..., c_k) for
     z^k + c_1 z^{k-1} + ...
 
-    Step k borders the leading k x k block A with column C, row R and
-    corner a: p_{k+1}(z) = (z - a) p_k(z) - R adj(zI - A) C, and the
-    adjugate expands in powers of A with the coefficients of p_k."""
+    Step n borders the leading n x n block A with column C, row R and
+    corner a: p_{n+1}(z) = (z - a) p_n(z) - R adj(zI - A) C, and the
+    adjugate expands in powers of A with the coefficients of p_n, so
+    coefficient t of p_{n+1} takes sum_j s[j] c[t - 2 - j] with
+    s[j] = R A^j C.  Row n of M and row n of its transpose, read over
+    their first n entries, are R and C."""
     k = len(M)
     if any(map(k.__ne__, map(len, M))):
         raise ValueError("matrix is not square")
     coeffs = [1]
-    for n in range(k):
-        A = [row[:n] for row in M[:n]]
-        R, v, a = M[n][:n], [row[n] for row in M[:n]], M[n][n]
-        s_rev = [sum(map(mul, R, v))] if n else []  # R A^l C for l < n
+    for n, (R, col) in enumerate(zip(M, zip(*M))):
+        a, block, v = R[n], M[:n], col[:n]
+        # map(mul, ...) stops at v's n entries, so R and the rows of
+        # block act as their leading n x n parts
+        s = [sum(map(mul, R, v))] if n else []
         for _ in range(n - 1):
-            v = [sum(map(mul, row, v)) for row in A]
-            s_rev.append(sum(map(mul, R, v)))
-        s_rev.reverse()
+            v = [sum(map(mul, row, v)) for row in block]
+            s.append(sum(map(mul, R, v)))
         c = coeffs + [0]
-        # the t-th sum runs c[i] s[t - 2 - i] over i < t - 1, and
-        # s[t - 2 - i] = s_rev[n + 1 - t + i]
-        coeffs = [1] + [
-            c[t] - a * c[t - 1] - sum(map(mul, c, s_rev[n + 1 - t:]))
-            for t in range(1, n + 2)
+        coeffs = [1, c[1] - a] + [
+            c[t] - a * c[t - 1] - sum(map(mul, s, c[t - 2 :: -1])) for t in range(2, n + 2)
         ]
     return tuple(coeffs)
 
@@ -299,10 +327,21 @@ def verify_fft_generators(spec: FormsSpec, A, *, M0=None) -> bool:
 
 
 def random_hom(spec: FormsSpec, rng: random.Random):
-    """Random integer A in Hom(V_0, V_1), entries in -9..9.  randrange(19)
-    makes the same draw as randint(-9, 9), without its argument checks."""
-    randrange = rng.randrange
-    return [[randrange(19) - 9 for _ in range(spec.dim0)] for _ in range(spec.dim1)]
+    """Random integer A in Hom(V_0, V_1), entries in -9..9.  Each entry
+    reads 5-bit words from rng.getrandbits until one is below 19: exactly
+    the draw randrange(19) and randint(-9, 9) make (`_randbelow`), word
+    for word, without their two Python frames per entry."""
+    getrandbits = rng.getrandbits
+    n = spec.dim0
+    A = []
+    for _ in range(spec.dim1):
+        row = []
+        while len(row) < n:
+            w = getrandbits(5)
+            if w < 19:
+                row.append(w - 9)
+        A.append(row)
+    return A
 
 
 def _cayley(S):
@@ -319,12 +358,14 @@ def _cayley(S):
 
 def random_special_orthogonal(spec: FormsSpec, rng: random.Random):
     """(d, G) with G / d in SO(dim0): the Cayley transform of a random
-    integer skew matrix, which has no eigenvalue -1."""
+    integer skew matrix, which has no eigenvalue -1.  Entries are
+    randrange(7) - 3, the `_randbelow(7)` draw randint(-3, 3) makes."""
+    randrange = rng.randrange
     n = spec.dim0
     S = zeros(n, n)
     for i in range(n):
         for j in range(i + 1, n):
-            x = rng.randint(-3, 3)
+            x = randrange(7) - 3
             S[i][j] = x
             S[j][i] = -x
     return _cayley(S)
@@ -332,13 +373,15 @@ def random_special_orthogonal(spec: FormsSpec, rng: random.Random):
 
 def random_symplectic(spec: FormsSpec, rng: random.Random):
     """(d, G) with G / d in Sp(V_1): the Cayley transform of a random
-    integer S in sp(V_1), resampled while I + S is singular."""
+    integer S in sp(V_1), resampled while I + S is singular; entries are
+    drawn as in `random_special_orthogonal`."""
+    randrange = rng.randrange
     n = spec.dim1
     while True:
         P = zeros(n, n)
         for i in range(n):
             for j in range(i, n):
-                x = rng.randint(-3, 3)
+                x = randrange(7) - 3
                 P[i][j] = x
                 P[j][i] = x
         g = _cayley(_minus_j(P))  # S = J^{-1} P
@@ -351,8 +394,13 @@ def moment_check(N: int, trials: int, seed: int, start: int = 0):
     integer matrix from an RNG seeded by (seed, i) alone.  The run from
     trial 0 adds one equivariance spot check; other runs count it as
     passed, so runs over a split range add up to the whole.  Returns a
-    dict of counters; all checks are exact so any failure is structural."""
+    dict of counters; all checks are exact so any failure is structural.
+    A negative trials or start raises ValueError before any draw."""
     spec = FormsSpec(N)
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    if start < 0:
+        raise ValueError("start must be >= 0")
     report = {
         "N": N,
         "trials": trials,
@@ -390,20 +438,16 @@ def _equivariance_holds(spec: FormsSpec, seed: int) -> bool:
 
     With A = C g0 the identities q0(g1 A g0^{-1}) = g0 q0(A) g0^{-1} and
     q1(g1 A g0^{-1}) = g1 q1(A) g1^{-1} read q0(g1 C) g0 = g0 q0(C g0) and
-    q1(g1 C) g1 = g1 q1(C g0), with no inverse.  Both sides are quadratic
-    in the group elements, so with g0 = G0 / d0 and g1 = G1 / d1 clearing
-    the scalars leaves
-        d0^2 q0(G1 C) G0 = d1^2 G0 q0(C G0),
-        d0^2 q1(G1 C) G1 = d1^2 G1 q1(C G0)."""
+    q1(g1 C) g1 = g1 q1(C g0), with no inverse.  With g0 = G0 / d0 and
+    g1 = G1 / d1, and q0, q1 quadratic, clearing the scalars leaves
+        q0(G1 d0 C) G0 = G0 q0(d1 C G0),
+        q1(G1 d0 C) G1 = G1 q1(d1 C G0),
+    so C is scaled once on each side and no product is."""
     rng = random.Random(f"{seed}:equivariance")
     C = random_hom(spec, rng)
     d0, G0 = random_special_orthogonal(spec, rng)
     d1, G1 = random_symplectic(spec, rng)
-    moved, pulled = mat_mul(G1, C), mat_mul(C, G0)
-    eq0 = mat_scale(mat_mul(q0(spec, moved), G0), d0 * d0) == mat_scale(
-        mat_mul(G0, q0(spec, pulled)), d1 * d1
-    )
-    eq1 = mat_scale(mat_mul(q1(spec, moved), G1), d0 * d0) == mat_scale(
-        mat_mul(G1, q1(spec, pulled)), d1 * d1
-    )
+    moved, pulled = mat_mul(G1, mat_scale(C, d0)), mat_mul(mat_scale(C, d1), G0)
+    eq0 = mat_mul(q0(spec, moved), G0) == mat_mul(G0, q0(spec, pulled))
+    eq1 = mat_mul(q1(spec, moved), G1) == mat_mul(G1, q1(spec, pulled))
     return eq0 and eq1

@@ -7,7 +7,8 @@ system and the orbit labels written out family by family, the dominance
 test of one factor as index
 loops, the moment-map battery in Fraction
 arithmetic with the explicit symplectic Gram, the Pfaffian as its
-full expansion, character
+full expansion, Bareiss elimination over the full width of [a | I], the
+moment draws through randrange and randint, character
 decomposition by multiplying with A_rho (alternant and convolution summed
 literally here, not by the library's kernels), the Weyl dimension formula
 as a product of Fractions, and both Euler series summed as whole
@@ -365,6 +366,65 @@ def faddeev_char_poly(M):
         coeffs.append(c)
         B = [[x + c * (r == j) for j, x in enumerate(row)] for r, row in enumerate(MB)]
     return tuple(coeffs)
+
+
+def bareiss_full_width(a):
+    """`moment.row_reduce` as it was first written: fraction-free
+    Gauss-Jordan on every column of [a | I] at every step, cleared columns
+    included, so (d, E) with E a = d [I; 0], or None for dependent columns."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    work = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
+    prev = 1
+    for col in range(cols):
+        piv = next((i for i in range(col, rows) if work[i][col]), None)
+        if piv is None:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        top = work[col]
+        p = top[col]
+        for i in range(rows):
+            if i != col:
+                f = work[i][col]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * x for x in row[cols:]] for row in work]
+
+
+def randrange_hom(spec, rng):
+    """`moment.random_hom` as it was first written: randrange(19) - 9 per
+    entry, row by row."""
+    return [[rng.randrange(19) - 9 for _ in range(spec.dim0)] for _ in range(spec.dim1)]
+
+
+def randint_special_orthogonal(spec, rng):
+    """`moment.random_special_orthogonal` with randint(-3, 3) per entry of
+    the upper triangle of the skew S, then the library's Cayley transform."""
+    n = spec.dim0
+    S = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.randint(-3, 3)
+            S[i][j], S[j][i] = x, -x
+    return moment._cayley(S)
+
+
+def randint_symplectic(spec, rng):
+    """`moment.random_symplectic` with randint(-3, 3) per entry of the
+    upper triangle of the symmetric P, S = J^{-1} P = -J P with the Gram J
+    written out, resampled while the Cayley transform of S is None."""
+    n = spec.dim1
+    minus_j = [[-x for x in row] for row in spec.gram1()]
+    while True:
+        P = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x = rng.randint(-3, 3)
+                P[i][j] = P[j][i] = x
+        S = [[sum(x * y for x, y in zip(row, col)) for col in zip(*P)] for row in minus_j]
+        g = moment._cayley(S)
+        if g is not None:
+            return g
 
 
 def pfaffian_expansion(M):
