@@ -14,28 +14,37 @@ is moved by the Weyl element that carries x + rho to the dominant
 chamber, and its multiplicity, times the sign of that element, lands on
 the label lam = w(x + rho) - rho (weights with x + rho on a wall drop
 out).  This goes per block: each distinct second-factor block is
-reflected once (on a wall it drops its whole group of weights), then
-each first one, all
-through _rho_reflection, the one reflection memo, which the Euler side
-shares.  The labels are then checked exactly: sum c_lam * chi_lam must
-rebuild the input term for term.
+reflected once (on a wall it drops its whole group of weights), and the
+first-factor reflections are summed once per W1-orbit of blocks, keyed
+by roots.dominant_conjugate (on invariant input the blocks of one orbit
+hold the same weights), all through _rho_reflection, the one reflection
+memo, which the Euler side shares.  The labels are then checked exactly:
+sum c_lam * chi_lam must rebuild the input term for term, so input
+whose blocks differ within an orbit fails there.
 
-Every such sum goes through _outer_sum.  On the product lattice it is
-factored on the second label: the c * chi_lam0 with one lam1 are summed
-in the small eps lattice first, so each distinct lam1 costs one external
-product, accumulated in one eps-lattice dict per second-factor weight.
-The Euler tables expand the same way.  Its inner loop is the only one
-that accumulates inline, not through _add_into (a quarter faster there).
+Every such sum is built by _character_sum.  On the product lattice it
+is factored on the second label: the c * chi_lam0 with one lam1 are
+summed in the small eps lattice first, so each distinct lam1 costs one
+external product, accumulated in one eps-lattice dict per second-factor
+weight.  Its inner loop is the only one that accumulates inline, not
+through _add_into (a quarter faster there).  It is memoised on the
+frozenset of nonzero (labels, coefficient) pairs, for one whole Euler
+expansion (degrees 0..8): the Euler tables expand through _outer_sum,
+which hands out a fresh copy, and decompose compares its input with the
+shared sum, so decomposing a degree the expansion just built builds no
+sum again.
 """
 
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
+from .oddroots import _check_integers
 from .roots import (
     GroupType,
     SignedPermutation,
     act,
+    dominant_conjugate,
     dominant_representative,
     is_dominant,
     positive_roots,
@@ -168,7 +177,16 @@ def _irreducible_character(gtype: GroupType, lam) -> CharElt:
 
 def _outer_sum(context, coeffs) -> dict:
     """Terms of sum c * chi_parts over coeffs = {parts: c}, with one label
-    per factor of context in parts; zero coefficients are skipped.  The
+    per factor of context in parts; zero coefficients are skipped.  A
+    fresh dict, copied from the _character_sum memo."""
+    return dict(_character_sum(context, frozenset(filter(itemgetter(1), coeffs.items()))))
+
+
+# one whole Euler expansion: degrees 0..8, the largest qmax euler admits
+@lru_cache(maxsize=9)
+def _character_sum(context, key) -> dict:
+    """Terms of sum c * chi_parts over key, a frozenset of the nonzero
+    (parts, c); memoised, and shared: no caller may mutate the dict.  The
     c * chi_lam0 are summed per lam1 first.  Then, for each distinct lam1
     and each weight w1 of chi_lam1, m1 times that sum is added into one
     eps-lattice dict per w1, so the inner loop keys on w0 alone; the
@@ -178,16 +196,15 @@ def _outer_sum(context, coeffs) -> dict:
     per-lam1 sum; only later writes accumulate."""
     t0 = context[0]
     by_tail = {}
-    for parts, c in coeffs.items():
-        if c:
-            terms = _irreducible_character(t0, parts[0]).terms
-            acc = by_tail.get(parts[1:])
-            if acc is None:
-                by_tail[parts[1:]] = (
-                    dict(terms) if c == 1 else {w: c * m for w, m in terms.items()}
-                )
-            else:
-                _add_into(acc, terms.items(), c)
+    for parts, c in key:
+        terms = _irreducible_character(t0, parts[0]).terms
+        acc = by_tail.get(parts[1:])
+        if acc is None:
+            by_tail[parts[1:]] = (
+                dict(terms) if c == 1 else {w: c * m for w, m in terms.items()}
+            )
+        else:
+            _add_into(acc, terms.items(), c)
     if len(context) == 1:
         return by_tail.get((), {})
     by_w1 = {}
@@ -205,8 +222,15 @@ def _outer_sum(context, coeffs) -> dict:
 def dual_label(gtype: GroupType, lam):
     """Highest weight of the dual module: identity for type C and for D
     with even rank; negate the last coordinate for D with odd rank (so
-    the rank-1 torus gives -lam)."""
+    the rank-1 torus gives -lam).  Memoised; a non-int entry raises
+    TypeError before the memo is read."""
     lam = tuple(lam)
+    _check_integers("label", lam)
+    return _dual_label(gtype, lam)
+
+
+@lru_cache(maxsize=None)
+def _dual_label(gtype: GroupType, lam):
     if not is_dominant(gtype, lam):
         raise ValueError(f"{lam} is not {gtype}-dominant")
     if gtype.family == "C" or gtype.rank % 2 == 0:
@@ -270,20 +294,27 @@ def decompose(ch: CharElt) -> dict:
     Racah-Speiser: for invariant ch, the coefficient of e^{lam+rho} in
     ch * A_rho is the sum of sign(w) * ch[x] over the weights x with
     w(x + rho) = lam + rho, factor by factor; so blocks are reflected
-    instead of multiplying by A_rho: the weights are grouped by their
-    second-factor block, each distinct block is reflected once (on a wall
-    it drops its whole group), then each distinct first-factor block.
-    The labels are checked exactly: sum c_lam * chi_lam, built by
-    _outer_sum (one external product per distinct second label), must
-    equal ch term for term; a weight of multiplicity zero in ch counts as
-    absent.  That check implies Weyl invariance, so invariance is tested
-    only on a mismatch, to tell non-invariant input from an internal
-    error.
+    instead of multiplying by A_rho.  The weights are grouped by their
+    second-factor block x1, and each block is reflected once (on a wall
+    it drops its whole group).  The first-factor reflections, {lam0:
+    sum sign * m}, are summed once per W1-orbit of blocks (keyed by
+    roots.dominant_conjugate), as on invariant ch the blocks of an orbit
+    hold the same weights; each block adds them with its own sign and lam1.
+    The labels are checked exactly: sum c_lam * chi_lam, read from the
+    _character_sum memo (so a degree _outer_sum just expanded is not
+    built again), must equal ch term for term; a weight of multiplicity
+    zero in ch counts as absent.  The rebuild is Weyl-invariant, so
+    equality implies that ch is invariant, and then the per-orbit sums
+    are the per-block ones; input whose blocks differ within an orbit
+    fails the comparison.  Invariance is tested only on a mismatch, to
+    tell non-invariant input from an internal error.
 
     The rebuild reads chi_lam from the cache of alternant divisions.
     Cold, those divisions dominate from rank 4 on (a cold C_5 decompose
-    of chi_w1 chi_w1 chi_w2 takes 17.1 s), and non-invariant input pays
-    them for spurious labels before the invariance test.
+    of chi_w1 chi_w1 chi_w2 takes 12 to 16 s of CPU time on a 2-CPU
+    shared host, Python 3.11.7, by the host's speed phase), and
+    non-invariant input pays them for spurious labels before the
+    invariance test.
     """
     if ch.is_zero:
         return {}
@@ -295,20 +326,27 @@ def decompose(ch: CharElt) -> dict:
     for w, m in ch.terms.items():
         groups.setdefault(w[r:], []).append((w[:r], m))
     coeffs = {}
+    by_orbit = {}
     for x1, group in groups.items():
         if len(context) == 1:
-            s1, tail = 1, ()
+            s1, tail, orbit = 1, (), ()
         else:
             rep1 = _rho_reflection(context[1], x1)
             if rep1 is None:
                 continue
             s1, tail = rep1[0], (rep1[1],)
-        for x0, m in group:
-            rep0 = _rho_reflection(t0, x0)
-            if rep0:
-                parts = (rep0[1],) + tail
-                coeffs[parts] = coeffs.get(parts, 0) + s1 * rep0[0] * m
-    rebuilt = _outer_sum(context, coeffs)
+            orbit = dominant_conjugate(context[1], x1)
+        sums = by_orbit.get(orbit)
+        if sums is None:
+            sums = by_orbit[orbit] = {}
+            for x0, m in group:
+                rep0 = _rho_reflection(t0, x0)
+                if rep0:
+                    sums[rep0[1]] = sums.get(rep0[1], 0) + rep0[0] * m
+        for lam0, c in sums.items():
+            parts = (lam0,) + tail
+            coeffs[parts] = coeffs.get(parts, 0) + s1 * c
+    rebuilt = _character_sum(context, frozenset(filter(itemgetter(1), coeffs.items())))
     # a zero multiplicity in ch is no weight
     if rebuilt != ch.terms and rebuilt != {w: m for w, m in ch.terms.items() if m}:
         if not is_weyl_invariant(ch):

@@ -34,8 +34,12 @@ itself.  `FormsSpec` stores parity, dim0 and dim1 when it is built.
 
 import random
 from collections import namedtuple
+from itertools import chain
 from math import lcm
 from operator import mul
+
+
+_INT_ONLY = frozenset((int,))
 
 
 class FormsSpec(namedtuple("FormsSpec", "N parity dim0 dim1")):
@@ -124,8 +128,17 @@ def row_reduce(a):
     A step leaves its column as the pivot on the diagonal and 0 elsewhere,
     and a later step only turns that diagonal entry into the later pivot,
     so the rows drop each column once it is cleared: step col reads and
-    rewrites columns col + 1 onwards alone."""
+    rewrites columns col + 1 onwards alone.
+
+    The floor divisions are exact on integers only, so any other entry
+    (a bool or a Fraction too) raises TypeError, and rows of different
+    lengths raise ValueError, before any step."""
     rows, cols = len(a), len(a[0]) if a else 0
+    if any(map(cols.__ne__, map(len, a))):
+        raise ValueError("matrix rows differ in length")
+    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(a))):
+        bad = next(x for row in a for x in row if type(x) is not int)
+        raise TypeError(f"row_reduce needs an integer matrix, got {bad!r}")
     work = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
     prev = 1
     for col in range(cols):
@@ -167,31 +180,27 @@ def _minus_j(X):
 def adjoint(spec: FormsSpec, A, source: int = 0):
     """Adjoint with respect to the two forms.  source=0 treats A as a map
     V_0 -> V_1 (a dim1 x dim0 matrix) and returns the dim0 x dim1 adjoint;
-    source=1 goes the other way."""
+    source=1 goes the other way.  Every row's length is checked."""
     if source == 0:
-        if len(A) != spec.dim1 or len(A[0]) != spec.dim0:
-            raise ValueError("expected a dim1 x dim0 matrix")
+        _check_hom(spec, A)
         # G0 = identity, so G0^{-1} A^T J = A^T J = (-J A)^T
         return mat_transpose(_minus_j(A))
-    if len(A) != spec.dim0 or len(A[0]) != spec.dim1:
+    if len(A) != spec.dim0 or any(map(spec.dim1.__ne__, map(len, A))):
         raise ValueError("expected a dim0 x dim1 matrix")
     return _minus_j(mat_transpose(A))
 
 
-def _ragged(spec: FormsSpec, A) -> bool:
-    """Check that A is dim1 x dim0 as `adjoint` does, then report whether
-    its rows still differ in length."""
-    if len(A) != spec.dim1 or len(A[0]) != spec.dim0:
+def _check_hom(spec: FormsSpec, A):
+    """Raise unless A is a dim1 x dim0 matrix, row by row."""
+    if len(A) != spec.dim1 or any(map(spec.dim0.__ne__, map(len, A))):
         raise ValueError("expected a dim1 x dim0 matrix")
-    return any(map(spec.dim0.__ne__, map(len, A)))
 
 
 def q0(spec: FormsSpec, A):
     """Moment map to so(V_0): A -> A^t A (skew-symmetric).  A^t = (-J A)^T,
     so entry (i, j) is column i of -J A against column j of A; every entry
     is computed, the skew half too."""
-    if _ragged(spec, A):
-        mat_mul(adjoint(spec, A), A)  # raises the product's own shape error
+    _check_hom(spec, A)
     cols = list(zip(*A))
     return [[sum(map(mul, u, c)) for c in cols] for u in zip(*_minus_j(A))]
 
@@ -199,8 +208,7 @@ def q0(spec: FormsSpec, A):
 def q1(spec: FormsSpec, A):
     """Moment map to sp(V_1): A -> A A^t, entry (i, j) row i of A against
     row j of -J A."""
-    if _ragged(spec, A):
-        mat_mul(A, adjoint(spec, A))  # raises the product's own shape error
+    _check_hom(spec, A)
     minus_ja = _minus_j(A)
     return [[sum(map(mul, row, r)) for r in minus_ja] for row in A]
 

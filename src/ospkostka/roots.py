@@ -217,6 +217,20 @@ def dominant_representative(gtype: GroupType, weight: Weight):
     return (s, tuple(mags))
 
 
+@lru_cache(maxsize=None)
+def dominant_conjugate(gtype: GroupType, weight: Weight) -> Weight:
+    """The dominant point of the orbit W.weight, for any weight: on a wall
+    and with zero entries too.  On type D an odd number of negative
+    entries leaves one minus, on the smallest magnitude (on a zero that is
+    no minus at all); on D_1 the orbit is the weight itself."""
+    if len(weight) != gtype.rank:
+        raise ValueError(f"rank mismatch: weight {weight} vs {gtype}")
+    mags = sorted(map(abs, weight), reverse=True)
+    if gtype.family == "D" and sum(x < 0 for x in weight) % 2:
+        mags[-1] = -mags[-1]
+    return tuple(mags)
+
+
 def _sort_parity(values) -> int:
     """Parity of the permutation sorting `values` into descending order.
     Values must be pairwise distinct."""

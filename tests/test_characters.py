@@ -25,8 +25,19 @@ from ospkostka.characters import (
     product,
     weyl_dimension,
 )
+from ospkostka.euler import _qmax_guard, bryl_lhs, dominant_cone_labels
+from ospkostka.kostka import kostka
 from ospkostka.oddroots import osp_root_data
-from ospkostka.roots import GroupType, act, dominant_weights, rho, signed_weyl, weyl_elements
+from ospkostka.roots import (
+    EnumerationTooLargeError,
+    GroupType,
+    act,
+    dominant_conjugate,
+    dominant_weights,
+    rho,
+    signed_weyl,
+    weyl_elements,
+)
 
 characters_module = importlib.import_module("ospkostka.characters")
 
@@ -436,3 +447,230 @@ def test_decompose_on_the_d1_torus():
     for fn in (decompose, alternant_decompose):
         with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
             fn(ch)
+
+
+def _product_character(context, coeffs):
+    """sum c * outer(chi_lam0, chi_lam1), one label at a time, with no
+    _outer_sum and no memo."""
+    ch = CharElt(context, {})
+    for parts, c in coeffs.items():
+        ch.add_scaled(outer(*(irreducible_character(t, lam) for t, lam in zip(context, parts))), c)
+    return ch
+
+
+def _orbit_block_perturbations(ch):
+    """Copies of ch, invariant on the product lattice, each changed in one
+    second-factor block x1 off the walls whose W1-orbit has another such
+    block: the block's first-factor group gains a weight, loses one, or
+    is shifted by e_1; every copy is non-invariant."""
+    t0, t1 = ch.context
+    r = t0.rank
+    blocks = {w[r:] for w in ch.terms}
+    regular = [x1 for x1 in blocks if characters_module._rho_reflection(t1, x1)]
+    orbit_sizes = {}
+    for x1 in regular:
+        key = dominant_conjugate(t1, x1)
+        orbit_sizes[key] = orbit_sizes.get(key, 0) + 1
+    for x1 in sorted(regular):
+        if orbit_sizes[dominant_conjugate(t1, x1)] < 2:
+            continue
+        group = {w[:r]: m for w, m in ch.terms.items() if w[r:] == x1}
+        x0 = max(group)
+        gained = dict(ch.terms)
+        gained[x0 + x1] += 1
+        lost = dict(ch.terms)
+        del lost[x0 + x1]
+        moved = {w: m for w, m in ch.terms.items() if w[r:] != x1}
+        moved.update({(y0[0] + 1,) + y0[1:] + x1: m for y0, m in group.items()})
+        yield from (CharElt(ch.context, t) for t in (gained, lost, moved))
+
+
+def _orbit_cases():
+    """(invariant character, its decomposition) at N = 3, 4, 5, where the
+    second factor is C_1, C_1, C_2."""
+    for N, coeffs in (
+        (3, {((1,), (1,)): 2, ((-2,), (2,)): -1}),
+        (4, {((1, 0), (1,)): 1, ((1, 1), (2,)): 3, ((0, 0), (0,)): -2}),
+        (5, {((1, 0), (1, 0)): 1, ((1, -1), (1, 1)): -1, ((2, 0), (0, 0)): 2}),
+    ):
+        data = osp_root_data(N)
+        yield _product_character((data.type0, data.type1), coeffs), dict(sorted(coeffs.items()))
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+def test_decompose_rejects_blocks_that_differ_within_an_orbit(memo):
+    """The first-factor sums are read once per W1-orbit, so a block that
+    differs from the first block of its orbit is not reflected; the exact
+    rebuild still fails on it and the invariance message is raised, from
+    cold memos and from memos warmed by the invariant character, whose
+    memoised rebuild is the sum the perturbed copies read."""
+    cases = 0
+    for ch, expected in _orbit_cases():
+        if memo == "cold":
+            characters_module._character_sum.cache_clear()
+            characters_module._rho_reflection.cache_clear()
+            dominant_conjugate.cache_clear()
+        else:
+            assert decompose(ch) == expected
+        for bad in _orbit_block_perturbations(ch):
+            cases += 1
+            assert not is_weyl_invariant(bad)
+            with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
+                decompose(bad)
+        assert decompose(ch) == alternant_decompose(ch) == expected
+    assert cases == 18
+
+
+def test_decompose_rejects_blocks_that_differ_within_an_orbit_under_optimize():
+    """The same perturbed characters under python -O, in a fresh process:
+    cold memos first, then warm ones."""
+    code = (
+        "import sys\n"
+        "import test_characters as t\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "for _ in range(2):\n"
+        "    for ch, expected in t._orbit_cases():\n"
+        "        for bad in t._orbit_block_perturbations(ch):\n"
+        "            try:\n"
+        "                t.decompose(bad)\n"
+        "            except ValueError as exc:\n"
+        "                print(exc)\n"
+        "            else:\n"
+        "                sys.exit('accepted a non-invariant character')\n"
+        "        if t.decompose(ch) != expected:\n"
+        "            sys.exit('wrong decomposition')\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, here]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 36 and set(lines) == {"character is not Weyl-invariant"}
+
+
+def _memo_entries_intact(context, keys):
+    """Each memoised sum still equals a fresh build of its key."""
+    build = characters_module._character_sum.__wrapped__
+    return all(characters_module._character_sum(context, key) == build(context, key) for key in keys)
+
+
+def _sum_key(coeffs):
+    return frozenset((parts, c) for parts, c in coeffs.items() if c)
+
+
+def _fresh_outcome(ch):
+    """decompose of an equal, freshly built character with a cleared sum
+    memo, and the alternant oracle's outcome on it."""
+    fresh = CharElt(ch.context, dict(ch.terms))
+    characters_module._character_sum.cache_clear()
+    got = _outcome(decompose, fresh)
+    assert got == _outcome(alternant_decompose, fresh)
+    return got
+
+
+@pytest.mark.parametrize("N, mu, qmax", [(4, ((1, 0), (1,)), 4), (5, ((0, 0), (1, 0)), 3)])
+def test_changed_bryl_lhs_characters_decompose_as_fresh_ones(N, mu, qmax):
+    """bryl_lhs leaves its degrees' sums in the memo, and decompose reads
+    them; a degree changed afterwards, through add_scaled or through its
+    terms, decomposes or raises exactly as an equal fresh character does,
+    and no memoised sum is one of the characters' dicts or changes."""
+    data = osp_root_data(N)
+    context = (data.type0, data.type1)
+    polys = {lam: kostka(data, lam, mu) for lam in dominant_cone_labels(data, mu, qmax)}
+    columns = [
+        {
+            (dual_label(data.type0, lam[0]), dual_label(data.type1, lam[1])): poly[d]
+            for lam, poly in polys.items()
+            if poly[d]
+        }
+        for d in range(qmax + 1)
+    ]
+    keys = [_sum_key(column) for column in columns]
+    for make_change in range(6):
+        chars = bryl_lhs(data, mu, qmax)
+        for d, ch in enumerate(chars):
+            hits = characters_module._character_sum.cache_info().hits
+            assert decompose(ch) == dict(sorted(columns[d].items()))
+            assert characters_module._character_sum.cache_info().hits == hits + 1
+            assert ch.terms is not characters_module._character_sum(context, keys[d])
+        ch = chars[qmax]
+        w = max(ch.terms)
+        extra = outer(irreducible_character(data.type0, (1,) + (0,) * (data.type0.rank - 1)),
+                      irreducible_character(data.type1, (0,) * data.type1.rank))
+        if make_change == 0:
+            ch.add_scaled(extra, 2)
+        elif make_change == 1:
+            ch.add_scaled(extra, 1).add_scaled(extra, -1)
+        elif make_change == 2:
+            ch.add_scaled(CharElt(context, {w: 1}), 1)
+        elif make_change == 3:
+            ch.terms[w] = 0
+        elif make_change == 4:
+            del ch.terms[w]
+        else:
+            for v in ch.terms:
+                ch.terms[v] *= 3
+        got = _outcome(decompose, ch)
+        assert _memo_entries_intact(context, keys)
+        assert got == _fresh_outcome(ch)
+        if make_change in (2, 3, 4):
+            assert got == "character is not Weyl-invariant"
+        elif make_change == 1:
+            assert got == dict(sorted(columns[qmax].items()))
+
+
+def test_outer_sum_results_are_fresh_and_the_memo_is_bounded():
+    """A mutated _outer_sum result changes no later decompose, and the
+    memo holds at most one whole Euler expansion: the largest qmax the
+    guard admits, plus one, characters."""
+    memo = characters_module._character_sum
+    data = osp_root_data(5)
+    assert _qmax_guard(data, memo.cache_info().maxsize - 1) is None
+    with pytest.raises(EnumerationTooLargeError):
+        _qmax_guard(data, memo.cache_info().maxsize)
+    context = (data.type0, data.type1)
+    labels = list(cartesian(*(dominant_weights(t, 1) for t in context)))
+    memo.cache_clear()
+    for i, parts in enumerate(labels * 2):
+        coeffs = {parts: 1 + i % 3, labels[0]: -1}
+        expected = dict(sorted((p, c) for p, c in coeffs.items() if c))
+        result = _outer_sum(context, coeffs)
+        assert result == _product_character(context, coeffs).terms
+        for w in result:
+            result[w] += 1
+        result[(9,) * 4] = 1
+        assert decompose(CharElt(context, _outer_sum(context, coeffs))) == expected
+        with pytest.raises(ValueError, match="^character is not Weyl-invariant$"):
+            decompose(CharElt(context, result))
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize == 9
+    assert memo.cache_info().currsize == 9
+
+
+DUAL_RANKS = [GroupType(f, r) for f in "CD" for r in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+def test_dual_label_values_and_int_rule(memo):
+    """The memoised dual_label gives the rule's value on every dominant
+    label of sup-norm <= 3 at ranks 1-4; floats and bools raise TypeError,
+    and non-dominant labels ValueError, with a cold memo and a warm one."""
+    characters_module._dual_label.cache_clear()
+    if memo == "warm":
+        for gtype in DUAL_RANKS:
+            for lam in dominant_weights(gtype, 3):
+                dual_label(gtype, lam)
+        assert characters_module._dual_label.cache_info().currsize > 0
+    for gtype in DUAL_RANKS:
+        for lam in dominant_weights(gtype, 3):
+            negate = gtype.family == "D" and gtype.rank % 2
+            assert dual_label(gtype, list(lam)) == (lam[:-1] + (-lam[-1],) if negate else lam)
+        for bad in ((1.0,) + (0,) * (gtype.rank - 1), (True,) + (0,) * (gtype.rank - 1)):
+            with pytest.raises(TypeError, match="is not an int"):
+                dual_label(gtype, bad)
+        if gtype != D1:
+            with pytest.raises(ValueError, match="-dominant"):
+                dual_label(gtype, (-1,) * gtype.rank)

@@ -3,6 +3,7 @@ import fractions
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -445,19 +446,24 @@ def test_q_maps_match_the_adjoint_products(N):
     assert q1(spec, A) == product_q1(spec, A)
 
 
-def q_map_shape_errors(spec):
-    """Malformed A for q0 and q1: wrong row count, wrong first-row length,
-    and rows that differ in length after a well-formed first row."""
-    A = [[1] * spec.dim0 for _ in range(spec.dim1)]
+def shape_errors(rows, cols):
+    """Malformed rows x cols matrices: wrong row count, wrong first-row
+    length, and rows that differ in length after a well-formed first row."""
+    A = [[1] * cols for _ in range(rows)]
     yield A[:-1]
     yield [[]]
     yield [row + [1] for row in A]
-    yield [[1] * (spec.dim0 - 1)] + A[1:]
-    for i in range(1, spec.dim1):
+    yield [[1] * (cols - 1)] + A[1:]
+    for i in range(1, rows):
         yield A[:i] + [A[i][:-1]] + A[i + 1 :]
         yield A[:i] + [A[i] + [1]] + A[i + 1 :]
         yield A[:i] + [[]] + A[i + 1 :]
     yield [A[0]] + [row[:1] for row in A[1:]]
+
+
+def q_map_shape_errors(spec):
+    """Malformed A for q0 and q1."""
+    return shape_errors(spec.dim1, spec.dim0)
 
 
 def raised(f, *args):
@@ -472,6 +478,49 @@ def test_q_maps_raise_what_the_adjoint_products_raise(N):
     for A in q_map_shape_errors(spec):
         assert raised(q0, spec, A) == raised(product_q0, spec, A), A
         assert raised(q1, spec, A) == raised(product_q1, spec, A), A
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_adjoint_checks_every_row(N):
+    """Both sources check every row's length, so a short or long row
+    after a well-formed first row raises the documented message, from
+    adjoint, q0 and q1 alike."""
+    spec = FormsSpec(N)
+    for A in shape_errors(spec.dim1, spec.dim0):
+        for f in (adjoint, q0, q1):
+            assert raised(f, spec, A) == "expected a dim1 x dim0 matrix", (f, A)
+    for B in shape_errors(spec.dim0, spec.dim1):
+        assert raised(adjoint, spec, B, 1) == "expected a dim0 x dim1 matrix", B
+    short_row = [[1] * 4, [1] * 4, [1] * 3, [1] * 4]
+    assert raised(adjoint, FormsSpec(5), short_row) == "expected a dim1 x dim0 matrix"
+
+
+ROW_REDUCE_NON_INT = {
+    "fractions": ([[Fraction(1, 2), 1], [1, Fraction(1, 3)]], "Fraction(1, 2)"),
+    "integral_fraction": ([[1, 0], [0, Fraction(2)]], "Fraction(2, 1)"),
+    "bool": ([[2, 1], [1, True]], "True"),
+    "float": ([[1.0]], "1.0"),
+    # column 0 is zero, so elimination would return None at its first step
+    "behind_a_zero_column": ([[0, 1], [0, 2.5]], "2.5"),
+}
+
+
+@pytest.mark.parametrize("case", ROW_REDUCE_NON_INT)
+def test_row_reduce_rejects_non_int_entries(case):
+    """The floor divisions are exact on ints alone: any other entry raises
+    TypeError before any step, instead of a wrong (d, E)."""
+    a, bad = ROW_REDUCE_NON_INT[case]
+    with pytest.raises(TypeError, match=rf"^row_reduce needs an integer matrix, got {re.escape(bad)}$"):
+        row_reduce(a)
+
+
+def test_row_reduce_rejects_ragged_rows():
+    for a in ([[1, 2], [3]], [[1], [2, 3]], [[0, 1], [0]], [[], [1]], [[1, 2], [3, 4], [5, 6, 7]]):
+        with pytest.raises(ValueError, match="^matrix rows differ in length$"):
+            row_reduce(a)
+    # ragged and non-int: the shape is checked first
+    with pytest.raises(ValueError, match="^matrix rows differ in length$"):
+        row_reduce([[Fraction(1, 2), 1], [1]])
 
 
 def test_moment_check_rejects_negative_counts_before_drawing(monkeypatch):

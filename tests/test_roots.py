@@ -13,6 +13,7 @@ from ospkostka.roots import (
     SignedPermutation,
     act,
     compose,
+    dominant_conjugate,
     dominant_representative,
     dominant_weights,
     is_dominant,
@@ -225,3 +226,25 @@ def test_dominant_representative_matches_enumeration(gtype):
             assert carriers and all(sign(v) == s for v in carriers)
     if gtype.rank >= 2:
         assert dominant_representative(gtype, (1,) * gtype.rank) is None
+
+
+@pytest.mark.parametrize(
+    "gtype", [GroupType(f, r) for f in "CD" for r in (1, 2, 3, 4)], ids=str
+)
+def test_dominant_conjugate_matches_brute_force_orbits(gtype):
+    """Every point of the box [-2, 2]^rank lies in the orbit of exactly one
+    dominant weight, found by acting with every Weyl element, and
+    dominant_conjugate returns that weight: walls, zero entries and type
+    D's sign parity included, from a cold memo and then a warm one."""
+    box = set(product(range(-2, 3), repeat=gtype.rank))
+    orbits = {}
+    for lam in dominant_weights(gtype, 2):
+        orbit = {act(w, lam) for w in weyl_elements(gtype)}
+        assert [x for x in orbit if is_dominant(gtype, x)] == [lam]
+        orbits.update(dict.fromkeys(orbit, lam))
+    assert set(orbits) == box
+    dominant_conjugate.cache_clear()
+    for _ in range(2):
+        assert {x: dominant_conjugate(gtype, x) for x in box} == orbits
+    with pytest.raises(ValueError, match="rank mismatch"):
+        dominant_conjugate(gtype, (0,) * (gtype.rank + 1))
