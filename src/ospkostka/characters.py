@@ -35,16 +35,19 @@ shared sum, so decomposing a degree the expansion just built builds no
 sum again.
 """
 
+from collections import defaultdict
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from operator import add, itemgetter, mul, sub
 
-from .oddroots import _check_integers
 from .roots import (
     GroupType,
     SignedPermutation,
+    _all_ints,
+    _check_integers,
+    _dominant_conjugate,
     act,
-    dominant_conjugate,
     dominant_representative,
     is_dominant,
     positive_roots,
@@ -159,8 +162,11 @@ def _divide_by_alternant(numer: dict, denom: dict, lead) -> dict:
 def irreducible_character(gtype: GroupType, lam) -> CharElt:
     """Character of the irreducible module with highest weight lam, via
     exact division of alternants.  Returns a fresh copy (CharElt is
-    mutable through add_scaled)."""
-    return _irreducible_character(gtype, tuple(lam)).copy()
+    mutable through add_scaled) of a memo that a non-int entry of lam
+    does not reach: it raises TypeError first."""
+    lam = tuple(lam)
+    _check_integers("lambda", lam)
+    return _irreducible_character(gtype, lam).copy()
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +313,9 @@ def decompose(ch: CharElt) -> dict:
     equality implies that ch is invariant, and then the per-orbit sums
     are the per-block ones; input whose blocks differ within an orbit
     fails the comparison.  Invariance is tested only on a mismatch, to
-    tell non-invariant input from an internal error.
+    tell non-invariant input from an internal error.  A non-int entry
+    that would reach a memo (a block, a first-factor part that is
+    reflected, a sum of multiplicities) raises TypeError before it does.
 
     The rebuild reads chi_lam from the cache of alternant divisions.
     Cold, those divisions dominate from rank 4 on (a cold C_5 decompose
@@ -322,9 +330,13 @@ def decompose(ch: CharElt) -> dict:
     t0 = context[0]
     r = t0.rank
     # one group per second-factor block; on one factor, one group keyed ()
-    groups = {}
-    for w, m in ch.terms.items():
-        groups.setdefault(w[r:], []).append((w[:r], m))
+    terms = ch.terms
+    groups = defaultdict(list)
+    for w in terms:
+        groups[w[r:]].append(w)
+    # the int rule on what reaches a memo: the distinct blocks here, the
+    # weights of each reflected group and the coefficient sums
+    _check_integers("character", [*chain.from_iterable(groups)])
     coeffs = {}
     by_orbit = {}
     for x1, group in groups.items():
@@ -335,17 +347,20 @@ def decompose(ch: CharElt) -> dict:
             if rep1 is None:
                 continue
             s1, tail = rep1[0], (rep1[1],)
-            orbit = dominant_conjugate(context[1], x1)
+            orbit = _dominant_conjugate(context[1], x1)
         sums = by_orbit.get(orbit)
         if sums is None:
+            if not _all_ints(chain.from_iterable(group)):
+                _check_integers("character", [*chain.from_iterable(group)])
             sums = by_orbit[orbit] = {}
-            for x0, m in group:
-                rep0 = _rho_reflection(t0, x0)
+            for w in group:
+                rep0 = _rho_reflection(t0, w[:r])
                 if rep0:
-                    sums[rep0[1]] = sums.get(rep0[1], 0) + rep0[0] * m
+                    sums[rep0[1]] = sums.get(rep0[1], 0) + rep0[0] * terms[w]
         for lam0, c in sums.items():
             parts = (lam0,) + tail
             coeffs[parts] = coeffs.get(parts, 0) + s1 * c
+    _check_integers("character", [*coeffs.values()])
     rebuilt = _character_sum(context, frozenset(filter(itemgetter(1), coeffs.items())))
     # a zero multiplicity in ch is no weight
     if rebuilt != ch.terms and rebuilt != {w: m for w, m in ch.terms.items() if m}:

@@ -53,8 +53,8 @@ from .characters import CharElt, _outer_sum, _rho_reflection, dual_label
 # kostka is not called here; it stays bound as euler.kostka, which the
 # benchmark's tracer self-test (benchmarks/test_bench.py) reads
 from .kostka import _kostka_column, kostka, partition_support_table
-from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _check_integers, _labels_above
-from .roots import EnumerationTooLargeError, dominant_weights
+from .oddroots import BiWeight, OspRootData, _check_dominant_pair, _labels_above
+from .roots import EnumerationTooLargeError, _check_integers, dominant_weights
 
 
 def _qmax_guard(data: OspRootData, qmax: int):
@@ -91,7 +91,9 @@ def euler_line(data: OspRootData, nu: BiWeight) -> CharElt:
     """Euler characteristic character of the line bundle attached to the
     fiber character nu on the product flag variety.  Normalized so that a
     dominant mu gives euler_line(-mu) = dual character of the irreducible
-    with highest weight mu."""
+    with highest weight mu.  A non-int entry of nu raises TypeError
+    before the reflection memo is read."""
+    _check_integers("nu", nu.flat())
     rep0 = _rho_reflection(data.type0, tuple(-x for x in nu.eps))
     rep1 = _rho_reflection(data.type1, tuple(-x for x in nu.delta))
     table = {(rep0[1], rep1[1]): [rep0[0] * rep1[0]]} if rep0 and rep1 else {}

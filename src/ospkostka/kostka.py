@@ -65,14 +65,13 @@ from .oddroots import (
     BiWeight,
     ConeSolver,
     OspRootData,
-    _all_ints,
     _check_dominant_pair,
     odd_positive_roots,
     osp_root_data,
     simple_odd_roots,
     simple_root_coordinates,
 )
-from .roots import EnumerationTooLargeError, GroupType, act, signed_weyl
+from .roots import EnumerationTooLargeError, GroupType, _all_ints, act, signed_weyl
 
 KOSTKA_RANK_GUARD = 4
 
@@ -502,7 +501,7 @@ def kostka_memo_import(entries):
         parts = key.split("|")
         if len(parts) != 6 or parts[1] != "K":
             continue
-        if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
+        if not isinstance(coeffs, list) or not _all_ints(coeffs):
             continue
         try:
             N = int(parts[0])

@@ -16,15 +16,19 @@ elimination on integers, shared with `oddroots.ConeSolver` and the Cayley
 transform that draws the group elements; its rows drop each column once
 the column is cleared.  `mat_inverse` clears denominators, calls it and
 divides once.  `pfaffian` is the same elimination on the skew form, so
-its divisions are exact too.
+its divisions are exact too.  Both read `roots._all_ints`, the integer
+rule and the module's one import from the package.
 
 The battery draws integer matrices, and each group element g as (d, G)
 with g = G / d.  Every identity is polynomial and homogeneous, so an
 integer draw tests it exactly as a rational one would.  `random_hom`
 reads 5-bit words from getrandbits and keeps those below 19, word for
-word the `_randbelow(19)` draw of randint(-9, 9); the Cayley draws use
-randrange(7) - 3, the `_randbelow(7)` draw of randint(-3, 3).  So a seed
-gives the same matrices as it always did.
+word the `_randbelow(19)` draw of randint(-9, 9).  The two group draws
+share one loop, `_draw_form` (a skew matrix for SO(V_0), a symmetric one
+for Sp(V_1)), which uses randrange(7) - 3, the `_randbelow(7)` draw of
+randint(-3, 3), and one transform, `_cayley`, which reads G straight off
+the elimination E (I + S) = d I as 2 E - d I, with no matrix product.  So
+a seed gives the same matrices and the same (d, G) as it always did.
 
 One trial computes M0 = q0(A) once and hands it, as the keyword M0, to the
 characteristic-polynomial check and to the Pfaffian (even N) or generator
@@ -38,8 +42,7 @@ from itertools import chain
 from math import lcm
 from operator import mul
 
-
-_INT_ONLY = frozenset((int,))
+from .roots import _all_ints
 
 
 class FormsSpec(namedtuple("FormsSpec", "N parity dim0 dim1")):
@@ -76,13 +79,6 @@ def zeros(r, c):
     return [[0] * c for _ in range(r)]
 
 
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 def mat_mul(a, b):
     rows, inner = len(a), len(b)
     if not a or not b or any(map(inner.__ne__, map(len, a))):
@@ -100,13 +96,6 @@ def mat_transpose(a):
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def clear_denominators(a):
@@ -136,7 +125,7 @@ def row_reduce(a):
     rows, cols = len(a), len(a[0]) if a else 0
     if any(map(cols.__ne__, map(len, a))):
         raise ValueError("matrix rows differ in length")
-    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(a))):
+    if not _all_ints(chain.from_iterable(a)):
         bad = next(x for row in a for x in row if type(x) is not int)
         raise TypeError(f"row_reduce needs an integer matrix, got {bad!r}")
     work = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
@@ -260,7 +249,7 @@ def pfaffian(M):
     # row i against column i negated: a_ij = -a_ji for every i, j
     if a != [[-x for x in col] for col in zip(*a)]:
         raise ValueError("matrix is not antisymmetric")
-    if all(type(x) is int for row in a for x in row):
+    if _all_ints(chain.from_iterable(a)):
         d = 1
     else:
         d, a = clear_denominators(M)
@@ -355,44 +344,40 @@ def random_hom(spec: FormsSpec, rng: random.Random):
 def _cayley(S):
     """Cayley transform (I - S)(I + S)^{-1} of an integer matrix S as
     (d, G) with the transform G / d, or None when I + S is singular.
-    `row_reduce` gives E (I + S) = d I, so G = (I - S) E."""
-    eye = identity(len(S))
-    reduced = row_reduce(mat_add(eye, S))
+    `row_reduce` gives E (I + S) = d I, and (I - S)(I + S)^{-1} =
+    2 (I + S)^{-1} - I, so G = 2 E - d I."""
+    reduced = row_reduce([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(S)])
     if reduced is None:
         return None
     d, E = reduced
-    return d, mat_mul(mat_sub(eye, S), E)
+    return d, [[2 * x - d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(E)]
+
+
+def _draw_form(rng: random.Random, n: int, sign: int):
+    """The n x n integer matrix S[j][i] = sign * S[i][j], skew (sign -1, zero
+    diagonal) or symmetric (sign 1), whose upper entries, row by row, are
+    randrange(7) - 3: the `_randbelow(7)` draw randint(-3, 3) makes."""
+    randrange = rng.randrange
+    S = zeros(n, n)
+    for i in range(n):
+        for j in range(i + (sign < 0), n):
+            x = randrange(7) - 3
+            S[i][j] = x
+            S[j][i] = sign * x
+    return S
 
 
 def random_special_orthogonal(spec: FormsSpec, rng: random.Random):
     """(d, G) with G / d in SO(dim0): the Cayley transform of a random
-    integer skew matrix, which has no eigenvalue -1.  Entries are
-    randrange(7) - 3, the `_randbelow(7)` draw randint(-3, 3) makes."""
-    randrange = rng.randrange
-    n = spec.dim0
-    S = zeros(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = randrange(7) - 3
-            S[i][j] = x
-            S[j][i] = -x
-    return _cayley(S)
+    integer skew matrix, which has no eigenvalue -1."""
+    return _cayley(_draw_form(rng, spec.dim0, -1))
 
 
 def random_symplectic(spec: FormsSpec, rng: random.Random):
-    """(d, G) with G / d in Sp(V_1): the Cayley transform of a random
-    integer S in sp(V_1), resampled while I + S is singular; entries are
-    drawn as in `random_special_orthogonal`."""
-    randrange = rng.randrange
-    n = spec.dim1
+    """(d, G) with G / d in Sp(V_1): the Cayley transform of S = J^{-1} P
+    for a random integer symmetric P, resampled while I + S is singular."""
     while True:
-        P = zeros(n, n)
-        for i in range(n):
-            for j in range(i, n):
-                x = randrange(7) - 3
-                P[i][j] = x
-                P[j][i] = x
-        g = _cayley(_minus_j(P))  # S = J^{-1} P
+        g = _cayley(_minus_j(_draw_form(rng, spec.dim1, 1)))
         if g is not None:
             return g
 

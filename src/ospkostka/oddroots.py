@@ -25,7 +25,7 @@ from itertools import accumulate, repeat
 from operator import add, itemgetter, mul, sub
 
 from .moment import row_reduce
-from .roots import GroupType, is_dominant, rho
+from .roots import GroupType, _check_integers, is_dominant, rho
 
 
 class BiWeight(namedtuple("BiWeight", "eps delta")):
@@ -44,9 +44,6 @@ class BiWeight(namedtuple("BiWeight", "eps delta")):
             tuple(a - b for a, b in zip(self.eps, other.eps, strict=True)),
             tuple(a - b for a, b in zip(self.delta, other.delta, strict=True)),
         )
-
-    def __neg__(self):
-        return BiWeight(tuple(-a for a in self.eps), tuple(-a for a in self.delta))
 
     def flat(self):
         return self.eps + self.delta
@@ -237,22 +234,6 @@ def simple_root_coordinates(data: OspRootData, alpha: BiWeight):
     nonnegative integers, or None when the unique rational solution is
     not a nonnegative integer vector."""
     return _simple_solver(data).coordinates(alpha.flat())
-
-
-_INT_ONLY = frozenset((int,))
-
-
-def _all_ints(values) -> bool:
-    """Whether every value is an int; bool is not.  The memos compare keys
-    by value, so a 3.0 let through would read or write the entry of 3."""
-    return _INT_ONLY.issuperset(map(type, values))
-
-
-def _check_integers(name: str, values: tuple):
-    """Raise TypeError unless _all_ints(values)."""
-    if not _all_ints(values):
-        bad = next(x for x in values if type(x) is not int)
-        raise TypeError(f"{name}: {bad!r} is not an int")
 
 
 def _check_dominant_pair(data: OspRootData, pair, name: str):

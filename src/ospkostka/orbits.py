@@ -30,8 +30,8 @@ from functools import lru_cache
 
 # kept bound, as in euler, for the benchmark tracer (see stalk_poincare)
 from .kostka import _kostka_column, kostka
-from .oddroots import OspRootData, _check_integers, _pair_ge, interleave, prefix_sums_ge
-from .roots import dominant_weights, is_dominant
+from .oddroots import OspRootData, _pair_ge, interleave, prefix_sums_ge
+from .roots import _check_integers, dominant_weights, is_dominant
 
 
 class OrbitLabel(namedtuple("OrbitLabel", "lam_s lam_b")):

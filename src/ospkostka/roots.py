@@ -6,6 +6,9 @@ acts by signed permutations of coordinates: all sign patterns for type C,
 evenly many sign changes for type D.  D_1 is the degenerate rank-1 torus:
 no roots, trivial Weyl group, every weight dominant.
 
+The integer rule (_all_ints, _check_integers) and the Weyl-orbit normal
+form (_orbit_point) are written once, here, for every module.
+
 >>> positive_roots(GroupType("C", 2))
 ((1, -1), (1, 1), (2, 0), (0, 2))
 >>> rho(GroupType("C", 2))
@@ -15,9 +18,11 @@ no roots, trivial Weyl group, every weight dominant.
 from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
-from operator import ge
+from operator import eq, ge
 
 Weight = tuple
+
+_INT_ONLY = frozenset((int,))
 
 # A cold C_7 character costs seconds and 100s of MB; |W(C_8)| = 16 |W(C_7)|.
 WEYL_RANK_GUARD = 7
@@ -25,6 +30,19 @@ WEYL_RANK_GUARD = 7
 
 class EnumerationTooLargeError(ValueError):
     """Raised when a Weyl-group enumeration would exceed the rank guard."""
+
+
+def _all_ints(values) -> bool:
+    """Whether every value is an int; bool is not.  The memos compare keys
+    by value, so a 3.0 let through would read or write the entry of 3."""
+    return _INT_ONLY.issuperset(map(type, values))
+
+
+def _check_integers(name: str, values: tuple):
+    """Raise TypeError unless _all_ints(values)."""
+    if not _all_ints(values):
+        bad = next(x for x in values if type(x) is not int)
+        raise TypeError(f"{name}: {bad!r} is not an int")
 
 
 class GroupType(namedtuple("GroupType", "family rank")):
@@ -197,28 +215,29 @@ def dominant_representative(gtype: GroupType, weight: Weight):
 
     The sign is the determinant of the Weyl element carrying `weight` to
     the dominant chamber, so alternants satisfy A_weight = sign * A_dom.
+    W(D_n) changes evenly many signs, so on type D it is the permutation
+    parity alone.
     """
     if len(weight) != gtype.rank:
         raise ValueError("rank mismatch")
-    mags = sorted((abs(x) for x in weight), reverse=True)
+    dom = _orbit_point(gtype, weight)
     is_c = gtype.family == "C"
     # walls: |x_i| = |x_j| for both families, x_i = 0 for type C
-    walls = mags + [0] if is_c else mags
-    if any(walls[i] == walls[i + 1] for i in range(len(walls) - 1)):
+    walls = dom + (0,) if is_c else tuple(map(abs, dom))
+    if any(map(eq, walls, walls[1:])):
         return None
-    odd_flips = sum(1 for x in weight if x < 0) % 2
     s = _sort_parity([abs(x) for x in weight])
-    if is_c:
-        s = -s if odd_flips else s
-    elif odd_flips:
-        # W(D_n) changes evenly many signs, so one minus stays on the last
-        # entry; the determinant reduces to the permutation parity.
-        mags[-1] = -mags[-1]
-    return (s, tuple(mags))
+    return (-s if is_c and sum(x < 0 for x in weight) % 2 else s), dom
 
 
-@lru_cache(maxsize=None)
 def dominant_conjugate(gtype: GroupType, weight: Weight) -> Weight:
+    """_orbit_point, memoised; a non-int entry raises TypeError before the
+    memo is read."""
+    _check_integers("weight", weight)
+    return _dominant_conjugate(gtype, weight)
+
+
+def _orbit_point(gtype: GroupType, weight: Weight) -> Weight:
     """The dominant point of the orbit W.weight, for any weight: on a wall
     and with zero entries too.  On type D an odd number of negative
     entries leaves one minus, on the smallest magnitude (on a zero that is
@@ -229,6 +248,9 @@ def dominant_conjugate(gtype: GroupType, weight: Weight) -> Weight:
     if gtype.family == "D" and sum(x < 0 for x in weight) % 2:
         mags[-1] = -mags[-1]
     return tuple(mags)
+
+
+_dominant_conjugate = lru_cache(maxsize=None)(_orbit_point)
 
 
 def _sort_parity(values) -> int:

@@ -397,6 +397,19 @@ def randrange_hom(spec, rng):
     return [[rng.randrange(19) - 9 for _ in range(spec.dim0)] for _ in range(spec.dim1)]
 
 
+def identity(n):
+    """The n x n integer identity matrix."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def randint_special_orthogonal(spec, rng):
     """`moment.random_special_orthogonal` with randint(-3, 3) per entry of
     the upper triangle of the skew S, then the library's Cayley transform."""
@@ -623,7 +636,7 @@ def euler_line_sum_lhs(data, mu, qmax):
     mu = BiWeight(*mu)
     for flat, counts in partition_support_table(data, qmax).items():
         alpha = BiWeight(flat[: data.eps_rank], flat[data.eps_rank :])
-        line = euler_line(data, -(mu + alpha))
+        line = euler_line(data, data.zero() - (mu + alpha))
         for d, c in enumerate(counts):
             if c:
                 out[d].add_scaled(line, c)

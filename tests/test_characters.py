@@ -29,6 +29,7 @@ from ospkostka.euler import _qmax_guard, bryl_lhs, dominant_cone_labels
 from ospkostka.kostka import kostka
 from ospkostka.oddroots import osp_root_data
 from ospkostka.roots import (
+    _dominant_conjugate,
     EnumerationTooLargeError,
     GroupType,
     act,
@@ -509,7 +510,7 @@ def test_decompose_rejects_blocks_that_differ_within_an_orbit(memo):
         if memo == "cold":
             characters_module._character_sum.cache_clear()
             characters_module._rho_reflection.cache_clear()
-            dominant_conjugate.cache_clear()
+            _dominant_conjugate.cache_clear()
         else:
             assert decompose(ch) == expected
         for bad in _orbit_block_perturbations(ch):
@@ -674,3 +675,21 @@ def test_dual_label_values_and_int_rule(memo):
         if gtype != D1:
             with pytest.raises(ValueError, match="-dominant"):
                 dual_label(gtype, (-1,) * gtype.rank)
+
+
+def test_charelt_add_and_context_mismatch():
+    """+ adds two characters of one context into a fresh one; add_scaled
+    across contexts raises and leaves the target unchanged."""
+    c1, c2 = GroupType("C", 1), GroupType("C", 2)
+    a, b = irreducible_character(c1, (1,)), irreducible_character(c1, (2,))
+    total = a + b
+    assert total.terms == {(2,): 1, (1,): 1, (0,): 1, (-1,): 1, (-2,): 1}
+    assert a == irreducible_character(c1, (1,)) and total is not a
+    with pytest.raises(ValueError, match="^lattice context mismatch$"):
+        a.add_scaled(irreducible_character(c2, (0, 0)), 1)
+    assert a == irreducible_character(c1, (1,))
+
+
+def test_weyl_dimension_rejects_non_dominant():
+    with pytest.raises(ValueError, match=r"^\(0, 1\) is not C_2-dominant$"):
+        weyl_dimension(GroupType("C", 2), (0, 1))

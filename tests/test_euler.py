@@ -49,7 +49,7 @@ def test_euler_line_normalization(N):
     for mu0 in dominant_weights(data.type0, 2):
         for mu1 in dominant_weights(data.type1, 2):
             mu = biweight(mu0, mu1)
-            ch = euler_line(data, -mu)
+            ch = euler_line(data, data.zero() - mu)
             assert ch == dual_pair_char(data, mu0, mu1)
             assert ch.dim() == weyl_dimension(data.type0, mu0) * weyl_dimension(
                 data.type1, mu1
@@ -337,7 +337,7 @@ def test_planted_partition_count_fails_at_its_degree(monkeypatch, cold_euler_mem
     # one sum of two positive odd roots, whose Euler line does not vanish
     alpha = next(
         a for a, counts in real.items()
-        if counts[2] and not euler_line(data, -(biweight(*mu) + biweight(a[:2], a[2:]))).is_zero
+        if counts[2] and not euler_line(data, data.zero() - biweight(*mu) - biweight(a[:2], a[2:])).is_zero
     )
     table = dict(real)
     counts = list(table[alpha])
@@ -350,7 +350,7 @@ def test_planted_partition_count_fails_at_its_degree(monkeypatch, cold_euler_mem
     monkeypatch.setattr(euler, "partition_support_table", planted)
     monkeypatch.setattr(conftest, "partition_support_table", planted)
     report = _planted_report(data, mu, qmax, degree)
-    line = euler_line(data, -(biweight(*mu) + biweight(alpha[:2], alpha[2:])))
+    line = euler_line(data, data.zero() - biweight(*mu) - biweight(alpha[:2], alpha[2:]))
     assert report.degree_diffs[degree] == CharElt(
         line.context, {w: -m for w, m in line.terms.items()}
     )
@@ -415,3 +415,8 @@ def test_one_key_builds_each_euler_table_once(monkeypatch, cold_euler_memos):
     bryl_rhs(data, mu, qmax)
     dominant_cone_labels(data, mu, qmax)
     assert calls == {"partition_support_table": 1, "dominant_weights": 2}
+
+
+def test_verify_bryl_rejects_negative_qmax():
+    with pytest.raises(ValueError, match="^qmax must be >= 0$"):
+        verify_bryl(osp_root_data(3), ((0,), (0,)), -1)

@@ -1,13 +1,14 @@
 """Non-int entries are refused by every public entry that reads a memo,
 and by the orbit entries, which check labels through validate_label.
 
-The Kostka memo, the counter's Weyl terms and the Euler tables compare
-their keys by value, so a 3.0 let through would read, or leave behind,
-the entry of 3.  Each entry below must give the same outcome on a float
-input from cold memos and after the integer call, and the integer calls
-made after a float call must return what a fresh process returns.  Run
-this module as a script (PYTHONPATH=src:tests) to print the
-fresh-process answers as JSON.
+The Kostka memo, the counter's Weyl terms, the Euler tables, the
+characters' memos (irreducibles, reflections, Sigma c.chi sums, dual
+labels) and the orbit normal form compare their keys by value, so a 3.0
+let through would read, or leave behind, the entry of 3.  Each entry
+below must give the same outcome on a float input from cold memos and
+after the integer call, and the integer calls made after a float call
+must return what a fresh process returns.  Run this module as a script
+(PYTHONPATH=src:tests) to print the fresh-process answers as JSON.
 """
 
 import importlib
@@ -19,11 +20,13 @@ import sys
 import pytest
 
 import ospkostka
-from ospkostka import euler
-from ospkostka.euler import bryl_lhs, bryl_rhs, dominant_cone_labels, verify_bryl
+from ospkostka import characters, euler, roots
+from ospkostka.characters import CharElt, decompose, irreducible_character, outer
+from ospkostka.euler import bryl_lhs, bryl_rhs, dominant_cone_labels, euler_line, verify_bryl
 from ospkostka.kostka import kostka
-from ospkostka.oddroots import osp_root_data
+from ospkostka.oddroots import BiWeight, osp_root_data
 from ospkostka.orbits import OrbitLabel, closure_le, embed_signatures, orbit_dim, stalk_poincare
+from ospkostka.roots import dominant_conjugate
 
 kostka_module = importlib.import_module("ospkostka.kostka")  # the package attribute is the function
 
@@ -48,6 +51,27 @@ def _report(report):
     return report.N, report.mu, report.qmax, report.ok, _characters(report.degree_diffs)
 
 
+def _product_character(mu):
+    """chi_mu0 (x) chi_mu1 on the product lattice."""
+    return outer(*map(irreducible_character, (DATA.type0, DATA.type1), mu))
+
+
+def _floated(mu, eps=int, delta=int, mult=int):
+    """_product_character(mu) with eps, delta and mult applied to the
+    eps coordinates, the delta coordinates and the multiplicities."""
+    r = DATA.eps_rank
+    return CharElt((DATA.type0, DATA.type1), {
+        (*map(eps, w[:r]), *map(delta, w[r:])): mult(m)
+        for w, m in _product_character(mu).terms.items()
+    })
+
+
+def _flipped(mu_t):
+    """mu_t reversed and negated: off the dominant chamber for every mu_t
+    with a nonzero entry."""
+    return tuple(-x for x in reversed(mu_t))
+
+
 # name -> the integer call at one mu, as a repr that compares across processes
 INTEGER_CALLS = {
     "kostka": lambda mu: kostka(DATA, LAM, mu),
@@ -59,6 +83,16 @@ INTEGER_CALLS = {
     "orbit_dim": lambda mu: orbit_dim(DATA, _orbit(mu)),
     "embed_signatures": lambda mu: embed_signatures(DATA, _orbit(mu)),
     "closure_le": lambda mu: closure_le(DATA, _orbit(mu), _orbit(LAM)),
+    "euler_line": lambda mu: _characters([euler_line(DATA, DATA.zero() - BiWeight(*mu))]),
+    "irreducible_character": lambda mu: [
+        sorted(irreducible_character(gtype, mu_t).terms.items())
+        for gtype, mu_t in zip((DATA.type0, DATA.type1), mu)
+    ],
+    "decompose": lambda mu: decompose(_product_character(mu)),
+    "dominant_conjugate": lambda mu: [
+        dominant_conjugate(gtype, _flipped(mu_t))
+        for gtype, mu_t in zip((DATA.type0, DATA.type1), mu)
+    ],
 }
 
 LAM_FLOAT = ((3.0, 0), (3,))
@@ -75,6 +109,15 @@ FLOAT_CALLS = [
     ("embed_signatures", "mu", lambda: embed_signatures(DATA, _orbit(MU_FLOAT))),
     ("closure_le", "lambda", lambda: closure_le(DATA, _orbit(MUS[0]), _orbit(LAM_FLOAT))),
     ("closure_le", "mu", lambda: closure_le(DATA, _orbit(MU_FLOAT), _orbit(LAM))),
+    # -MU_FLOAT: the reflection memo entry that euler_line and bryl_lhs share
+    ("euler_line", "nu", lambda: euler_line(DATA, BiWeight((-1.0, 0), (-1,)))),
+    ("bryl_lhs", "euler_line nu", lambda: euler_line(DATA, BiWeight((-1.0, 0), (-1,)))),
+    ("irreducible_character", "lambda", lambda: irreducible_character(DATA.type0, MU_FLOAT[0])),
+    ("irreducible_character", "bool", lambda: irreducible_character(DATA.type1, (True,))),
+    ("decompose", "eps", lambda: decompose(_floated(MUS[0], eps=float))),
+    ("decompose", "delta", lambda: decompose(_floated(MUS[0], delta=float))),
+    ("decompose", "multiplicity", lambda: decompose(_floated(MUS[0], mult=float))),
+    ("dominant_conjugate", "weight", lambda: dominant_conjugate(DATA.type0, _flipped(MU_FLOAT[0]))),
 ] + [
     (name, what, call)
     for name, entry in [
@@ -100,6 +143,11 @@ def _clear_memos():
     kostka_module._counter.cache_clear()
     euler._lhs_table.cache_clear()
     euler._cone_labels.cache_clear()
+    characters._irreducible_character.cache_clear()
+    characters._rho_reflection.cache_clear()
+    characters._character_sum.cache_clear()
+    characters._dual_label.cache_clear()
+    roots._dominant_conjugate.cache_clear()
 
 
 def _outcome(call):

@@ -889,3 +889,8 @@ def test_kostka_defect(lam, mu, coeffs, reason):
     data = osp_root_data(3)
     assert kostka_defect(data, N3_LABELS[lam], N3_LABELS[mu], QPoly(coeffs)) == reason
 
+
+def test_partition_counter_rejects_empty_root_set():
+    data = osp_root_data(4)
+    with pytest.raises(ValueError, match="^root set must be nonempty$"):
+        PartitionCounter([], simple_odd_roots(data))

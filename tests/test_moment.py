@@ -18,6 +18,9 @@ from conftest import (
     fraction_equivariance_holds,
     fraction_rank,
     fraction_solve,
+    identity,
+    mat_add,
+    mat_sub,
     moment_report_oracle,
     pfaffian_expansion,
     randint_special_orthogonal,
@@ -31,12 +34,9 @@ from ospkostka.moment import (
     char_poly,
     determinant,
     fft_generator,
-    identity,
-    mat_add,
     mat_inverse,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_transpose,
     moment_check,
     pfaffian,

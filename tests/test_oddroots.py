@@ -9,8 +9,10 @@ from conftest import (
     odd_positive_roots_oracle,
     simple_odd_roots_oracle,
 )
+from ospkostka.kostka import kostka
 from ospkostka.oddroots import (
     ConeSolver,
+    OspRootData,
     biweight,
     dominance_ge,
     dominance_ge_cone,
@@ -340,3 +342,14 @@ def test_interleave(first, second, expected):
 )
 def test_prefix_sums_ge(a, b, expected):
     assert prefix_sums_ge(a, b) is expected
+
+
+def test_osp_root_data_repr_and_equality_across_instances():
+    """A fresh OspRootData equals the memoised one of the same N, hashes
+    like it and so reads the same memos; another N differs."""
+    fresh, shared = OspRootData(4), osp_root_data(4)
+    assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
+    assert repr(fresh) == "OspRootData(N=4)"
+    assert fresh != OspRootData(5) and fresh != 4
+    lam, mu = ((1, 0), (1,)), ((0, 0), (0,))
+    assert kostka(fresh, lam, mu) == kostka(shared, lam, mu)

@@ -395,3 +395,8 @@ def test_stalk_checks_each_label_once(monkeypatch):
         assert stalk_poincare(D5, wrap(lam), wrap(mu)) == expected
         assert calls == [wrap(lam), wrap(mu)]
         assert len(kostka_module._kostka_memo) == 1  # stored by the column
+
+
+def test_gl_bisignature_ge_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="^bisignature length mismatch$"):
+        gl_bisignature_ge(((1,), (1, 0)), ((1, 0), (1, 0, 0)))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import is_dominant_index_loops
 
 from ospkostka.roots import (
+    _dominant_conjugate,
     WEYL_RANK_GUARD,
     EnumerationTooLargeError,
     GroupType,
@@ -243,8 +244,17 @@ def test_dominant_conjugate_matches_brute_force_orbits(gtype):
         assert [x for x in orbit if is_dominant(gtype, x)] == [lam]
         orbits.update(dict.fromkeys(orbit, lam))
     assert set(orbits) == box
-    dominant_conjugate.cache_clear()
+    _dominant_conjugate.cache_clear()
     for _ in range(2):
         assert {x: dominant_conjugate(gtype, x) for x in box} == orbits
     with pytest.raises(ValueError, match="rank mismatch"):
         dominant_conjugate(gtype, (0,) * (gtype.rank + 1))
+
+
+def test_compose_and_dominant_representative_reject_rank_mismatch():
+    two = SignedPermutation((1, 0), (1, 1))
+    three = SignedPermutation((0, 1, 2), (1, 1, 1))
+    with pytest.raises(ValueError, match="^rank mismatch in composition$"):
+        compose(two, three)
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        dominant_representative(C2, (2, 1, 0))
