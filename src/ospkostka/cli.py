@@ -7,19 +7,23 @@ way as lam_s;lam_b).  Values with a leading minus need the
 default or JSON with --format json.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error.
 
-A command is declared once, by one add_parser call in build_parser: its
-name, its cmd_* handler, its help line, and whether it takes -N, the
-polynomial cache (--cache) and the --lambda/--mu pair.  main reads and
-writes the cache only for commands declared with cache=True, and writes
-it only when the run's entries differ from those it read.
+A command is declared once, as one entry of COMMANDS: its name, its help
+line, and its options, the shared ones (--cache, -N, --lambda, --mu) among
+them; its handler is cmd_<name>.  build_parser() builds every subparser
+from these entries and build_parser(name) only that command's, under the
+same top-level parser.  main builds the one that argv[0] names, so a
+process pays for one subparser.  It imports json only for --format json
+or a cache, and a handler imports characters, euler or orbits only when
+it calls them.  main reads and writes the cache only for commands that
+take --cache, and writes it only when the run's entries differ from those
+it read.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from . import characters, euler, moment, oddroots, orbits, roots
+from . import moment, oddroots, roots
 from .kostka import (
     _kostka_column,
     kostka as kostka_poly,
@@ -71,6 +75,8 @@ def parse_biweight(text, data=None, what="weight"):
 
 
 def parse_orbit_label(text, data, what="orbit"):
+    from . import orbits
+
     if ";" not in text:
         raise UsageError(f"bad {what} {text!r}: expected 'lam_s;lam_b'")
     s_text, _, b_text = text.partition(";")
@@ -103,6 +109,8 @@ def char_json(ch):
 def cache_load(path):
     """Load the polynomial cache; unknown versions and unreadable files
     fall back to a cold run with a warning."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -122,6 +130,8 @@ def cache_load(path):
 def cache_store(path, entries):
     """Write the cache to a per-process temporary file beside it, then move
     that over the old file, so a crash mid-write leaves the old file whole."""
+    import json
+
     payload = {"version": CACHE_VERSION, "entries": dict(sorted(entries.items()))}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -233,6 +243,8 @@ def cmd_dominance(args):
 
 
 def cmd_closure(args):
+    from . import orbits
+
     data = oddroots.osp_root_data(args.N)
     lower = parse_orbit_label(args.lower, data, "lower")
     upper = parse_orbit_label(args.upper, data, "upper")
@@ -241,12 +253,16 @@ def cmd_closure(args):
 
 
 def cmd_dim(args):
+    from . import orbits
+
     data = oddroots.osp_root_data(args.N)
     label = parse_orbit_label(args.orbit, data)
     return {"dim": orbits.orbit_dim(data, label)}, lambda p: f"dim = {p['dim']}"
 
 
 def cmd_stalk(args):
+    from . import orbits
+
     data = oddroots.osp_root_data(args.N)
     lam = parse_orbit_label(args.lam, data, "lambda orbit")
     mu = parse_orbit_label(args.mu, data, "mu orbit")
@@ -260,6 +276,8 @@ def cmd_stalk(args):
 
 
 def cmd_poset(args):
+    from . import orbits
+
     data = oddroots.osp_root_data(args.N)
     boxes = [list(roots.dominant_weights(t, args.box)) for t in (data.type0, data.type1)]
     pairs = [(lam0, lam1) for lam0 in boxes[0] for lam1 in boxes[1]]
@@ -289,6 +307,8 @@ def cmd_poset(args):
 
 
 def cmd_orbit_rep(args):
+    from . import orbits
+
     data = oddroots.osp_root_data(args.N)
     label = parse_orbit_label(args.orbit, data)
     mu, nu = orbits.embed_signatures(data, label)
@@ -309,6 +329,8 @@ def cmd_orbit_rep(args):
 
 
 def cmd_stabilizer(args):
+    from . import orbits
+
     data = oddroots.osp_root_data(args.N)
     label = parse_orbit_label(args.orbit, data)
     mu, nu = orbits.embed_signatures(data, label)
@@ -333,6 +355,8 @@ def cmd_stabilizer(args):
 
 
 def cmd_char(args):
+    from . import characters
+
     gtype = roots.GroupType(args.type, args.rank)
     lam = parse_int_vector(args.lam, "lambda")
     ch = characters.irreducible_character(gtype, lam)
@@ -347,6 +371,8 @@ def cmd_char(args):
 
 
 def cmd_verify_bryl(args):
+    from . import euler
+
     data = oddroots.osp_root_data(args.N)
     mu = parse_biweight(args.mu, data, "mu")
     report = euler.verify_bryl(data, mu, args.qmax)
@@ -457,92 +483,107 @@ def int_at_least(minimum):
     return parse
 
 
-def build_parser():
-    common, cached, ranked, weights = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    cached.add_argument("--cache", help=f"polynomial cache file (default: ${CACHE_ENV})")
-    ranked.add_argument("-N", type=int, required=True)
-    weights.add_argument("--lambda", dest="lam", required=True)
-    weights.add_argument("--mu", required=True)
+def _opt(*flags, **spec):
+    """One option: its flags and the keywords of add_argument."""
+    return flags, spec
+
+
+# Options shared by several commands.  --format comes first on every
+# command; the others are listed in a command's entry below.
+FORMAT = _opt("--format", choices=("text", "json"), default="text")
+CACHE = _opt("--cache", help=f"polynomial cache file (default: ${CACHE_ENV})")
+RANK = _opt("-N", type=int, required=True)
+LAMBDA = _opt("--lambda", dest="lam", required=True)
+MU = _opt("--mu", required=True)
+
+# Each command, in --help order: its help line and its options after
+# --format, in --help order.  Its handler is cmd_<name> with "-" read as
+# "_".  main reads and writes the polynomial cache for exactly the commands
+# that take CACHE.
+COMMANDS = {
+    "roots": ("positive roots of D/C factors or the odd system", [
+        _opt("-N", type=int, default=None),
+        _opt("--odd", action="store_true"),
+        _opt("--family", choices=("D", "C"), default=None),
+        _opt("--rank", type=int, default=None),
+    ]),
+    "lpoly": ("partition polynomial of a lattice vector", [
+        RANK, _opt("--alpha", required=True)]),
+    "kostka": ("orthosymplectic Kostka polynomial", [CACHE, RANK, LAMBDA, MU]),
+    "kostka-custom": ("Kostka sum for a custom root set", [
+        _opt("--roots", required=True, help="space-separated eps;delta vectors"),
+        _opt("--simple", required=True, help="space-separated eps;delta vectors"),
+        _opt("--family0", choices=("D", "C"), default="D"),
+        _opt("--rank0", type=int, required=True),
+        _opt("--family1", choices=("D", "C"), default="C"),
+        _opt("--rank1", type=int, required=True),
+        _opt("--rho0", default=None),
+        _opt("--rho1", default=None),
+        LAMBDA, MU,
+    ]),
+    "dominance": ("dominance order with cone certificate", [RANK, LAMBDA, MU]),
+    "closure": ("orbit closure order", [
+        RANK, _opt("--lower", required=True), _opt("--upper", required=True)]),
+    "dim": ("orbit dimension", [RANK, _opt("--orbit", required=True)]),
+    "stalk": ("IC stalk Poincare table", [CACHE, RANK, LAMBDA, MU]),
+    "poset": ("closure order on a box of orbit labels", [
+        RANK,
+        _opt("--box", type=int_at_least(0), default=2),
+        _opt("--dot", action="store_true", help="emit DOT text"),
+    ]),
+    "orbit-rep": ("lattice representative of an orbit", [
+        RANK, _opt("--orbit", required=True)]),
+    "stabilizer": ("stabilizer data of an orbit", [RANK, _opt("--orbit", required=True)]),
+    "char": ("irreducible character table", [
+        _opt("--type", choices=("D", "C"), required=True),
+        _opt("--rank", type=int, required=True),
+        LAMBDA,
+    ]),
+    "verify-bryl": ("compare the two Euler series", [
+        CACHE, RANK, MU, _opt("--qmax", type=int, required=True)]),
+    "verify-positivity": ("Kostka positivity on a box", [
+        CACHE, RANK, _opt("--box", type=int_at_least(0), default=3)]),
+    "moment-check": ("moment map identity trials", [
+        RANK,
+        _opt("--trials", type=int_at_least(0), default=1000),
+        _opt("--seed", type=int, default=42),
+        _opt("--jobs", type=int_at_least(1), default=1,
+             help="worker processes for trial batches"),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or with `command` the same top-level
+    parser holding that one command's subparser alone."""
     parser = argparse.ArgumentParser(
         prog="ospkostka",
         description="Exact orthosymplectic Kostka polynomials and orbit tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, func, summary, needs_n=True, cache=False, pair=False):
-        # Parents' options print in order: --format, --cache, -N, --lambda/--mu.
-        parents = [common] + [cached] * cache + [ranked] * needs_n + [weights] * pair
-        p = sub.add_parser(name, parents=parents, help=summary)
-        p.set_defaults(func=func)
-        return p
-
-    # The cmd_* names are looked up when build_parser runs, so a handler
-    # rebound after import (benchmarks/tracer.py wraps them) is the one called.
-    p = add_parser("roots", cmd_roots, "positive roots of D/C factors or the odd system",
-                   needs_n=False)
-    p.add_argument("-N", type=int, default=None)
-    p.add_argument("--odd", action="store_true")
-    p.add_argument("--family", choices=("D", "C"), default=None)
-    p.add_argument("--rank", type=int, default=None)
-
-    p = add_parser("lpoly", cmd_lpoly, "partition polynomial of a lattice vector")
-    p.add_argument("--alpha", required=True)
-    add_parser("kostka", cmd_kostka, "orthosymplectic Kostka polynomial", cache=True, pair=True)
-
-    p = add_parser("kostka-custom", cmd_kostka_custom, "Kostka sum for a custom root set",
-                   needs_n=False)
-    p.add_argument("--roots", required=True, help="space-separated eps;delta vectors")
-    p.add_argument("--simple", required=True, help="space-separated eps;delta vectors")
-    p.add_argument("--family0", choices=("D", "C"), default="D")
-    p.add_argument("--rank0", type=int, required=True)
-    p.add_argument("--family1", choices=("D", "C"), default="C")
-    p.add_argument("--rank1", type=int, required=True)
-    p.add_argument("--rho0", default=None)
-    p.add_argument("--rho1", default=None)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-
-    add_parser("dominance", cmd_dominance, "dominance order with cone certificate", pair=True)
-    p = add_parser("closure", cmd_closure, "orbit closure order")
-    p.add_argument("--lower", required=True)
-    p.add_argument("--upper", required=True)
-    p = add_parser("dim", cmd_dim, "orbit dimension")
-    p.add_argument("--orbit", required=True)
-    add_parser("stalk", cmd_stalk, "IC stalk Poincare table", cache=True, pair=True)
-
-    p = add_parser("poset", cmd_poset, "closure order on a box of orbit labels")
-    p.add_argument("--box", type=int_at_least(0), default=2)
-    p.add_argument("--dot", action="store_true", help="emit DOT text")
-
-    p = add_parser("orbit-rep", cmd_orbit_rep, "lattice representative of an orbit")
-    p.add_argument("--orbit", required=True)
-    p = add_parser("stabilizer", cmd_stabilizer, "stabilizer data of an orbit")
-    p.add_argument("--orbit", required=True)
-
-    p = add_parser("char", cmd_char, "irreducible character table", needs_n=False)
-    p.add_argument("--type", choices=("D", "C"), required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = add_parser("verify-bryl", cmd_verify_bryl, "compare the two Euler series", cache=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--qmax", type=int, required=True)
-    p = add_parser("verify-positivity", cmd_verify_positivity, "Kostka positivity on a box",
-                   cache=True)
-    p.add_argument("--box", type=int_at_least(0), default=3)
-
-    p = add_parser("moment-check", cmd_moment_check, "moment map identity trials")
-    p.add_argument("--trials", type=int_at_least(0), default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int_at_least(1), default=1,
-                   help="worker processes for trial batches")
+    # The one-command parser names every command in its usage, so an error
+    # it reports at the top level (an unrecognized argument) reads as the
+    # full parser's; the full parser derives the same text from its choices.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        summary, options = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flags, spec in (FORMAT, *options):
+            p.add_argument(*flags, **spec)
+        # Looked up when build_parser runs, so a handler rebound after
+        # import (benchmarks/tracer.py wraps them) is the one called.
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    # Only commands declared with cache=True have args.cache.
+    argv = sys.argv[1:] if argv is None else argv
+    # Every valid command line starts with the command's name, so only that
+    # subparser is built; anything else (no argv, -h, an unknown name) gets
+    # the full parser and its help and errors.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
+    # Only the commands that take CACHE have args.cache.
     cache_path = (args.cache or os.environ.get(CACHE_ENV)) if hasattr(args, "cache") else None
     if cache_path:
         loaded = cache_load(cache_path)
@@ -556,6 +597,8 @@ def main(argv=None):
         return 2
     # poset --dot prints DOT whatever --format says.
     if args.format == "json" and not getattr(args, "dot", False):
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(render(payload))

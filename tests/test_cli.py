@@ -521,28 +521,46 @@ def test_kostka_custom_checks_ranks(rank0, extra, message, capsys):
     assert captured.out == ""
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    """Importing the CLI pulls in neither module: together they were about
-    two thirds of its import cost.  Nor does it load fractions or decimal,
-    which only mat_inverse and pfaffian's rational branch import."""
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import ospkostka.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+def new_modules(code):
+    """The modules a fresh interpreter loads while running `code`."""
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\n" + (
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
     )
     package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    new = proc.stdout.split()
+    return proc.stderr.split()
+
+
+LAZY_LAYERS = ("ospkostka.characters", "ospkostka.euler", "ospkostka.orbits")
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Importing the CLI pulls in neither module: together they were about
+    two thirds of its import cost.  Nor does it load fractions or decimal,
+    which only mat_inverse and pfaffian's rational branch import, json,
+    which only --format json and the cache read, or the layers that only
+    some commands call."""
+    new = new_modules("import ospkostka.cli")
     assert "ospkostka.cli" in new
-    assert "dataclasses" not in new
-    assert "inspect" not in new
-    assert "fractions" not in new
-    assert "decimal" not in new
+    for name in ("dataclasses", "inspect", "fractions", "decimal", "json", *LAZY_LAYERS):
+        assert name not in new, name
+
+
+def test_cli_command_loads_only_its_layers():
+    """roots in text form loads no lazy layer and no json; char loads
+    characters and not euler, which imports it."""
+    call = "from ospkostka.cli import main\nmain({!r})"
+    new = new_modules(call.format(["roots", "-N", "4", "--odd"]))
+    for name in ("json", *LAZY_LAYERS):
+        assert name not in new, name
+    new = new_modules(call.format(["char", "--type", "C", "--rank", "2", "--lambda", "3,1"]))
+    assert "ospkostka.characters" in new
+    assert "ospkostka.euler" not in new
+    assert "json" not in new
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -803,6 +821,104 @@ def test_option_table():
         options = [s for a in actions for s in a.option_strings]
         required = [s for a in actions if a.required for s in a.option_strings]
         assert (" ".join(options), " ".join(required)) == OPTION_TABLE[name], name
+
+
+# Valid command lines run elsewhere in this file, at least one per command.
+VALID_ARGVS = [
+    *(argv for argv, _ in TEXT_OUTPUTS),
+    *([*argv, "--format", "json"] for argv, _ in EVEN_N_ORBIT_JSON),
+    ["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0", "--format", "json"],
+    ["kostka", "-N", "3", "--lambda=-1;1", "--mu", "0;0", "--cache", "c.json"],
+    ["stalk", "-N", "4", "--lambda", "1;1,0", "--mu", "0;0,0", "--cache", "c.json"],
+    ["verify-positivity", "-N", "4", "--box", "1", "--format", "json", "--cache", "c.json"],
+    ["verify-bryl", "-N", "3", "--mu", "1;1", "--qmax", "3", "--format", "json"],
+    ["dominance", "-N", "3", "--lambda", "1;0", "--mu", "0;0", "--format", "json"],
+    ["roots", "--family", "C", "--rank", "2", "--format", "json"],
+    ["roots", "-N", "5", "--family", "C", "--rank", "2"],
+    ["poset", "-N", "3", "--box", "1", "--dot"],
+    ["moment-check", "-N", "3", "--trials", "8", "--seed", "5", "--jobs", "3"],
+    ["kostka-custom", "--roots", "1;0", "--simple=-1;0", "--rank0", "1", "--rank1", "1",
+     "--rho0", "1", "--family1", "D", "--lambda", "0;0", "--mu", "0;0"],
+]
+
+# Command lines the parser rejects, as checked elsewhere in this file, and
+# a missing option and a bad choice.
+PARSER_ERRORS = [
+    ["roots", "--family", "C", "--rank", "2", "--jobs", "2"],
+    ["dominance", "-N", "3", "--lambda", "1;1", "--mu", "0;0", "--cache", "c.json"],
+    ["moment-check", "-N", "3", "--trials", "2", "--jobs=0"],
+    ["moment-check", "-N", "3", "--trials=-3"],
+    ["verify-positivity", "-N", "3", "--box=-1"],
+    ["poset", "-N", "3", "--box=-1"],
+    ["kostka", "-N", "3", "--lambda", "1;1"],
+    ["char", "--type", "B", "--rank", "2", "--lambda", "1,0"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """The namespace, or the exit code and stderr of a rejected argv."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def test_valid_and_rejected_argvs_cover_every_command():
+    assert {argv[0] for argv in VALID_ARGVS} == set(cli_module.COMMANDS)
+    assert {argv[0] for argv in PARSER_ERRORS} <= set(cli_module.COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(OPTION_TABLE))
+def test_one_command_parser_matches_the_full_parser(name, capsys):
+    """build_parser(name) holds the full parser's subparser for `name`: the
+    same help, the same namespace for every valid argv, and the same exit
+    code and messages for every argv the parser rejects."""
+
+    def subparser(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    one = build_parser(name)
+    assert list(subparser(one)) == [name]
+    assert subparser(one)[name].format_help() == subparser(build_parser())[name].format_help()
+    argvs = [argv for argv in VALID_ARGVS + PARSER_ERRORS if argv[0] == name]
+    argvs.append([name, "--help"])
+    for argv in argvs:
+        full = parse_outcome(build_parser(), argv, capsys)
+        assert parse_outcome(build_parser(name), argv, capsys) == full, argv
+
+
+@pytest.mark.parametrize("argv, command", [
+    ([], None),
+    (["no-such-command"], None),
+    (["--help"], None),
+    (["-h", "kostka"], None),
+    (["--format", "json", "kostka"], None),
+    (["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0"], "kostka"),
+    (["roots", "--help"], "roots"),
+], ids=["empty", "unknown", "help", "help-first", "option-first", "kostka", "roots-help"])
+def test_main_builds_the_parser_argv_names(argv, command, monkeypatch, capsys):
+    """main builds the one-command parser only when argv starts with a
+    command name; any other argv gets the full parser, whose usage, help
+    and invalid-choice message it prints."""
+    built, real_build = [], cli_module.build_parser
+
+    def recording_build(command=None):
+        built.append(command)
+        return real_build(command)
+
+    monkeypatch.setattr(cli_module, "build_parser", recording_build)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert built == [command]
+    captured = capsys.readouterr()
+    if argv == ["--help"]:
+        assert all(summary in captured.out for summary, _ in cli_module.COMMANDS.values())
+    if argv == ["no-such-command"]:
+        assert "argument command: invalid choice: 'no-such-command'" in captured.err
 
 
 def naive_covers(data, labels):
