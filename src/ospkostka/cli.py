@@ -11,17 +11,22 @@ A command is declared once, as one entry of COMMANDS: its name, its help
 line, and its options, the shared ones (--cache, -N, --lambda, --mu) among
 them; its handler is cmd_<name>.  build_parser() builds every subparser
 from these entries and build_parser(name) only that command's, under the
-same top-level parser.  main builds the one that argv[0] names, so a
-process pays for one subparser.  It imports json only for --format json
-or a cache, and a handler imports characters, euler or orbits only when
-it calls them.  main reads and writes the cache only for commands that
-take --cache, and writes it only when the run's entries differ from those
-it read.
+same top-level parser.  main first reads a plain command line (the
+command's exact option strings, values after "--opt=" or not starting
+with "-") from its COMMANDS entry into the namespace argparse would give,
+without importing argparse; any other line (help, "--", abbreviations,
+negative numbers as separate values, every error) goes to the parser
+that argv[0] names, which alone prints help, usage and errors.  main imports json
+only for --format json or a cache, and a handler imports characters,
+euler or orbits only when it calls them.  main reads and writes the cache
+only for commands that take --cache, checks only the entries of the
+command's rank -N, and writes it only when the run's entries differ from
+those it read.
 """
 
-import argparse
 import os
 import sys
+import types
 
 from . import moment, oddroots, roots
 from .kostka import (
@@ -476,6 +481,8 @@ def int_at_least(minimum):
     def parse(text):
         value = int(text)
         if value < minimum:
+            import argparse
+
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
         return value
 
@@ -556,6 +563,8 @@ COMMANDS = {
 def build_parser(command=None):
     """The parser of every command, or with `command` the same top-level
     parser holding that one command's subparser alone."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ospkostka",
         description="Exact orthosymplectic Kostka polynomials and orbit tables.",
@@ -570,24 +579,100 @@ def build_parser(command=None):
         p = sub.add_parser(name, help=summary)
         for flags, spec in (FORMAT, *options):
             p.add_argument(*flags, **spec)
-        # Looked up when build_parser runs, so a handler rebound after
-        # import (benchmarks/tracer.py wraps them) is the one called.
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        p.set_defaults(func=_handler(name))
     return parser
+
+
+def _handler(name):
+    # Looked up at parse time, so a handler rebound after import
+    # (benchmarks/tracer.py wraps them) is the one called.
+    return globals()["cmd_" + name.replace("-", "_")]
+
+
+def _dest(flags, spec):
+    """argparse's dest of an option: its dest keyword, or else its first
+    long flag (its first flag if it has none) without the dashes."""
+    long_flags = [f for f in flags if f.startswith("--")]
+    return spec.get("dest") or (long_flags or flags)[0].lstrip("-").replace("-", "_")
+
+
+def read_argv(argv):
+    """The namespace build_parser(argv[0]).parse_args(argv) gives, read
+    from argv[0]'s COMMANDS entry, for a command line of the plain forms
+    alone: the command's exact option strings, each value either after
+    "--opt=" or as the next token when that does not start with "-" (or
+    is a list such as "-1;1 1;1"), and store_true flags without "=".
+    None for any other line, and for a bad type or choice or a missing
+    required option, which main leaves to argparse."""
+    name, tokens = argv[0], iter(argv[1:])
+    options = [(flags, spec, _dest(flags, spec)) for flags, spec in (FORMAT, *COMMANDS[name][1])]
+    by_flag = {flag: (spec, dest) for flags, spec, dest in options for flag in flags}
+    values = {}
+    for token in tokens:
+        flag, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if flag not in by_flag:
+            return None
+        spec, dest = by_flag[flag]
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            # argparse reads a token starting with "-" as a value only when
+            # it is a negative number, or holds a space and starts with no
+            # option string; the latter is taken here if it starts with one
+            # dash and its first two characters are neither -h nor a flag.
+            if value is None or value.startswith("-") and not (
+                    " " in value and value[1] != "-" and value[:2] not in (*by_flag, "-h")):
+                return None
+        elif value == "--":  # argparse drops it from --opt=-- and stores []
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except Exception:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    for _, spec, dest in options:
+        if dest not in values:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    return types.SimpleNamespace(command=name, func=_handler(name), **values)
+
+
+def _key_rank(key):
+    """The rank N a cache key starts with, parsed as kostka_memo_import
+    parses it, or None."""
+    try:
+        return int(key.partition("|")[0])
+    except ValueError:
+        return None
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # Every valid command line starts with the command's name, so only that
-    # subparser is built; anything else (no argv, -h, an unknown name) gets
-    # the full parser and its help and errors.
+    # A plain command line is read without argparse.  Any other line that
+    # starts with a command's name gets that command's subparser alone;
+    # anything else (no argv, -h, an unknown name) gets the full parser and
+    # its help and errors.
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
-    # Only the commands that take CACHE have args.cache.
+    args = read_argv(argv) if command else None
+    if args is None:
+        args = build_parser(command).parse_args(argv)
+    # Only the commands that take CACHE have args.cache, and each takes -N.
     cache_path = (args.cache or os.environ.get(CACHE_ENV)) if hasattr(args, "cache") else None
     if cache_path:
         loaded = cache_load(cache_path)
-        kostka_memo_import(loaded)
+        # The command reads only its own rank's entries: the others are
+        # neither checked nor memoised, and are stored back as they were.
+        other_rank = {key: coeffs for key, coeffs in loaded.items()
+                      if _key_rank(key) not in (None, args.N)}
+        kostka_memo_import({key: coeffs for key, coeffs in loaded.items()
+                            if key not in other_rank})
     try:
         payload, render = args.func(args)
     except ValueError as exc:
@@ -605,7 +690,7 @@ def main(argv=None):
     if cache_path:
         # A run that only read entries from the file leaves it untouched;
         # one that skipped a malformed or impossible entry rewrites it.
-        entries = kostka_memo_export()
+        entries = {**other_rank, **kostka_memo_export()}
         if entries != loaded:
             try:
                 cache_store(cache_path, entries)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ospkostka
 from ospkostka import oddroots, orbits, roots
@@ -17,6 +20,7 @@ from ospkostka.cli import (
     cache_store,
     main,
     parse_biweight,
+    read_argv,
     UsageError,
 )
 
@@ -521,46 +525,78 @@ def test_kostka_custom_checks_ranks(rank0, extra, message, capsys):
     assert captured.out == ""
 
 
-def new_modules(code):
-    """The modules a fresh interpreter loads while running `code`."""
-    script = f"import sys\nbefore = set(sys.modules)\n{code}\n" + (
-        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+def fresh_run(code):
+    """Run `code` in a fresh interpreter: its exit code, stdout and stderr,
+    and the modules it loaded, listed on stderr's last line at exit."""
+    script = "import atexit, sys\nbefore = set(sys.modules)\natexit.register(lambda: print(" + (
+        f"' '.join(sorted(set(sys.modules) - before)), file=sys.stderr))\n{code}\n"
     )
     package_root = os.path.dirname(os.path.dirname(ospkostka.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stderr.split()
+    err, _, modules = proc.stderr[:-1].rpartition("\n")
+    return proc.returncode, proc.stdout, err + "\n" if err else "", modules.split()
+
+
+def new_modules(code):
+    """The modules a fresh interpreter loads while running `code`."""
+    exit_code, _, err, modules = fresh_run(code)
+    assert exit_code == 0, err
+    return modules
 
 
 LAZY_LAYERS = ("ospkostka.characters", "ospkostka.euler", "ospkostka.orbits")
+# argparse, and gettext and locale, which it loads for its messages.
+PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
     """Importing the CLI pulls in neither module: together they were about
     two thirds of its import cost.  Nor does it load fractions or decimal,
     which only mat_inverse and pfaffian's rational branch import, json,
-    which only --format json and the cache read, or the layers that only
-    some commands call."""
+    which only --format json and the cache read, the layers that only
+    some commands call, or argparse, which only help and errors need."""
     new = new_modules("import ospkostka.cli")
     assert "ospkostka.cli" in new
-    for name in ("dataclasses", "inspect", "fractions", "decimal", "json", *LAZY_LAYERS):
+    for name in ("dataclasses", "inspect", "fractions", "decimal", "json", *LAZY_LAYERS,
+                 *PARSER_MODULES):
         assert name not in new, name
 
 
-def test_cli_command_loads_only_its_layers():
+def test_cli_command_loads_only_its_layers(tmp_path):
     """roots in text form loads no lazy layer and no json; char loads
-    characters and not euler, which imports it."""
+    characters and not euler, which imports it.  Neither, nor a cached
+    kostka run, loads argparse: read_argv reads their command lines."""
     call = "from ospkostka.cli import main\nmain({!r})"
     new = new_modules(call.format(["roots", "-N", "4", "--odd"]))
-    for name in ("json", *LAZY_LAYERS):
+    for name in ("json", *LAZY_LAYERS, *PARSER_MODULES):
         assert name not in new, name
     new = new_modules(call.format(["char", "--type", "C", "--rank", "2", "--lambda", "3,1"]))
     assert "ospkostka.characters" in new
     assert "ospkostka.euler" not in new
     assert "json" not in new
+    kostka_argv = ["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0",
+                   "--cache", str(tmp_path / "cache.json")]
+    for _ in ("cold", "warm"):
+        new = new_modules(call.format(kostka_argv))
+        assert "json" in new
+        for name in PARSER_MODULES:
+            assert name not in new, name
+    assert cache_load(tmp_path / "cache.json") == {"3|K|1|1|0|0": [0, 1]}
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["kostka", "--help"], 0, "out", "usage: ospkostka kostka [-h] [--format {text,json}]"),
+    (["kostka", "-N", "3", "--lambda", "1;1"], 2, "err",
+     "ospkostka kostka: error: the following arguments are required: --mu\n"),
+], ids=["help", "parse-error"])
+def test_help_and_parse_errors_still_load_argparse(argv, code, stream, text):
+    exit_code, out, err, new = fresh_run(f"from ospkostka.cli import main\nmain({argv!r})")
+    assert exit_code == code
+    assert text in {"out": out, "err": err}[stream]
+    assert "argparse" in new
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -788,6 +824,53 @@ def test_warm_run_leaves_the_cache_file_alone(argv, tmp_path, monkeypatch, capsy
     assert stats[0] == stats[1]
 
 
+KOSTKA_3 = ["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0"]
+RANK_3 = {"3|K|1|1|0|0": [0, 1]}
+RANK_4 = {"4|K|1,0|1|0,0|0": [0, 1, 0, 1]}
+IMPOSSIBLE_RANK_4 = {"4|K|1,1|2|0,0|0": [7, 7, 7]}  # a nonzero constant term off the diagonal
+
+
+def test_warm_run_checks_only_its_rank(tmp_path, monkeypatch, capsys):
+    """A warm kostka -N 3 on a file that also holds rank-4 entries, one of
+    them impossible, builds no rank-4 root data, memoises no rank-4 key
+    and leaves the file alone: bytes, inode and modification time."""
+    path = tmp_path / "cache.json"
+    cache_store(path, {**RANK_3, **RANK_4, **IMPOSSIBLE_RANK_4})
+    st = path.stat()
+    before = (path.read_bytes(), st.st_ino, st.st_mtime_ns)
+    built, real_root_data = [], kostka_module.osp_root_data
+
+    def recording_root_data(N):
+        built.append(N)
+        return real_root_data(N)
+
+    monkeypatch.setattr(kostka_module, "osp_root_data", recording_root_data)
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    assert main([*KOSTKA_3, "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == "q\n"
+    assert set(built) == {3}
+    assert {key[0] for key in kostka_module._kostka_memo} == {3}
+    st = path.stat()
+    assert (path.read_bytes(), st.st_ino, st.st_mtime_ns) == before
+
+
+def test_cold_run_carries_other_ranks(tmp_path, monkeypatch):
+    """A cold rank-3 run stores its entry beside the rank-4 ones, the
+    impossible one too, as they were, and drops a key that names no rank;
+    a rank-4 run drops the impossible entry."""
+    path = tmp_path / "cache.json"
+    cache_store(path, {**RANK_4, **IMPOSSIBLE_RANK_4, "x|K|1|1|0|0": [0, 1]})
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    assert main([*KOSTKA_3, "--cache", str(path)]) == 0
+    assert path.read_text() == json.dumps(
+        {"entries": {**RANK_3, **RANK_4, **IMPOSSIBLE_RANK_4}, "version": "ospkostka-cache-1"},
+        sort_keys=True)
+    monkeypatch.setattr(kostka_module, "_kostka_memo", {})
+    assert main(["kostka", "-N", "4", "--lambda", "1,0;1", "--mu", "0,0;0",
+                 "--cache", str(path)]) == 0
+    assert cache_load(path) == {**RANK_3, **RANK_4}
+
+
 # Every subcommand's options in --help order (help aside), and the required ones.
 OPTION_TABLE = {
     "roots": ("--format -N --odd --family --rank", ""),
@@ -889,19 +972,22 @@ def test_one_command_parser_matches_the_full_parser(name, capsys):
         assert parse_outcome(build_parser(name), argv, capsys) == full, argv
 
 
-@pytest.mark.parametrize("argv, command", [
-    ([], None),
-    (["no-such-command"], None),
-    (["--help"], None),
-    (["-h", "kostka"], None),
-    (["--format", "json", "kostka"], None),
-    (["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0"], "kostka"),
-    (["roots", "--help"], "roots"),
-], ids=["empty", "unknown", "help", "help-first", "option-first", "kostka", "roots-help"])
-def test_main_builds_the_parser_argv_names(argv, command, monkeypatch, capsys):
-    """main builds the one-command parser only when argv starts with a
-    command name; any other argv gets the full parser, whose usage, help
-    and invalid-choice message it prints."""
+@pytest.mark.parametrize("argv, built_expected", [
+    ([], [None]),
+    (["no-such-command"], [None]),
+    (["--help"], [None]),
+    (["-h", "kostka"], [None]),
+    (["--format", "json", "kostka"], [None]),
+    (["kostka", "-N", "3", "--lambda", "1;1", "--mu", "0;0"], []),
+    (["kostka", "-N", "3", "--lam", "1;1", "--mu", "0;0"], ["kostka"]),
+    (["roots", "--help"], ["roots"]),
+], ids=["empty", "unknown", "help", "help-first", "option-first", "kostka",
+        "kostka-abbreviated", "roots-help"])
+def test_main_builds_the_parser_argv_names(argv, built_expected, monkeypatch, capsys):
+    """main builds no parser for a command line that read_argv takes, and
+    the one-command parser for any other argv that starts with a command
+    name; any other argv gets the full parser, whose usage, help and
+    invalid-choice message it prints."""
     built, real_build = [], cli_module.build_parser
 
     def recording_build(command=None):
@@ -913,12 +999,102 @@ def test_main_builds_the_parser_argv_names(argv, command, monkeypatch, capsys):
         main(argv)
     except SystemExit:
         pass
-    assert built == [command]
+    assert built == built_expected
     captured = capsys.readouterr()
     if argv == ["--help"]:
         assert all(summary in captured.out for summary, _ in cli_module.COMMANDS.values())
     if argv == ["no-such-command"]:
         assert "argument command: invalid choice: 'no-such-command'" in captured.err
+
+
+def parser_namespace(argv):
+    """vars() of the one-command parser's namespace, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv[0]).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_read_as_argparse(argv):
+    """read_argv declines argv or gives the namespace argparse gives, with
+    the same handler; returns whether it took argv."""
+    read = read_argv(argv)
+    if read is None:
+        return False
+    expected = parser_namespace(argv)
+    assert expected is not None, argv
+    assert vars(read) == expected, argv
+    assert read.func is expected["func"], argv
+    return True
+
+
+def test_read_argv_takes_every_valid_argv():
+    for argv in VALID_ARGVS:
+        assert assert_read_as_argparse(argv), argv
+    for argv in PARSER_ERRORS:
+        assert read_argv(argv) is None, argv
+
+
+# Each edge form, and whether read_argv takes it; what it does not take
+# goes to argparse.
+READER_EDGE_FORMS = [
+    (["kostka", "-N=3", "--lambda", "1;1", "--mu", "0;0"], False),
+    (["kostka", "-N", "3", "--lam", "1;1", "--mu", "0;0"], False),
+    (["kostka", "-N4", "--lambda", "1,0;1", "--mu", "0,0;0"], False),
+    ([*KOSTKA_3, "--mu", "1;1"], True),
+    (["poset", "-N", "3", "--dot", "--dot"], True),
+    (["poset", "-N", "3", "--dot=1"], False),
+    (["kostka", "-N", "-3", "--lambda", "1;1", "--mu", "0;0"], False),
+    (["kostka", "-N", "3", "--lambda", "-1;1", "--mu", "0;0"], False),
+    (["kostka", "-N", "3", "--lambda", "1;1", "--mu="], True),
+    ([*KOSTKA_3, "--cache=--"], False),
+    (["poset", "-N", "3", "--box", "1_0"], True),
+    (["kostka", "--", *KOSTKA_3[1:]], False),
+    (["kostka", "-N", "3", "-h", *KOSTKA_3[3:]], False),
+    ([*KOSTKA_3, "--no-such-option", "1"], False),
+    ([*KOSTKA_3, "--cache"], False),
+    ([*KOSTKA_3, "1;1"], False),
+    (["roots", "--family=C", "--rank", " 2 "], True),
+    (["kostka-custom", "--roots", "-1;1 1;1", "--simple", "-1;1 1;1", "--rank0", "1",
+      "--rank1", "1", *KOSTKA_3[3:]], True),
+    (["kostka-custom", "--roots", "-h 1", "--simple", "1;1", "--rank0", "1",
+      "--rank1", "1", *KOSTKA_3[3:]], False),
+    (["kostka-custom", "--roots", "--mu 1", "--simple", "1;1", "--rank0", "1",
+      "--rank1", "1", *KOSTKA_3[3:]], False),
+]
+
+
+@pytest.mark.parametrize("argv, taken", READER_EDGE_FORMS,
+                         ids=[" ".join(argv[1:]) for argv, _ in READER_EDGE_FORMS])
+def test_read_argv_edge_forms(argv, taken):
+    assert assert_read_as_argparse(argv) == taken
+
+
+READER_TOKENS = sorted(
+    {flag for _, options in cli_module.COMMANDS.values() for flags, _ in options for flag in flags}
+    | {"--format", "--lam", "--", "-h", "--help", "-N3", "-N=3", "3", "-3", "0", "1_0",
+       " 4", "1;1", "0;0", "-1;1", "", "x", "json", "text", "C", "D", "B",
+       "-1;1 1;1", "1;1 -1;1", "-N 3", "-h 1", "--mu 0;0", "- 1", "-1 1", "-x=1 1"}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_argv_matches_argparse(data):
+    """A valid command line with tokens inserted at random places, or a
+    command name followed by random tokens: read_argv declines it or
+    agrees with argparse."""
+    token = st.one_of(
+        st.sampled_from(READER_TOKENS),
+        st.builds("{}={}".format, st.sampled_from(READER_TOKENS), st.sampled_from(READER_TOKENS)),
+    )
+    base = data.draw(st.one_of(st.sampled_from(VALID_ARGVS),
+                               st.sampled_from(list(cli_module.COMMANDS)).map(lambda n: [n])))
+    argv = list(base)
+    for extra in data.draw(st.lists(token, max_size=4)):
+        argv.insert(data.draw(st.integers(1, len(argv))), extra)
+    assert_read_as_argparse(argv)
 
 
 def naive_covers(data, labels):
