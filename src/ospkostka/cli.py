@@ -10,17 +10,17 @@ default or JSON with --format json.  Exit codes: 0 success,
 A command is declared once, as one entry of COMMANDS: its name, its help
 line, and its options, the shared ones (--cache, -N, --lambda, --mu) among
 them; its handler is cmd_<name>.  build_parser() builds every subparser
-from these entries and build_parser(name) only that command's, under the
-same top-level parser.  main first reads a plain command line (the
+from these entries.  main first reads a plain command line (the
 command's exact option strings, values after "--opt=" or not starting
 with "-") from its COMMANDS entry into the namespace argparse would give,
 without importing argparse; any other line (help, "--", abbreviations,
-negative numbers as separate values, every error) goes to the parser
-that argv[0] names, which alone prints help, usage and errors.  main imports json
-only for --format json or a cache, and a handler imports characters,
-euler or orbits only when it calls them.  main reads and writes the cache
-only for commands that take --cache, checks only the entries of the
-command's rank -N, and writes it only when the run's entries differ from
+negative numbers as separate values, every error) goes to the parser,
+which alone prints help, usage and errors.  main imports json only for
+--format json or a cache, and a handler imports characters, euler or
+orbits only when it calls them.  main reads and writes the cache only
+for commands that take --cache; kostka_memo_import checks only the
+entries of the command's rank -N and drops those of ranks no run can
+reach.  main writes the cache only when the run's entries differ from
 those it read.
 """
 
@@ -560,22 +560,16 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser of every command, or with `command` the same top-level
-    parser holding that one command's subparser alone."""
+def build_parser():
+    """The parser of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="ospkostka",
         description="Exact orthosymplectic Kostka polynomials and orbit tables.",
     )
-    # The one-command parser names every command in its usage, so an error
-    # it reports at the top level (an unrecognized argument) reads as the
-    # full parser's; the full parser derives the same text from its choices.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        summary, options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flags, spec in (FORMAT, *options):
             p.add_argument(*flags, **spec)
@@ -597,7 +591,7 @@ def _dest(flags, spec):
 
 
 def read_argv(argv):
-    """The namespace build_parser(argv[0]).parse_args(argv) gives, read
+    """The namespace build_parser().parse_args(argv) gives, read
     from argv[0]'s COMMANDS entry, for a command line of the plain forms
     alone: the command's exact option strings, each value either after
     "--opt=" or as the next token when that does not start with "-" (or
@@ -644,35 +638,20 @@ def read_argv(argv):
     return types.SimpleNamespace(command=name, func=_handler(name), **values)
 
 
-def _key_rank(key):
-    """The rank N a cache key starts with, parsed as kostka_memo_import
-    parses it, or None."""
-    try:
-        return int(key.partition("|")[0])
-    except ValueError:
-        return None
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # A plain command line is read without argparse.  Any other line that
-    # starts with a command's name gets that command's subparser alone;
-    # anything else (no argv, -h, an unknown name) gets the full parser and
-    # its help and errors.
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = read_argv(argv) if command else None
+    # A plain command line is read without argparse; any other line gets
+    # the parser and its help and errors.
+    args = read_argv(argv) if argv and argv[0] in COMMANDS else None
     if args is None:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     # Only the commands that take CACHE have args.cache, and each takes -N.
     cache_path = (args.cache or os.environ.get(CACHE_ENV)) if hasattr(args, "cache") else None
     if cache_path:
         loaded = cache_load(cache_path)
-        # The command reads only its own rank's entries: the others are
-        # neither checked nor memoised, and are stored back as they were.
-        other_rank = {key: coeffs for key, coeffs in loaded.items()
-                      if _key_rank(key) not in (None, args.N)}
-        kostka_memo_import({key: coeffs for key, coeffs in loaded.items()
-                            if key not in other_rank})
+        # The other ranks' entries are neither checked nor memoised, and
+        # are stored back as they were.
+        other_rank = kostka_memo_import(loaded, args.N)
     try:
         payload, render = args.func(args)
     except ValueError as exc:
@@ -689,7 +668,7 @@ def main(argv=None):
         print(render(payload))
     if cache_path:
         # A run that only read entries from the file leaves it untouched;
-        # one that skipped a malformed or impossible entry rewrites it.
+        # one that dropped an entry rewrites it.
         entries = {**other_rank, **kostka_memo_export()}
         if entries != loaded:
             try:

@@ -494,23 +494,32 @@ def kostka_memo_export():
     }
 
 
-def kostka_memo_import(entries):
-    """Load entries in the kostka_memo_export format into the memo,
-    skipping any that is malformed or cannot be a Kostka polynomial."""
+def kostka_memo_import(entries, N):
+    """Load the rank-N entries in the kostka_memo_export format into the
+    memo, skipping any that is malformed or cannot be a Kostka polynomial,
+    and return the entries of every other rank kostka can reach, unchecked.
+    A key whose rank does not parse, or is below 3 or past the rank guard,
+    is dropped before any root data is built."""
+    other = {}
     for key, coeffs in entries.items():
+        try:
+            rank = int(key.partition("|")[0])
+        except ValueError:
+            continue
+        if rank < 3 or rank // 2 > KOSTKA_RANK_GUARD:
+            continue
+        if rank != N:
+            other[key] = coeffs
+            continue
         parts = key.split("|")
         if len(parts) != 6 or parts[1] != "K":
             continue
         if not isinstance(coeffs, list) or not _all_ints(coeffs):
             continue
         try:
-            N = int(parts[0])
             lam0, lam1, mu0, mu1 = (
                 tuple(int(x) for x in p.split(",")) if p else () for p in parts[2:]
             )
-            # before any root data is built, so a corrupt N costs nothing
-            if N < 3 or N // 2 > KOSTKA_RANK_GUARD:
-                continue
             data = osp_root_data(N)
             # raise unless both pairs are dominant with the ranks of N
             _check_dominant_pair(data, (lam0, lam1), "lambda")
@@ -521,3 +530,4 @@ def kostka_memo_import(entries):
         if kostka_defect(data, (lam0, lam1), (mu0, mu1), poly):
             continue
         _kostka_memo[(N, lam0, lam1, mu0, mu1)] = poly
+    return other

@@ -140,7 +140,7 @@ def test_warm_verify_bryl_runs_no_weyl_sum(monkeypatch, warmed_by):
     if warmed_by == "cache import":
         exported = kostka_memo_export()
         monkeypatch.setattr(kostka_module, "_kostka_memo", {})
-        kostka_memo_import(exported)
+        kostka_memo_import(exported, data.N)
 
     def refuse(*args):
         raise AssertionError("the Weyl sum ran on a warm memo")

@@ -716,7 +716,7 @@ def test_memo_export_import_round_trip(empty_memo):
     assert len(exported) == len(polys)
     assert exported["4|K|1,0|1|0,0|0"] == list(polys[(((1, 0), (1,)), ((0, 0), (0,)))].coeffs)
     empty_memo.clear()
-    kostka_memo_import(exported)
+    assert kostka_memo_import(exported, 4) == {}
     assert kostka_memo_export() == exported
     assert {(lam, mu): kostka(data, lam, mu) for lam in labels for mu in labels} == polys
 
@@ -736,7 +736,7 @@ def test_memo_export_import_round_trip(empty_memo):
     ],
 )
 def test_memo_import_skips_malformed_entries(empty_memo, key, coeffs):
-    kostka_memo_import({key: coeffs})
+    assert kostka_memo_import({key: coeffs}, 3) == {}
     assert empty_memo == {}
 
 
@@ -760,12 +760,12 @@ def test_memo_import_skips_malformed_entries(empty_memo, key, coeffs):
     ],
 )
 def test_memo_import_drops_impossible_entries(empty_memo, key, coeffs):
-    kostka_memo_import({key: coeffs})
+    assert kostka_memo_import({key: coeffs}, int(key.partition("|")[0])) == {}
     assert empty_memo == {}
 
 
 def test_memo_import_keeps_possible_entries(empty_memo):
-    kostka_memo_import({"3|K|1|1|0|0": [0, 1], "3|K|1|0|0|0": [], "3|K|1|1|1|1": [1]})
+    kostka_memo_import({"3|K|1|1|0|0": [0, 1], "3|K|1|0|0|0": [], "3|K|1|1|1|1": [1]}, 3)
     assert empty_memo == {
         (3, (1,), (1,), (0,), (0,)): QPoly((0, 1)),
         (3, (1,), (0,), (0,), (0,)): QPoly(()),
@@ -834,7 +834,7 @@ def test_warm_memo_keeps_the_input_checks(empty_memo):
     d4 = osp_root_data(4)
     lam, mu = ((1, 0), (1,)), ((0, 0), (0,))
     first = kostka(d4, lam, mu)
-    kostka_memo_import({"3|K|1|1|0|0": [0, 1], "10|K|0,0,0,0,0|0,0,0,0|0,0,0,0,0|0,0,0,0": [1]})
+    kostka_memo_import({"3|K|1|1|0|0": [0, 1], "10|K|0,0,0,0,0|0,0,0,0|0,0,0,0,0|0,0,0,0": [1]}, 3)
     assert set(empty_memo) == {(4, (1, 0), (1,), (0, 0), (0,)), (3, (1,), (1,), (0,), (0,))}
     assert empty_memo[(4, (1, 0), (1,), (0, 0), (0,))] is first
     assert kostka(d4, lam, mu) is first
@@ -858,8 +858,42 @@ def test_memo_import_checks_n_before_building_root_data(empty_memo, monkeypatch)
     built = []
     monkeypatch.setattr(kostka_module, "osp_root_data", lambda N: built.append(N))
     n_guard = 2 * KOSTKA_RANK_GUARD + 2
-    kostka_memo_import({f"{n_guard}|K|0|0|0|0": [1], f"{10**9}|K|0|0|0|0": [1]})
+    entries = {f"{n_guard}|K|0|0|0|0": [1], f"{10**9}|K|0|0|0|0": [1]}
+    assert kostka_memo_import(entries, n_guard) == {}
     assert built == [] and empty_memo == {}
+
+
+def test_memo_import_loads_its_rank_and_returns_the_others(empty_memo, monkeypatch):
+    """kostka_memo_import(entries, 3) checks and loads the rank-3 entries
+    alone, building root data for rank 3 only.  It returns the entries of
+    the other ranks a run can reach, 4 to 2 * KOSTKA_RANK_GUARD + 1, as
+    they are, malformed ones too, and drops every key whose rank does not
+    parse or is out of reach."""
+    built, real_root_data = [], kostka_module.osp_root_data
+
+    def recording_root_data(N):
+        built.append(N)
+        return real_root_data(N)
+
+    monkeypatch.setattr(kostka_module, "osp_root_data", recording_root_data)
+    n_guard = 2 * KOSTKA_RANK_GUARD + 2
+    others = {
+        "4|K|1,0|1|0,0|0": [0, 1, 0, 1],
+        "4|K|1,1|2|0,0|0": [7, 7, 7],  # impossible
+        "5|K|1,0|0,0|0|0": "q",  # coefficients not a list
+        "6|K|1,0,0|1,0,0|0,0,0|0,0,0": [0, 1.5],  # non-int coefficient
+        f"{n_guard - 1}|L|x": [1],  # malformed key of a reachable rank
+    }
+    unreachable = {
+        "99|K|0|0|0|0": [1], "2|K|1|1|0|0": [0, 1], "-1|K|1|1|0|0": [0, 1],
+        f"{n_guard}|K|0|0|0|0": [1], "x|K|1|1|0|0": [0, 1], "|K|1|1|0|0": [0, 1],
+    }
+    rank3 = {"3|K|1|1|0|0": [0, 1], "3|K|1|1|1|1": [2], "3|K|1|1|0": [0, 1]}
+    returned = kostka_memo_import({**rank3, **others, **unreachable}, 3)
+    assert returned == others
+    assert all(returned[key] is coeffs for key, coeffs in others.items())
+    assert empty_memo == {(3, (1,), (1,), (0,), (0,)): QPoly((0, 1))}
+    assert set(built) == {3}
 
 
 # N=3 labels: a lies one simple odd root above b = 0, c two (K_cb = q^2);
